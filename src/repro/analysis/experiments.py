@@ -107,7 +107,6 @@ def run_design_grid(designs: Sequence[str] = MAIN_DESIGNS,
                     cache=None,
                     policy=None, checkpoint=None, fault_plan=None,
                     telemetry=None, sanitize: bool = False,
-                    backend: str = "reference",
                     ) -> ExperimentGrid:
     """Run every design on every benchmark, one shared trace per benchmark.
 
@@ -116,7 +115,6 @@ def run_design_grid(designs: Sequence[str] = MAIN_DESIGNS,
     uncached) path is cell-for-cell identical to both.  ``policy`` /
     ``checkpoint`` / ``fault_plan`` / ``telemetry`` opt into the
     fault-tolerant executor (:mod:`repro.analysis.resilience`).
-    ``backend`` selects the simulation backend for every cell.
     """
     from repro.analysis.runner import run_grid
 
@@ -126,7 +124,7 @@ def run_design_grid(designs: Sequence[str] = MAIN_DESIGNS,
                     workers=workers, cache=cache,
                     policy=policy, checkpoint=checkpoint,
                     fault_plan=fault_plan, telemetry=telemetry,
-                    sanitize=sanitize, backend=backend)
+                    sanitize=sanitize)
 
 
 def run_benchmark_suite(design: str, benchmarks: Optional[Sequence[str]] = None,
@@ -137,7 +135,6 @@ def run_benchmark_suite(design: str, benchmarks: Optional[Sequence[str]] = None,
                         cache=None,
                         policy=None, checkpoint=None, fault_plan=None,
                         telemetry=None, sanitize: bool = False,
-                        backend: str = "reference",
                         ) -> Dict[str, SystemResult]:
     """Run one design across the benchmark suite.
 
@@ -156,6 +153,6 @@ def run_benchmark_suite(design: str, benchmarks: Optional[Sequence[str]] = None,
                     workers=workers, cache=cache,
                     policy=policy, checkpoint=checkpoint,
                     fault_plan=fault_plan, telemetry=telemetry,
-                    sanitize=sanitize, backend=backend)
+                    sanitize=sanitize)
     return {benchmark: grid.result(design, benchmark)
             for benchmark in grid.benchmarks}

@@ -17,12 +17,6 @@ deterministic workload:
 * ``system.refs_per_sec.tlc`` — the end-to-end ``run_system`` path the
   experiment grids are built from; ``meta.refs_per_sec`` carries the
   headline throughput number.
-* ``replay.probe.<backend>`` — the processor replay loop alone, against
-  the fixed-latency :class:`~repro.sim.backend.LatencyProbe` (no L2
-  model cost), one benchmark per available backend; the
-  reference/batched pair is the headline backend-speedup figure.
-* ``system.refs_per_sec.tlc.batched`` — the grid path under the
-  batched backend (registered only when numpy is available).
 
 Every workload is sized by a *scale* so ``--quick`` (CI) runs the same
 shapes smaller.  Builders construct their fixtures outside the timed
@@ -167,65 +161,6 @@ def _build_system_refs(scale: int) -> Tuple[Callable[[], Any], Dict[str, Any]]:
     return fn, {"inner_ops": n, "design": "TLC", "benchmark": "mcf"}
 
 
-def _build_system_refs_batched(scale: int) -> Tuple[Callable[[], Any],
-                                                    Dict[str, Any]]:
-    from repro.sim.system import run_system
-
-    n = max(5_000, 20_000 // scale)
-
-    def fn() -> Any:
-        return run_system("TLC", "mcf", n_refs=n, seed=7, backend="batched")
-
-    return fn, {"inner_ops": n, "design": "TLC", "benchmark": "mcf",
-                "backend": "batched"}
-
-
-def _probe_trace(count: int) -> list:
-    """A deterministic all-read trace for the replay-loop benchmarks.
-
-    Pure Python on purpose (an LCG gap stream plus Knuth-scattered
-    addresses): the reference-backend variant must build and run on a
-    numpy-free interpreter.
-    """
-    from repro.workloads.trace import Reference
-
-    refs = []
-    x = 1
-    for i in range(count):
-        x = (1103515245 * x + 12345) & 0x7FFFFFFF
-        refs.append(Reference(gap=12 + (x % 9),
-                              addr=((i * 2654435761) % (1 << 24)) * 64,
-                              write=False, dependent=False))
-    return refs
-
-
-def _build_replay_probe(backend: str) -> BenchBuilder:
-    def build(scale: int) -> Tuple[Callable[[], Any], Dict[str, Any]]:
-        from repro.sim.backend import LatencyProbe
-        from repro.sim.processor import Processor
-
-        n = max(4_000, 16_000 // scale)
-        trace = _probe_trace(n)
-        probe = LatencyProbe()
-        processor = Processor(probe, backend=backend)
-
-        def fn() -> Any:
-            probe.reset_stats()
-            return processor.run(trace)
-
-        return fn, {"inner_ops": n, "backend": backend, "refs": n}
-
-    return build
-
-
-def _numpy_available() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 #: name -> builder; names are stable identifiers BENCH documents key on.
 SUITE: Dict[str, BenchBuilder] = {
     "calibration.spin": _build_calibration_spin,
@@ -234,15 +169,9 @@ SUITE: Dict[str, BenchBuilder] = {
     "mesh.transit": _build_mesh_transit,
     "workload.generate": _build_workload_generate,
     "system.refs_per_sec.tlc": _build_system_refs,
-    "replay.probe.reference": _build_replay_probe("reference"),
 }
 for _design in LOOKUP_DESIGNS:
     SUITE[f"l2.lookup.{_design.lower()}"] = _build_l2_lookup(_design)
-if _numpy_available():
-    # The batched-backend pairs only exist where the backend can run;
-    # a numpy-free interpreter benchmarks the reference backend alone.
-    SUITE["replay.probe.batched"] = _build_replay_probe("batched")
-    SUITE["system.refs_per_sec.tlc.batched"] = _build_system_refs_batched
 
 
 def benchmark_names() -> Tuple[str, ...]:

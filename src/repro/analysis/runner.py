@@ -66,10 +66,11 @@ from repro.workloads.synthetic import TraceSpec, generate_trace
 #: v2 added the per-entry integrity digest; v3 switched the result's
 #: ``stats`` field to the canonical pair-list encoding (see
 #: :func:`repro.analysis.storage.result_to_dict`), which preserves
-#: integer stat keys across the JSON round trip.  Old entries hash to
-#: different keys (the version is part of the key payload) and are
-#: simply unseen.
-CACHE_FORMAT_VERSION = 3
+#: integer stat keys across the JSON round trip; v4 dropped the key
+#: field that chose between two replay loops (there is one now).  Old
+#: entries hash to different keys (the version is part of the key
+#: payload) and are simply unseen.
+CACHE_FORMAT_VERSION = 4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,11 +98,6 @@ class CellSpec:
     #: result, but the flag is still part of the cache key: a sanitized
     #: entry certifies "checked", and mixing would hide that provenance.
     sanitize: bool = False
-    #: simulation backend (see :mod:`repro.sim.backend`).  Backends are
-    #: proven observably identical by the differential suite, but the
-    #: name is still part of the cache key for the same provenance
-    #: reason as ``sanitize``: an entry records *how* it was computed.
-    backend: str = "reference"
     #: registry design this cell's ``design`` is a *variant* of.  When
     #: set, ``design`` is a display name (not a registry key) and the
     #: cell is built as ``build_design(design_base, name=design,
@@ -131,7 +127,6 @@ class CellSpec:
                            else dataclasses.asdict(self.trace_spec)),
             "memory_latency_cycles": self.memory_latency_cycles,
             "sanitize": self.sanitize,
-            "backend": self.backend,
             "design_base": self.design_base,
             "design_overrides": (None if self.design_overrides is None
                                  else [[field, value] for field, value
@@ -169,13 +164,13 @@ def run_cell(cell: CellSpec) -> SystemResult:
                           prewarm_spec=cell.trace_spec,
                           processor_config=cell.processor_config,
                           tech=cell.tech, memory=memory,
-                          sanitize=cell.sanitize, backend=cell.backend,
+                          sanitize=cell.sanitize,
                           **overrides)
     return run_system(design, cell.benchmark, n_refs=cell.n_refs,
                       seed=cell.seed, warmup_fraction=cell.warmup_fraction,
                       processor_config=cell.processor_config,
                       tech=cell.tech, memory=memory,
-                      sanitize=cell.sanitize, backend=cell.backend,
+                      sanitize=cell.sanitize,
                       **overrides)
 
 
@@ -480,7 +475,6 @@ def grid_cell_specs(designs: Sequence,
                     processor_config: Optional[ProcessorConfig] = None,
                     tech: Technology = TECH_45NM,
                     sanitize: bool = False,
-                    backend: str = "reference",
                     ) -> Tuple[List[CellSpec], Tuple[str, ...]]:
     """The cell specs a :func:`run_grid` call would execute, without
     executing them.
@@ -502,7 +496,7 @@ def grid_cell_specs(designs: Sequence,
     cells = [CellSpec(design=name, benchmark=benchmark, n_refs=n_refs,
                       seed=seed, warmup_fraction=warmup_fraction,
                       processor_config=processor_config, tech=tech,
-                      sanitize=sanitize, backend=backend,
+                      sanitize=sanitize,
                       design_base=base, design_overrides=overrides)
              for benchmark in benchmarks
              for name, base, overrides in fields]
@@ -518,8 +512,7 @@ def run_grid(designs: Sequence,
              workers: int = 1,
              cache: Union[ResultCache, str, os.PathLike, None] = None,
              policy=None, checkpoint=None, fault_plan=None, telemetry=None,
-             sanitize: bool = False,
-             backend: str = "reference"):
+             sanitize: bool = False):
     """Run a full (design x benchmark) grid through the runner.
 
     Returns an :class:`~repro.analysis.experiments.ExperimentGrid`.
@@ -530,9 +523,6 @@ def run_grid(designs: Sequence,
     fault-tolerant executor (see :func:`execute_cells_detailed`).
     ``sanitize=True`` runs every cell under the simulator-core
     sanitizer; a clean sanitized grid is byte-identical to a plain one.
-    ``backend`` selects the simulation backend for every cell (see
-    :mod:`repro.sim.backend`); the differential suite proves grids are
-    byte-identical across backends.
 
     ``designs`` entries may be registry names or
     :class:`~repro.core.config.DesignVariant`-like objects (see
@@ -544,7 +534,7 @@ def run_grid(designs: Sequence,
     cells, benchmarks = grid_cell_specs(
         designs, benchmarks, n_refs=n_refs, seed=seed,
         warmup_fraction=warmup_fraction, processor_config=processor_config,
-        tech=tech, sanitize=sanitize, backend=backend)
+        tech=tech, sanitize=sanitize)
     outcomes = execute_cells_detailed(cells, workers=workers, cache=cache,
                                       policy=policy, checkpoint=checkpoint,
                                       fault_plan=fault_plan,

@@ -45,21 +45,17 @@ def memory_latency_sweep(benchmark: str = "gcc",
                          workers: int = 1,
                          cache=None,
                          derived_cache=None,
-                         backend: str = "reference",
                          ) -> List[Tuple[int, Dict[str, float]]]:
     """Execution cycles per design at several DRAM latencies.
 
-    Returns ``[(latency, {design: cycles}), ...]``.  ``backend``
-    selects the simulation backend per cell, exactly as in
-    :func:`~repro.analysis.runner.run_grid` (it is part of each cell's
-    cache key, and results are byte-identical across backends).
+    Returns ``[(latency, {design: cycles}), ...]``.
     """
     from repro.analysis.derived import as_lane
     from repro.analysis.runner import CellSpec, cache_key, execute_cells
 
     cells = [CellSpec(design=design, benchmark=benchmark, n_refs=n_refs,
                       seed=seed, warmup_fraction=warmup_fraction,
-                      memory_latency_cycles=latency, backend=backend)
+                      memory_latency_cycles=latency)
              for latency in latencies for design in designs]
 
     def compute() -> list:
@@ -106,14 +102,12 @@ def dependence_sweep(fractions: Sequence[float] = (0.0, 0.3, 0.6, 0.9),
                      processor_config: Optional[ProcessorConfig] = None,
                      workers: int = 1,
                      cache=None,
-                     derived_cache=None,
-                     backend: str = "reference"):
+                     derived_cache=None):
     """Design sensitivity to workload dependence chains.
 
     Returns ``[(fraction, {design: cycles}), ...]``; the gap between
     designs should widen as dependence rises (nothing hides L2 latency
-    in a pointer chase).  ``backend`` selects the simulation backend
-    per cell, as in :func:`~repro.analysis.runner.run_grid`.
+    in a pointer chase).
     """
     from repro.analysis.derived import as_lane
     from repro.analysis.runner import CellSpec, cache_key, execute_cells
@@ -126,8 +120,7 @@ def dependence_sweep(fractions: Sequence[float] = (0.0, 0.3, 0.6, 0.9),
                       n_refs=n_refs, seed=seed,
                       warmup_fraction=warmup_fraction,
                       trace_spec=specs[fraction],
-                      processor_config=processor_config,
-                      backend=backend)
+                      processor_config=processor_config)
              for fraction in fractions for design in designs]
 
     def compute() -> list:

@@ -149,15 +149,10 @@ def _cmd_run(args) -> int:
     try:
         result = run_system(design, benchmark, n_refs=args.refs,
                             seed=args.seed, observer=observer,
-                            sanitizer=sanitizer, crash_dir=args.crash_dir,
-                            backend=args.backend)
+                            sanitizer=sanitizer, crash_dir=args.crash_dir)
     except Exception as error:
-        from repro.core.config import ConfigError
         from repro.sanitizer import SanitizerViolation
 
-        if isinstance(error, ConfigError):
-            print(f"error: {error}", file=sys.stderr)
-            return 2
         if not isinstance(error, SanitizerViolation):
             raise
         print(f"sanitizer violation: {error}", file=sys.stderr)
@@ -406,20 +401,13 @@ def _cmd_grid(args) -> int:
     else:
         cache = _grid_cache(args)
         policy, checkpoint, telemetry = _grid_resilience(args)
-        from repro.core.config import ConfigError
-
-        try:
-            grid = run_design_grid(
-                designs=args.designs or ("SNUCA2", "DNUCA", "TLC"),
-                benchmarks=args.benchmarks or None,
-                n_refs=args.refs, seed=args.seed,
-                workers=args.workers, cache=cache,
-                policy=policy, checkpoint=checkpoint,
-                telemetry=telemetry,
-                sanitize=args.sanitize, backend=args.backend)
-        except ConfigError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        grid = run_design_grid(designs=args.designs or ("SNUCA2", "DNUCA", "TLC"),
+                               benchmarks=args.benchmarks or None,
+                               n_refs=args.refs, seed=args.seed,
+                               workers=args.workers, cache=cache,
+                               policy=policy, checkpoint=checkpoint,
+                               telemetry=telemetry,
+                               sanitize=args.sanitize)
         if cache is not None:
             print(f"cache: {cache.hits} hit(s), {cache.stores} cell(s) "
                   f"simulated and stored under {args.cache_dir}")
@@ -600,7 +588,7 @@ def _cmd_explore(args) -> int:
                             budget=args.budget, workers=args.workers,
                             cache=cache, policy=policy,
                             checkpoint=checkpoint, telemetry=telemetry,
-                            backend=args.backend, registry=registry)
+                            registry=registry)
     except ConfigError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -679,7 +667,6 @@ def _cmd_perf(args) -> int:
         ["benchmark", "median (ms)", "MAD (ms)", "reps", "ops/sec"],
         rows, title=f"Microbenchmarks ({mode} mode, "
                     f"{'pinned' if pinned else 'unpinned'})"))
-    _print_backend_speedups(results)
 
     if args.save:
         written = save_benchmarks(args.save, document)
@@ -733,32 +720,6 @@ def _print_no_filter_match(name_filter) -> None:
         print(f"  {name}", file=sys.stderr)
 
 
-def _print_backend_speedups(results) -> None:
-    """Median-time speedup lines for reference/batched benchmark pairs.
-
-    A pair is ``<stem>.batched`` next to ``<stem>.reference`` or a bare
-    ``<stem>`` (the ``system.refs_per_sec.tlc`` convention, where the
-    unsuffixed name is the reference run).
-    """
-    lines = []
-    for name in sorted(results):
-        if not name.endswith(".batched"):
-            continue
-        stem = name[:-len(".batched")]
-        sibling = next((candidate for candidate
-                        in (f"{stem}.reference", stem)
-                        if candidate in results), None)
-        if sibling is None or results[name].median_ns <= 0:
-            continue
-        speedup = results[sibling].median_ns / results[name].median_ns
-        lines.append(f"  {stem}: {speedup:.2f}x "
-                     f"({sibling} / {name}, median)")
-    if lines:
-        print("backend speedup (batched vs reference):")
-        for line in lines:
-            print(line)
-
-
 def _cmd_perf_list(args) -> int:
     from repro.analysis.perf import benchmark_names
 
@@ -799,11 +760,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="benchmark name (flag form of the positional)")
     run.add_argument("--refs", type=int, default=20_000)
     run.add_argument("--seed", type=int, default=7)
-    run.add_argument("--backend", default=None, metavar="NAME",
-                     help="simulation backend: 'reference' (scalar loop, "
-                          "full feature support) or 'batched' (numpy "
-                          "struct-of-arrays, byte-identical results); "
-                          "default: the design config's backend")
     run.add_argument("--metrics-out", metavar="FILE",
                      help="write the run manifest (config digest, code "
                           "version, full metrics snapshot) as JSON")
@@ -883,11 +839,6 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--sanitize", action="store_true",
                       help="run every cell under the simulator-core "
                            "sanitizer (identical results, checked)")
-    grid.add_argument("--backend", default="reference", metavar="NAME",
-                      help="simulation backend for every cell "
-                           "('reference' or 'batched'; results are "
-                           "byte-identical, but the name is part of each "
-                           "cell's cache key)")
     grid.add_argument("--save", help="write the grid to this JSON path")
     grid.add_argument("--load", help="load a grid instead of running")
     grid.add_argument("--workers", type=int, default=1,
@@ -933,9 +884,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="variants admitted to evaluation")
     explore.add_argument("--top-k", type=int, default=5, dest="top_k",
                          help="variants shown on the leaderboard")
-    explore.add_argument("--backend", default=None, metavar="NAME",
-                         help="override the spec's simulation backend "
-                              "('reference' or 'batched')")
     explore.add_argument("--workers", type=int, default=1,
                          help="worker processes for grid cells (1 = serial)")
     explore.add_argument("--cache-dir",

@@ -83,12 +83,6 @@ class DesignConfig:
     #: a time — less bank traffic, longer worst-case latency).
     search_mode: str = "multicast"
     controller_overhead: int = 0
-    #: simulation backend replaying traces against this design —
-    #: ``"reference"`` (the scalar per-event loop) or ``"batched"``
-    #: (numpy struct-of-arrays; see :mod:`repro.sim.backend`).  Part of
-    #: the design config so a build_design override selects it, and part
-    #: of every result-cache key via ``CellSpec.backend``.
-    backend: str = "reference"
 
     def __post_init__(self) -> None:
         self._check_scalars()
@@ -137,13 +131,6 @@ class DesignConfig:
         self._require(self.search_mode in ("multicast", "incremental"),
                       f"search_mode must be 'multicast' or 'incremental', "
                       f"got {self.search_mode!r}")
-        # Imported lazily, like make_policy below: the backend module
-        # imports ConfigError from this one.
-        from repro.sim.backend import BACKEND_NAMES
-
-        self._require(self.backend in BACKEND_NAMES,
-                      f"backend must be one of {list(BACKEND_NAMES)}, "
-                      f"got {self.backend!r}")
         from repro.cache.replacement import make_policy
 
         try:
@@ -249,12 +236,8 @@ class DesignConfig:
 
 
 #: Fields a :class:`DesignVariant` may not override.  ``name`` is the
-#: variant's own identity (set from ``DesignVariant.name``), and
-#: ``backend`` must be selected per *run*, not per design: the grid
-#: runner always passes an explicit backend to ``run_system`` (it is
-#: part of every cell's cache key), so a config-level override would be
-#: silently ignored — better to refuse it at the door.
-RESERVED_VARIANT_FIELDS = ("name", "backend")
+#: variant's own identity (set from ``DesignVariant.name``).
+RESERVED_VARIANT_FIELDS = ("name",)
 
 
 def _freeze_override_value(value):
@@ -327,12 +310,10 @@ class DesignVariant:
                     f"variant {self.name}: unknown override field "
                     f"{field!r}; known fields: {sorted(known)}")
             if field in RESERVED_VARIANT_FIELDS:
-                reason = ("variants are named by their own name field"
-                          if field == "name"
-                          else "select the backend per run, not per design")
                 raise ConfigError(
                     f"variant {self.name}: field {field!r} cannot be "
-                    f"overridden by a variant ({reason})")
+                    f"overridden by a variant (variants are named by "
+                    f"their own name field)")
         object.__setattr__(self, "overrides",
                            tuple(sorted(overrides)))
         self.config()  # raises ConfigError for an unbuildable combination

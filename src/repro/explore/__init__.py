@@ -4,9 +4,9 @@ The subsystem ROADMAP open item 3 asked for: a design family is written
 as a declarative :class:`~repro.explore.space.SpaceSpec` document, a
 search driver (``grid`` / ``random`` / ``halving``) evaluates its
 variants through :func:`~repro.analysis.runner.run_grid` — result
-cache, resilient executor, and backend selection included — and the
-outcome is a deterministic trajectory plus a Fig-5-style leaderboard
-routed through the derived-artifact lane.  ``repro explore`` is the CLI
+cache and resilient executor included — and the outcome is a
+deterministic trajectory plus a Fig-5-style leaderboard routed through
+the derived-artifact lane.  ``repro explore`` is the CLI
 face; docs/EXPLORATION.md is the reference.
 """
 

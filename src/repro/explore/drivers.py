@@ -3,8 +3,7 @@
 Three drivers turn a :class:`~repro.explore.space.SpaceSpec` into a
 ranking of its variants, all through the same evaluation path —
 :func:`repro.analysis.runner.run_grid` — so every candidate cell gets
-the result cache, the resilient executor, worker pools, and backend
-selection for free:
+the result cache, the resilient executor, and worker pools for free:
 
 * ``grid`` — exhaustive enumeration in expansion order, clipped to the
   budget.  The control: it visits combinations exactly as the DSL
@@ -59,8 +58,9 @@ SCORE_DIGITS = 6
 #: a handful of post-warmup misses is noise, not a signal to rank on.
 MIN_RUNG_REFS = 500
 
-#: Version of the trajectory document layout.
-TRAJECTORY_SCHEMA = 1
+#: Version of the trajectory document layout (v2 dropped the key that
+#: named the replay loop).
+TRAJECTORY_SCHEMA = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,7 +78,6 @@ class SearchResult:
     driver: str
     search_seed: int
     budget: int
-    backend: str
     variants_total: int
     variants_skipped: int
     #: one entry per evaluation round:
@@ -103,7 +102,6 @@ class SearchResult:
             "driver": self.driver,
             "search_seed": self.search_seed,
             "budget": self.budget,
-            "backend": self.backend,
             "variants_total": self.variants_total,
             "variants_skipped": self.variants_skipped,
             "rounds": list(self.rounds),
@@ -147,15 +145,13 @@ def _rung_refs(spec: SpaceSpec, depth: int, rung: int) -> int:
 def run_search(spec: SpaceSpec, driver: str = "random", seed: int = 0,
                budget: int = 8, *, workers: int = 1, cache=None,
                policy=None, checkpoint=None, telemetry=None,
-               backend: Optional[str] = None,
                registry=None) -> SearchResult:
     """Search ``spec``'s design space and rank what was evaluated.
 
     ``seed`` steers candidate selection (``random``/``halving``);
     ``budget`` is the number of variants admitted to evaluation.
-    ``backend`` overrides the spec's backend (the CLI threads
-    ``--backend`` here); ``cache``/``policy``/``checkpoint``/
-    ``telemetry``/``workers`` pass straight through to ``run_grid``.
+    ``cache``/``policy``/``checkpoint``/``telemetry``/``workers`` pass
+    straight through to ``run_grid``.
     ``registry`` (a :class:`~repro.obs.registry.MetricsRegistry`)
     receives the ``explore.*`` counters when given.
 
@@ -173,7 +169,6 @@ def run_search(spec: SpaceSpec, driver: str = "random", seed: int = 0,
             or not 0 <= seed <= MAX_SEED):
         raise ConfigError(f"search seed must be an integer in "
                           f"[0, {MAX_SEED}], got {seed!r}")
-    effective_backend = spec.backend if backend is None else backend
 
     counter = Counter()
     if registry is not None:
@@ -199,8 +194,7 @@ def run_search(spec: SpaceSpec, driver: str = "random", seed: int = 0,
                         warmup_fraction=spec.warmup_fraction,
                         workers=workers, cache=cache, policy=policy,
                         checkpoint=checkpoint, telemetry=telemetry,
-                        sanitize=spec.sanitize,
-                        backend=effective_backend)
+                        sanitize=spec.sanitize)
         for meta in (grid.cell_meta or {}).values():
             if meta.get("from_cache"):
                 cells_from_cache += 1
@@ -266,7 +260,6 @@ def run_search(spec: SpaceSpec, driver: str = "random", seed: int = 0,
 
     return SearchResult(
         spec=spec, driver=driver, search_seed=seed, budget=budget,
-        backend=effective_backend,
         variants_total=expansion.total,
         variants_skipped=len(expansion.skipped),
         rounds=tuple(rounds), ranking=ranking, final_grid=final_grid,
@@ -290,7 +283,7 @@ def build_search_manifest(result: SearchResult, wall_time_s: float,
         kind="explore.search",
         config={"spec": result.spec.as_dict(), "driver": result.driver,
                 "search_seed": result.search_seed,
-                "budget": result.budget, "backend": result.backend},
+                "budget": result.budget},
         metrics=dict(metrics or {}),
         wall_time_s=wall_time_s,
         seed=result.spec.seed,

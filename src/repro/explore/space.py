@@ -147,13 +147,6 @@ SPACE_SPEC_SCHEMA = {
             "description": "leading fraction of each trace excluded "
                            "from measurement",
         },
-        "backend": {
-            "type": "string",
-            "default": "reference",
-            "description": "simulation backend for every cell "
-                           "('reference' or 'batched'; part of each "
-                           "cell's cache key)",
-        },
         "sanitize": {
             "type": "boolean",
             "default": False,
@@ -212,7 +205,6 @@ class SpaceSpec:
     n_refs: int = 20_000
     seed: int = 7
     warmup_fraction: float = 0.3
-    backend: str = "reference"
     sanitize: bool = False
     on_invalid: str = "raise"
 
@@ -242,7 +234,6 @@ class SpaceSpec:
             "n_refs": self.n_refs,
             "seed": self.seed,
             "warmup_fraction": self.warmup_fraction,
-            "backend": self.backend,
             "sanitize": self.sanitize,
             "on_invalid": self.on_invalid,
         }
@@ -323,11 +314,8 @@ def _check_override_field(axis_index: int, field: object,
         _fail(f"axes[{axis_index}]: unknown DesignConfig field {field!r}; "
               f"known fields: {sorted(known)}")
     if field in RESERVED_VARIANT_FIELDS:
-        reason = ("variant names are assigned by expansion"
-                  if field == "name"
-                  else "select the backend at the spec level")
         _fail(f"axes[{axis_index}]: field {field!r} cannot be an axis "
-              f"({reason})")
+              f"(variant names are assigned by expansion)")
 
 
 def _validated_axis(axis_index: int, raw: object) -> AxisSpec:
@@ -456,12 +444,6 @@ def validate_space_spec(payload: object) -> SpaceSpec:
             or not math.isfinite(warmup) or not 0.0 <= warmup < 1.0):
         _fail(f"warmup_fraction must be a finite number in [0, 1), "
               f"got {warmup!r}")
-    backend = payload.get("backend", "reference")
-    from repro.sim.backend import BACKEND_NAMES
-
-    if backend not in BACKEND_NAMES:
-        _fail(f"backend must be one of {list(BACKEND_NAMES)}, "
-              f"got {backend!r}")
     sanitize = payload.get("sanitize", False)
     if not isinstance(sanitize, bool):
         _fail(f"sanitize must be a boolean, got {sanitize!r}")
@@ -472,7 +454,7 @@ def validate_space_spec(payload: object) -> SpaceSpec:
     return SpaceSpec(name=name, base=base, axes=axes, baseline=baseline,
                      references=references, benchmarks=benchmarks,
                      n_refs=n_refs, seed=seed,
-                     warmup_fraction=float(warmup), backend=backend,
+                     warmup_fraction=float(warmup),
                      sanitize=sanitize, on_invalid=on_invalid)
 
 

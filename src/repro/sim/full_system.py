@@ -54,22 +54,13 @@ class FullSystemResult:
 
 
 class FullSystem:
-    """Core + L1D + (any) L2 design + memory.
-
-    Full-system mode threads L1 writebacks and per-reference L1 state
-    through the replay loop, which only the scalar reference execution
-    model supports: requesting any other backend (via the design
-    config's ``backend`` field or ``run_full_system(backend=...)``)
-    raises a typed :class:`~repro.core.config.ConfigError` rather than
-    silently falling back.
-    """
+    """Core + L1D + (any) L2 design + memory."""
 
     def __init__(self, design_name: str,
                  processor_config: Optional[ProcessorConfig] = None,
                  tech: Technology = TECH_45NM,
                  l1: Optional[L1Cache] = None,
                  tracer=None,
-                 backend: Optional[str] = None,
                  **design_overrides) -> None:
         self.config = processor_config or ProcessorConfig()
         self.memory = MainMemory()
@@ -77,21 +68,6 @@ class FullSystem:
             latency_cycles=self.config.l1_latency)
         self.l2 = build_design(design_name, memory=self.memory, tech=tech,
                                **design_overrides)
-        if backend is None:
-            backend = self.l2.config.backend
-        if backend != "reference":
-            from repro.core.config import ConfigError
-            from repro.sim.backend import backend_names
-
-            if backend not in backend_names():
-                raise ConfigError(
-                    f"backend must be one of {list(backend_names())}, "
-                    f"got {backend!r}")
-            raise ConfigError(
-                f"full-system mode supports only the 'reference' backend "
-                f"(its replay loop carries per-reference L1 state); "
-                f"got {backend!r}")
-        self.backend = backend
         self.tracer = tracer
         #: the L2 design's registry, extended with the L1's metrics so a
         #: full-system snapshot covers the whole hierarchy.
@@ -202,7 +178,6 @@ def run_full_system(design_name: str, spec, n_refs: int = 50_000,
                     processor_config: Optional[ProcessorConfig] = None,
                     tech: Technology = TECH_45NM,
                     observer=None,
-                    backend: Optional[str] = None,
                     **design_overrides) -> FullSystemResult:
     """Generate a CPU-level trace from ``spec`` and run it end to end.
 
@@ -213,11 +188,6 @@ def run_full_system(design_name: str, spec, n_refs: int = 50_000,
     ``kind="full_system"`` :class:`~repro.obs.manifest.RunManifest`,
     and its tracer captures ``l1.miss`` / ``l1.writeback`` /
     ``l2.access`` events.
-
-    ``backend`` must name the reference backend (or be ``None``, which
-    defers to the design config); full-system mode has no batched
-    replay loop, and anything else raises
-    :class:`~repro.core.config.ConfigError`.
     """
     from repro.workloads.cpu_level import generate_cpu_trace
 
@@ -225,7 +195,7 @@ def run_full_system(design_name: str, spec, n_refs: int = 50_000,
     trace = generate_cpu_trace(spec, n_refs, seed=seed)
     tracer = observer.tracer if observer is not None else None
     system = FullSystem(design_name, processor_config, tech, tracer=tracer,
-                        backend=backend, **design_overrides)
+                        **design_overrides)
     if prewarm:
         system.prewarm(spec.l2_spec)
     result = system.run(trace)
@@ -239,7 +209,6 @@ def run_full_system(design_name: str, spec, n_refs: int = 50_000,
             "seed": seed,
             "prewarm": prewarm,
             "processor_config": dataclasses.asdict(system.config),
-            "backend": system.backend,
             "tech": tech.name,
             "design_overrides": {key: repr(value) for key, value
                                  in sorted(design_overrides.items())},

@@ -25,6 +25,7 @@ design's latency and contention, which the four mechanisms above carry.
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
 from typing import Iterable, Optional
 
 from repro.workloads.trace import Reference
@@ -70,25 +71,13 @@ class Processor:
     per-reference ``l2.access`` events and a ``run.warmup_end`` marker;
     the default ``None`` costs one branch per reference and the
     simulation result never depends on it.
-
-    ``backend`` selects the replay engine — a name from
-    :data:`~repro.sim.backend.BACKEND_NAMES`, a
-    :class:`~repro.sim.backend.SimBackend` instance, or ``None`` for
-    the scalar reference loop.  Backends are observably identical (see
-    :mod:`repro.sim.backend`); an unknown name raises the typed
-    :class:`~repro.core.config.ConfigError`.
     """
 
     def __init__(self, l2, config: Optional[ProcessorConfig] = None,
-                 tracer=None, backend=None) -> None:
-        # Imported here, not at module top: the backend module imports
-        # ExecutionResult from this one.
-        from repro.sim.backend import resolve_backend
-
+                 tracer=None) -> None:
         self.l2 = l2
         self.config = config if config is not None else ProcessorConfig()
         self.tracer = tracer
-        self.backend = resolve_backend(backend)
         #: optional repro.sanitizer.Sanitizer (set by attach_processor);
         #: receives per-reference retirement/MSHR checks and the final
         #: quiesce sweep.  Like the tracer, it never changes the result.
@@ -101,9 +90,97 @@ class Processor:
         resource state is realistic) but the L2's statistics and the
         returned cycle/instruction counts are measured after the warmup
         boundary, mirroring the paper's warm-up methodology (Table 4).
-
-        Execution is delegated to the selected backend (see
-        :mod:`repro.sim.backend`); every backend produces the identical
-        result for the identical inputs.
         """
-        return self.backend.execute(self, trace, warmup_refs)
+        # The loop below runs once per reference; config fields and bound
+        # methods are hoisted into locals to keep it tight.
+        cfg = self.config
+        issue_width = cfg.issue_width
+        rob_entries = cfg.rob_entries
+        mshrs = cfg.mshrs
+        l1_latency = cfg.l1_latency
+        l2 = self.l2
+        l2_access = l2.access
+        cycle = 0
+        instr = 0
+        gap_remainder = 0
+        # In-flight loads as (instruction index, completion time).
+        loads: deque = deque()
+        stores: deque = deque()  # completion times only
+        loads_popleft = loads.popleft
+        loads_append = loads.append
+        stores_popleft = stores.popleft
+        stores_append = stores.append
+        last_load_complete = 0
+        warmup_cycle = 0
+        warmup_instr = 0
+        requests = 0
+
+        tracer = self.tracer
+        sanitizer = self.sanitizer
+        for i, ref in enumerate(trace):
+            if i == warmup_refs and warmup_refs > 0:
+                warmup_cycle, warmup_instr = cycle, instr
+                l2.reset_stats()
+                if tracer is not None:
+                    tracer.emit("run.warmup_end", time=cycle, refs=i,
+                                instructions=instr)
+
+            instr += ref.gap
+            total_gap = ref.gap + gap_remainder
+            cycle += total_gap // issue_width
+            gap_remainder = total_gap % issue_width
+
+            # Reorder-buffer limit: older loads must complete before the
+            # window can roll this far forward.
+            window_floor = instr - rob_entries
+            while loads and loads[0][0] <= window_floor:
+                _, done = loads_popleft()
+                if done > cycle:
+                    cycle = done
+
+            # MSHR limit across loads and stores.
+            while len(loads) + len(stores) >= mshrs:
+                earliest_load = loads[0][1] if loads else None
+                earliest_store = stores[0] if stores else None
+                if earliest_store is None or (
+                        earliest_load is not None and earliest_load <= earliest_store):
+                    _, done = loads_popleft()
+                else:
+                    done = stores_popleft()
+                if done > cycle:
+                    cycle = done
+
+            if ref.dependent and last_load_complete > cycle:
+                cycle = last_load_complete
+
+            outcome = l2_access(ref.addr, cycle + l1_latency,
+                                write=ref.write)
+            if tracer is not None:
+                tracer.emit("l2.access", time=cycle, ref=i, addr=ref.addr,
+                            write=ref.write, hit=outcome.hit,
+                            latency=outcome.lookup_latency,
+                            complete=outcome.complete_time,
+                            predictable=outcome.predictable)
+            requests += 1
+            if ref.write:
+                stores_append(outcome.complete_time)
+            else:
+                loads_append((instr, outcome.complete_time))
+                last_load_complete = outcome.complete_time
+            if sanitizer is not None:
+                sanitizer.on_retire(cycle, instr,
+                                    len(loads) + len(stores))
+
+        # Drain: execution ends when the last load's data has returned.
+        for _, done in loads:
+            if done > cycle:
+                cycle = done
+        if sanitizer is not None:
+            sanitizer.on_quiesce(cycle, len(loads) + len(stores))
+
+        return ExecutionResult(
+            cycles=cycle - warmup_cycle,
+            instructions=instr - warmup_instr,
+            l2_requests=requests - warmup_refs,
+            warmup_cycles=warmup_cycle,
+        )

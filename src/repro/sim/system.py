@@ -86,30 +86,18 @@ def prewarm_l2(l2, resident: Sequence[int]) -> int:
 
 
 class System:
-    """A processor + L2 design + memory, ready to replay traces.
-
-    ``backend`` selects the replay backend (see
-    :mod:`repro.sim.backend`); ``None`` defers to the design config's
-    ``backend`` field (``"reference"`` for every registry design unless
-    overridden), so both ``System("TLC", backend="batched")`` and
-    ``System("TLC", backend="batched"...)``-via-override
-    ``build_design(..., backend="batched")`` mean the same thing.
-    """
+    """A processor + L2 design + memory, ready to replay traces."""
 
     def __init__(self, design_name: str,
                  processor_config: Optional[ProcessorConfig] = None,
                  tech: Technology = TECH_45NM,
                  memory: Optional[MainMemory] = None,
                  tracer=None,
-                 backend: Optional[str] = None,
                  **design_overrides) -> None:
         self.memory = memory if memory is not None else MainMemory()
         self.l2 = build_design(design_name, memory=self.memory, tech=tech,
                                **design_overrides)
-        if backend is None:
-            backend = self.l2.config.backend
-        self.processor = Processor(self.l2, processor_config, tracer=tracer,
-                                   backend=backend)
+        self.processor = Processor(self.l2, processor_config, tracer=tracer)
 
     def run(self, trace: Sequence[Reference], benchmark: str = "custom",
             warmup_refs: int = 0) -> SystemResult:
@@ -144,7 +132,6 @@ def run_system(design_name: str, benchmark: str, n_refs: int = 50_000,
                sanitizer=None,
                crash_dir: Optional[str] = None,
                warmup_refs: Optional[int] = None,
-               backend: Optional[str] = None,
                **design_overrides) -> SystemResult:
     """Run ``benchmark`` on ``design_name`` and collect all metrics.
 
@@ -184,15 +171,6 @@ def run_system(design_name: str, benchmark: str, n_refs: int = 50_000,
     an exact boundary — used by bundle replay, where the prefix must
     keep the original run's warmup point rather than a fraction of the
     (shortened) trace.
-
-    ``backend`` selects the simulation backend (``"reference"`` /
-    ``"batched"``; ``None`` defers to the design config).  Backends are
-    observably identical — the returned :class:`SystemResult` is
-    byte-for-byte the same — but a backend that cannot honor a
-    requested feature refuses with a typed
-    :class:`~repro.core.config.ConfigError`: the batched backend has no
-    per-reference sanitizer hooks, so ``sanitize=True`` with
-    ``backend="batched"`` is rejected at the door.
     """
     started = _time.perf_counter()
     external_trace = trace is not None
@@ -224,15 +202,8 @@ def run_system(design_name: str, benchmark: str, n_refs: int = 50_000,
     system: Optional[System] = None
     try:
         system = System(design_name, processor_config, tech, memory=memory,
-                        tracer=tracer, backend=backend, **design_overrides)
+                        tracer=tracer, **design_overrides)
         if san is not None:
-            if not system.processor.backend.supports_sanitizer:
-                from repro.core.config import ConfigError
-
-                raise ConfigError(
-                    f"the {system.processor.backend.name!r} backend does "
-                    f"not support sanitized runs; use "
-                    f"backend='reference' with --sanitize")
             san.attach_system(system)
         if prewarm is not None:
             prewarm_l2(system.l2, prewarm)
@@ -260,7 +231,6 @@ def run_system(design_name: str, benchmark: str, n_refs: int = 50_000,
             "warmup_refs": warmup_refs,
             "processor_config": dataclasses.asdict(
                 system.processor.config),
-            "backend": system.processor.backend.name,
             "tech": tech.name,
             "memory_latency_cycles": system.memory.latency_cycles,
             "design_overrides": {key: repr(value) for key, value

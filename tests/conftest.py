@@ -1,8 +1,8 @@
 """Shared test configuration: numpy-optional collection.
 
 numpy is an optional dependency of the simulator (it powers trace
-*generation* and the batched backend; the reference backend and every
-design model are pure Python).  On an interpreter without numpy this
+*generation*; the replay loop in ``Processor.run`` and every design
+model are pure Python).  On an interpreter without numpy this
 conftest keeps the suite green in the honest way:
 
 * test modules that import numpy at module level are not collected;

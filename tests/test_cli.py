@@ -27,6 +27,17 @@ class TestParser:
         assert main(["run", "TLC"]) == 2
         assert "required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "TLC", "mcf"],
+        ["grid"],
+        ["explore", "--space", "space.json"],
+    ])
+    def test_backend_option_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--backend", "batched"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
 
 class TestInformational:
     def test_designs_lists_registry(self, capsys):

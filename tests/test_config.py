@@ -136,9 +136,10 @@ class TestDesignVariant:
     def test_reserved_and_unknown_fields_are_refused(self):
         from repro.core.config import ConfigError, DesignVariant
 
-        for overrides in ({"name": "x"}, {"backend": "batched"},
-                          {"bogus": 1}):
-            with pytest.raises(ConfigError):
+        for overrides, match in (({"name": "x"}, "cannot be overridden"),
+                                 ({"backend": "batched"}, "unknown override"),
+                                 ({"bogus": 1}, "unknown override")):
+            with pytest.raises(ConfigError, match=match):
                 DesignVariant(name="v", base="SNUCA2", overrides=overrides)
 
     def test_unbuildable_combination_is_a_typed_error(self):

@@ -245,26 +245,6 @@ class TestResetWithSanitizer:
         assert engine.now == 0 and engine.pending == 0
 
 
-class TestEngineIndependentOfReplayBackend:
-    """The replay backends (``repro.sim.backend``) never touch the
-    event engine: backend selection must leave engine-based simulations
-    (full-system mode) byte-identical."""
-
-    def test_backend_module_has_no_engine_coupling(self):
-        import repro.sim.backend as backend_module
-
-        assert "Engine" not in vars(backend_module)
-        assert "engine" not in vars(backend_module)
-
-    def test_full_system_is_reference_only(self):
-        from repro.core.config import ConfigError
-        from repro.sim.full_system import FullSystem
-
-        assert FullSystem("TLC").backend == "reference"
-        with pytest.raises(ConfigError):
-            FullSystem("TLC", backend="batched")
-
-
 class TestStepAndAdvance:
     def test_step_runs_single_event(self):
         engine = Engine()

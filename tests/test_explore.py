@@ -59,7 +59,7 @@ class TestSpaceValidation:
         assert spec.baseline == "SNUCA2"      # defaults to base
         assert spec.references == ("SNUCA2",)
         assert spec.n_refs == 20_000 and spec.seed == 7
-        assert spec.backend == "reference" and spec.on_invalid == "raise"
+        assert spec.on_invalid == "raise"
         assert len(spec.benchmarks) == 12     # full suite by default
 
     def test_round_trips_through_as_dict(self, spec):
@@ -88,8 +88,7 @@ class TestSpaceValidation:
         ({"baseline": 7}, "baseline"),
         ({"axes": []}, "axes"),
         ({"axes": [{"field": "bogus", "values": [1]}]}, "unknown"),
-        ({"axes": [{"field": "backend", "values": ["batched"]}]},
-         "cannot be an axis"),
+        ({"axes": [{"values": [{"name": "x"}]}]}, "cannot be an axis"),
         ({"axes": [{"field": "name", "values": ["x"]}]}, "cannot be an axis"),
         ({"axes": [{"values": [1, 2]}]}, "need the axis 'field'"),
         ({"axes": [{"field": "banks", "values": [1, 1]}]}, "duplicates"),
@@ -101,9 +100,11 @@ class TestSpaceValidation:
         ({"n_refs": True}, "n_refs"),
         ({"seed": -1}, "seed"),
         ({"warmup_fraction": 1.0}, "warmup_fraction"),
-        ({"backend": "gpu"}, "backend"),
+        ({"backend": "reference"}, "backend"),
         ({"on_invalid": "ignore"}, "on_invalid"),
         ({"extra": 1}, "unknown field"),
+        ({"axes": [{"field": "backend", "values": ["reference"]}]},
+         "unknown DesignConfig field"),
     ])
     def test_bad_documents_raise_config_error(self, mutation, match):
         doc = {**SPACE_DOC, **mutation}
@@ -176,7 +177,7 @@ _axislike = st.fixed_dictionaries(
     {},
     optional={
         "field": st.sampled_from(
-            ["banks", "bank_access_cycles", "backend", "name", "bogus"])
+            ["banks", "bank_access_cycles", "name", "bogus"])
         | _json_values,
         "values": st.lists(
             _json_scalars
@@ -201,8 +202,6 @@ _spacelike = st.fixed_dictionaries(
         "n_refs": st.integers(-5, 10**7) | _json_values,
         "seed": st.integers(-2, 2**33) | _json_values,
         "warmup_fraction": st.floats(allow_nan=True, allow_infinity=True)
-        | _json_values,
-        "backend": st.sampled_from(["reference", "batched", "gpu"])
         | _json_values,
         "sanitize": st.booleans() | _json_values,
         "on_invalid": st.sampled_from(["raise", "skip", "ignore"])

@@ -90,33 +90,17 @@ class TestLifecycle:
             MainMemory(channel_cycles_per_access=-1)
 
 
-class TestMemoryAcrossBackends:
-    """A non-default DRAM model behaves identically under every backend
-    (memory state is design-side, below the backend boundary)."""
+class TestMemoryInSystem:
+    """A non-default DRAM model reaches the replayed execution time."""
 
-    def test_custom_latency_identical_across_backends(self):
+    def test_slower_dram_costs_cycles(self):
         pytest.importorskip("numpy")
         from repro.sim.system import run_system
 
         # swim streams, so it actually misses to DRAM at this length.
-        results = {
-            backend: run_system("TLC", "swim", n_refs=1500, seed=3,
-                                memory=MainMemory(latency_cycles=150),
-                                backend=backend)
-            for backend in ("reference", "batched")
-        }
-        assert results["reference"].l2_misses > 0
-        assert results["reference"] == results["batched"]
-
-    def test_slower_dram_costs_cycles_under_both_backends(self):
-        pytest.importorskip("numpy")
-        from repro.sim.system import run_system
-
-        for backend in ("reference", "batched"):
-            fast = run_system("TLC", "swim", n_refs=1500, seed=3,
-                              memory=MainMemory(latency_cycles=100),
-                              backend=backend)
-            slow = run_system("TLC", "swim", n_refs=1500, seed=3,
-                              memory=MainMemory(latency_cycles=600),
-                              backend=backend)
-            assert slow.cycles > fast.cycles
+        fast = run_system("TLC", "swim", n_refs=1500, seed=3,
+                          memory=MainMemory(latency_cycles=100))
+        slow = run_system("TLC", "swim", n_refs=1500, seed=3,
+                          memory=MainMemory(latency_cycles=600))
+        assert fast.l2_misses > 0
+        assert slow.cycles > fast.cycles

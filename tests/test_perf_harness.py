@@ -246,31 +246,6 @@ class TestFilterZeroMatch:
         assert "available benchmarks" in capsys.readouterr().err
 
 
-class TestBackendBenchmarks:
-    """The backend-parameterized benchmarks the speedup gate reads."""
-
-    def test_probe_pair_registered(self):
-        names = benchmark_names()
-        assert "replay.probe.reference" in names
-        numpy_installed = True
-        try:
-            import numpy  # noqa: F401
-        except ImportError:
-            numpy_installed = False
-        assert ("replay.probe.batched" in names) == numpy_installed
-        assert ("system.refs_per_sec.tlc.batched" in names) == numpy_installed
-
-    def test_backend_speedup_lines_printed(self, capsys):
-        pytest.importorskip("numpy")
-        from repro.cli import main
-
-        assert main(["perf", "--quick", "--reps", "1", "--no-pin",
-                     "--filter", "replay.probe"]) == 0
-        out = capsys.readouterr().out
-        assert "backend speedup (batched vs reference):" in out
-        assert "replay.probe:" in out
-
-
 class TestGridEquivalence:
     """The optimized simulator must reproduce the pre-optimization grid
     byte-for-byte (same JSON, same floats, same ordering)."""

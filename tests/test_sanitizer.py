@@ -9,7 +9,11 @@ Three layers of coverage:
   kind and component;
 * **reproduction** — a violation captured to a crash bundle replays to
   the same violation, and ``minimize`` bisects it to a smaller prefix
-  that still reproduces.
+  that still reproduces;
+* **fuzz** — Hypothesis-generated cells over non-default processor
+  configs (where the MSHR-leak and retirement watchdogs actually bind)
+  run clean and digest-identical under the sanitizer; a diverging cell
+  is dumped as a replayable crash bundle.
 """
 
 import dataclasses
@@ -18,7 +22,11 @@ import os
 import types
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.analysis.runner import CellSpec, run_cell
+from repro.analysis.storage import integrity_digest, result_to_dict
+from repro.core.config import design_names
 from repro.sanitizer import (
     Sanitizer,
     SanitizerConfig,
@@ -28,8 +36,9 @@ from repro.sanitizer import (
     minimize_bundle,
     replay_bundle,
 )
-from repro.sim.processor import ProcessorConfig
+from repro.sim.processor import Processor, ProcessorConfig
 from repro.sim.system import run_system
+from repro.workloads.synthetic import TraceSpec, generate_trace
 
 ALL_DESIGNS = ("TLC", "TLCopt500", "SNUCA2", "DNUCA")
 
@@ -337,6 +346,113 @@ class TestRunnerIntegration:
         # The outcome still describes the cell as specified (unsanitized):
         # the escalation is execution provenance, not a different cell.
         assert outcomes[0].cell.sanitize is False
+
+
+def result_digest(result) -> str:
+    return integrity_digest(result_to_dict(result))
+
+
+def _dump_divergence_bundle(crash_dir, cell: CellSpec, plain, sanitized):
+    """Write a fuzz cell whose sanitized result diverged from the plain
+    one as a replayable crash bundle."""
+    from repro.sanitizer.bundle import write_crash_bundle
+
+    error = AssertionError(
+        f"sanitizer changed the result: plain digest "
+        f"{result_digest(plain)[:16]} != sanitized digest "
+        f"{result_digest(sanitized)[:16]}")
+    trace = generate_trace(cell.trace_spec, cell.n_refs, seed=cell.seed)
+    config = cell.processor_config or ProcessorConfig()
+    return write_crash_bundle(
+        str(crash_dir),
+        design=cell.design,
+        benchmark=cell.benchmark,
+        seed=cell.seed,
+        warmup_refs=int(cell.n_refs * cell.warmup_fraction),
+        trace=trace,
+        error=error,
+        processor_config=dataclasses.asdict(config),
+        tech=cell.tech.name,
+        memory_latency_cycles=cell.memory_latency_cycles,
+    )
+
+
+# Small, fast cells spanning the stall machinery: tiny windows and MSHR
+# counts make the ROB/MSHR/dependence paths bind (and with them the
+# sanitizer's MSHR-leak and retirement watchdogs), tiny gaps stress the
+# issue-cycle remainder carry.
+fuzz_cells = st.builds(
+    CellSpec,
+    design=st.sampled_from(sorted(design_names())),
+    benchmark=st.just("fuzz"),
+    n_refs=st.integers(min_value=200, max_value=800),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    warmup_fraction=st.sampled_from([0.0, 0.25, 0.5]),
+    processor_config=st.builds(
+        ProcessorConfig,
+        issue_width=st.sampled_from([1, 2, 4]),
+        rob_entries=st.sampled_from([16, 64, 128]),
+        mshrs=st.sampled_from([1, 2, 8]),
+        l1_latency=st.sampled_from([0, 3]),
+    ),
+    trace_spec=st.builds(
+        TraceSpec,
+        mean_gap=st.sampled_from([1.0, 3.0, 12.0, 40.0]),
+        stream_fraction=st.sampled_from([0.0, 0.3]),
+        cold_fraction=st.sampled_from([0.0, 0.2]),
+        hot_blocks=st.sampled_from([64, 512, 2048]),
+        write_fraction=st.sampled_from([0.0, 0.3, 0.8]),
+        dependent_fraction=st.sampled_from([0.0, 0.5]),
+    ),
+)
+
+
+class TestSanitizerFuzz:
+    """Random cells run clean under the sanitizer, plain ≡ sanitized."""
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(cell=fuzz_cells)
+    def test_random_cells_clean_and_identical(self, cell, tmp_path_factory):
+        pytest.importorskip("numpy")
+        plain = run_cell(cell)
+        # A violation raises SanitizerViolation here and fails the cell.
+        sanitized = run_cell(dataclasses.replace(cell, sanitize=True))
+        if result_digest(plain) != result_digest(sanitized):
+            crash_dir = tmp_path_factory.mktemp("divergence")
+            bundle = _dump_divergence_bundle(crash_dir, cell, plain,
+                                             sanitized)
+            pytest.fail(f"sanitized run diverged on {cell}; crash bundle "
+                        f"written to {bundle} (repro replay {bundle})")
+
+    def test_divergence_dumps_replayable_bundle(self, tmp_path,
+                                                monkeypatch):
+        """The dump path itself, proven against a deliberately broken
+        replay loop: the bundle must load and replay."""
+        pytest.importorskip("numpy")
+        cell = CellSpec(design="TLC", benchmark="fuzz", n_refs=400, seed=5,
+                        trace_spec=TraceSpec(mean_gap=10.0))
+        plain = run_cell(cell)
+
+        healthy_run = Processor.run
+
+        def off_by_one(self, trace, warmup_refs=0):
+            result = healthy_run(self, trace, warmup_refs)
+            return dataclasses.replace(result, cycles=result.cycles + 1)
+
+        monkeypatch.setattr(Processor, "run", off_by_one)
+        broken = run_cell(dataclasses.replace(cell, sanitize=True))
+        monkeypatch.undo()
+        assert result_digest(plain) != result_digest(broken)
+
+        bundle_path = _dump_divergence_bundle(tmp_path, cell, plain, broken)
+        bundle = load_bundle(bundle_path)
+        assert bundle.error["type"] == "AssertionError"
+        assert len(bundle.trace) == cell.n_refs
+        outcome = replay_bundle(bundle)
+        # A healthy simulator replays the cell cleanly — the bundle's
+        # value is the preserved diverging trace, not a violation.
+        assert outcome.refs == cell.n_refs
 
 
 class TestCLI:

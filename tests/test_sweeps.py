@@ -103,48 +103,6 @@ class TestWarmupFractionThreading:
         assert cache.stores == 2 and cache.hits == 0
 
 
-class TestBackendThreading:
-    """Regression: the sweeps never threaded ``backend`` into their
-    ``CellSpec``s (unlike ``experiments.py``) — every cell silently ran
-    the reference backend, and a batched sweep shared cache entries
-    with a reference one."""
-
-    def test_memory_sweep_threads_backend_into_cells(self, tmp_path):
-        from repro.analysis.runner import ResultCache
-
-        kwargs = dict(benchmark="gcc", latencies=(300,), designs=("TLC",),
-                      n_refs=1_500)
-        cache = ResultCache(tmp_path)
-        memory_latency_sweep(backend="reference", cache=cache, **kwargs)
-        assert cache.stores == 1
-        pytest.importorskip("numpy")
-        memory_latency_sweep(backend="batched", cache=cache, **kwargs)
-        # A different backend is a different cell: no hit, a new store.
-        assert cache.stores == 2 and cache.hits == 0
-
-    def test_dependence_sweep_backends_agree(self, tmp_path):
-        pytest.importorskip("numpy")
-        from repro.analysis.runner import ResultCache
-
-        kwargs = dict(fractions=(0.0, 0.6), designs=("SNUCA2", "TLC"),
-                      n_refs=1_500)
-        cache = ResultCache(tmp_path)
-        reference = dependence_sweep(backend="reference", cache=cache,
-                                     **kwargs)
-        batched = dependence_sweep(backend="batched", cache=cache, **kwargs)
-        # Byte-identical rows, but from disjoint cache entries.
-        assert batched == reference
-        assert cache.hits == 0 and cache.stores == 8
-
-    def test_sweeps_reject_unknown_backend(self):
-        from repro.core.config import ConfigError
-
-        with pytest.raises(ConfigError, match="backend"):
-            memory_latency_sweep(benchmark="gcc", latencies=(300,),
-                                 designs=("TLC",), n_refs=500,
-                                 backend="nope")
-
-
 class TestDependenceSweep:
     @pytest.fixture(scope="class")
     def sweep(self):
