@@ -19,22 +19,20 @@ environment variables):
 * ``REPRO_BENCH_CACHE_DIR`` — persistent cache directory.  Unset, the
   cache lives in a per-session temporary directory (cells are still
   shared *within* the session); set, warm cells survive across pytest
-  sessions and are invalidated automatically whenever any source file
-  under ``src/repro`` changes.
+  sessions — so an interrupted session resumes instead of
+  re-simulating — and are invalidated automatically whenever any
+  source file under ``src/repro`` changes.
 * ``REPRO_BENCH_RETRIES`` / ``REPRO_BENCH_CELL_TIMEOUT`` — route the
   grids through the fault-tolerant executor
   (:mod:`repro.analysis.resilience`): retry each failed / crashed /
   timed-out cell up to N times, bounding each attempt's wall time.
-* ``REPRO_BENCH_CHECKPOINT`` — journal completed cells to this JSONL
-  path so an interrupted benchmark session resumes instead of
-  re-simulating (see docs/TESTING.md).
 * ``REPRO_FAULT_PLAN`` — deterministic fault injection (inline JSON or
   a file path), honored by the runner itself; combine with retries to
   smoke-test recovery against the real grids.
 """
 
 import os
-from typing import Optional, Tuple
+from typing import Optional
 
 import pytest
 
@@ -43,7 +41,7 @@ from repro.analysis.experiments import (
     TLC_FAMILY,
     run_design_grid,
 )
-from repro.analysis.resilience import CheckpointJournal, RetryPolicy
+from repro.analysis.resilience import RetryPolicy
 from repro.analysis.runner import ResultCache
 
 
@@ -58,20 +56,15 @@ def bench_workers() -> int:
     return min(8, os.cpu_count() or 1)
 
 
-def bench_resilience() -> Tuple[Optional[RetryPolicy],
-                                Optional[CheckpointJournal]]:
-    """``(policy, checkpoint)`` from the environment; ``(None, None)``
-    keeps the grids on the fast pool-based executor."""
+def bench_policy() -> Optional[RetryPolicy]:
+    """The retry policy from the environment; ``None`` keeps the grids
+    on the fast pool-based executor."""
     retries = int(os.environ.get("REPRO_BENCH_RETRIES", "0"))
     timeout = float(os.environ.get("REPRO_BENCH_CELL_TIMEOUT", "0") or 0)
-    checkpoint_path = os.environ.get("REPRO_BENCH_CHECKPOINT")
-    policy = None
-    if retries or timeout:
-        policy = RetryPolicy(max_retries=retries,
-                             cell_timeout_s=timeout or None,
-                             backoff_base_s=0.5)
-    checkpoint = CheckpointJournal(checkpoint_path) if checkpoint_path else None
-    return policy, checkpoint
+    if not (retries or timeout):
+        return None
+    return RetryPolicy(max_retries=retries, cell_timeout_s=timeout or None,
+                       backoff_base_s=0.5)
 
 
 @pytest.fixture(scope="session")
@@ -86,17 +79,15 @@ def grid_cache(tmp_path_factory) -> ResultCache:
 @pytest.fixture(scope="session")
 def main_grid(grid_cache):
     """SNUCA2 / DNUCA / TLC across all twelve benchmarks."""
-    policy, checkpoint = bench_resilience()
     return run_design_grid(designs=MAIN_DESIGNS, n_refs=bench_refs(),
                            workers=bench_workers(), cache=grid_cache,
-                           policy=policy, checkpoint=checkpoint)
+                           policy=bench_policy())
 
 
 @pytest.fixture(scope="session")
 def family_grid(grid_cache):
     """SNUCA2 (normalization) plus the TLC family across all benchmarks."""
-    policy, checkpoint = bench_resilience()
     return run_design_grid(designs=("SNUCA2",) + TLC_FAMILY,
                            n_refs=bench_refs(),
                            workers=bench_workers(), cache=grid_cache,
-                           policy=policy, checkpoint=checkpoint)
+                           policy=bench_policy())

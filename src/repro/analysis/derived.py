@@ -18,10 +18,11 @@ sweep outputs — fingerprinted by
 
 Lane semantics follow the derived-cache plan this design is modeled on:
 the lane is **never authoritative**.  Losing it costs recomputation,
-never correctness; a corrupt entry is quarantined (same discipline as
-:class:`~repro.analysis.runner.ResultCache`) and the artifact is
-recomputed from its inputs.  Artifacts are JSON documents under
-``<root>/<key[:2]>/<key>.json`` with a per-entry integrity digest.
+never correctness.  Storage is the same
+:class:`~repro.analysis.storage.ContentStore` the result lane uses
+(``<root>/<key[:2]>/<key>.json``, integrity digest, quarantine), holding
+JSON artifacts as they are; a corrupt entry is quarantined and the
+artifact recomputed from its inputs.
 
 :class:`DerivedLane` is the high-level interface the report builder,
 the grid CLI, and the sweeps use: ``lane.get_or_compute(kind, keys,
@@ -36,9 +37,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, Optional, Union
 
+from repro.analysis.storage import ContentStore
 from repro.obs.manifest import code_version_stamp
 from repro.sim.stats import Counter
 
@@ -49,8 +50,10 @@ from repro.sim.stats import Counter
 #: and emergency rollbacks can turn without touching source digests).
 ANALYSIS_VERSION = 1
 
-#: Bump when the on-disk entry layout (not the artifacts) changes.
-DERIVED_FORMAT_VERSION = 1
+#: Bump when the on-disk entry layout (not the artifacts) changes.  v2
+#: moved entries into the :class:`~repro.analysis.storage.ContentStore`
+#: envelope both cache lanes share; v1 entries hash to other keys.
+DERIVED_FORMAT_VERSION = 2
 
 
 def derived_key(kind: str, cell_keys: Iterable[str],
@@ -79,141 +82,14 @@ def derived_key(kind: str, cell_keys: Iterable[str],
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-class DerivedCache:
-    """Content-addressed on-disk cache of derived analysis artifacts.
-
-    Same layout and integrity discipline as
-    :class:`~repro.analysis.runner.ResultCache` — one JSON file per
-    entry under ``<root>/<key[:2]>/<key>.json``, atomic writes, a
-    SHA-256 integrity digest verified on every read, and quarantine
-    (``<root>/quarantine/``) instead of crashes for anything
-    untrustworthy — but holding arbitrary JSON artifacts instead of
-    :class:`~repro.sim.system.SystemResult` cells, and never treated as
-    a source of truth: a miss (or a whole deleted directory) only costs
-    recomputation.
-    """
-
-    def __init__(self, root: Union[str, os.PathLike]) -> None:
-        self.root = Path(root).expanduser()
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.quarantined = 0
-
-    def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-    @property
-    def quarantine_dir(self) -> Path:
-        return self.root / "quarantine"
-
-    def load(self, key: str) -> Any:
-        """The verified artifact for ``key``.
-
-        Raises :class:`FileNotFoundError` for an absent entry and
-        :class:`~repro.analysis.storage.CacheCorruptionError` for one
-        that exists but fails any verification step.
-        """
-        from repro.analysis.storage import (
-            CacheCorruptionError,
-            integrity_digest,
-        )
-
-        path = self.path_for(key)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                raw = handle.read()
-        except FileNotFoundError:
-            raise
-        except OSError as error:
-            raise CacheCorruptionError(
-                f"unreadable derived entry {path}: {error}") from error
-        try:
-            payload = json.loads(raw)
-        except ValueError as error:
-            raise CacheCorruptionError(
-                f"derived entry {path} is not valid JSON (truncated "
-                f"write?): {error}") from error
-        if not isinstance(payload, dict):
-            raise CacheCorruptionError(
-                f"derived entry {path} is not a JSON object")
-        if payload.get("derived_format") != DERIVED_FORMAT_VERSION:
-            raise CacheCorruptionError(
-                f"derived entry {path} has format "
-                f"{payload.get('derived_format')!r} "
-                f"(expected {DERIVED_FORMAT_VERSION})")
-        if "artifact" not in payload:
-            raise CacheCorruptionError(
-                f"derived entry {path} is missing its artifact payload")
-        artifact = payload["artifact"]
-        if payload.get("integrity") != integrity_digest({"artifact": artifact}):
-            raise CacheCorruptionError(
-                f"derived entry {path} failed its integrity digest "
-                "(bit rot or a hand edit)")
-        return artifact
-
-    def get(self, key: str) -> Optional[Any]:
-        """The artifact for ``key``, or ``None`` on a miss.
-
-        A corrupt entry is quarantined and reported as a miss, so the
-        caller re-derives (and :meth:`put` then heals the entry).  Note
-        ``None`` is reserved for misses — artifacts themselves are
-        always JSON objects/arrays by convention.
-        """
-        from repro.analysis.storage import CacheCorruptionError
-
-        try:
-            artifact = self.load(key)
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except CacheCorruptionError:
-            self._quarantine(key)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return artifact
-
-    def _quarantine(self, key: str) -> None:
-        """Move a corrupt entry aside (never leave it to fail again)."""
-        path = self.path_for(key)
-        try:
-            self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, self.quarantine_dir / path.name)
-        except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        self.quarantined += 1
-
-    def put(self, key: str, kind: str, artifact: Any) -> None:
-        """Store ``artifact`` under ``key`` atomically."""
-        from repro.analysis.storage import integrity_digest
-
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "derived_format": DERIVED_FORMAT_VERSION,
-            "kind": kind,
-            "analysis_version": ANALYSIS_VERSION,
-            "code_version": code_version_stamp(),
-            "integrity": integrity_digest({"artifact": artifact}),
-            "artifact": artifact,
-        }
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1)
-        os.replace(tmp, path)
-        self.stores += 1
-
-
 class DerivedLane:
-    """The routing layer between analyses and a :class:`DerivedCache`.
+    """The routing layer between analyses and a derived-artifact store.
 
-    ``cache=None`` disables the lane: every artifact is computed inline
-    and nothing is stored, which keeps all callers on one code path
-    whether or not a ``--derived-cache-dir`` was given.  Counters are
+    ``cache`` is a :class:`~repro.analysis.storage.ContentStore` of
+    :data:`DERIVED_FORMAT_VERSION` entries.  ``cache=None`` disables
+    the lane: every artifact is computed inline and nothing is stored,
+    which keeps all callers on one code path whether or not a
+    ``--derived-cache-dir`` was given.  Counters are
     kept regardless, so "how much did the lane save" is always
     reportable; :meth:`register` mounts them on a metrics registry as
     ``analysis.derived.*`` and :meth:`as_dict` is the JSON form a
@@ -221,7 +97,7 @@ class DerivedLane:
     provenance field.
     """
 
-    def __init__(self, cache: Optional[DerivedCache] = None) -> None:
+    def __init__(self, cache: Optional[ContentStore] = None) -> None:
         self.cache = cache
         self.counter = Counter()
         for name in ("hits", "misses", "stores", "quarantined", "computed"):
@@ -258,7 +134,8 @@ class DerivedLane:
         self.counter.add("misses")
         artifact = compute()
         self.counter.add("computed")
-        self.cache.put(key, kind, artifact)
+        self.cache.put(key, artifact, kind=kind,
+                       analysis_version=ANALYSIS_VERSION)
         self.counter.add("stores")
         return artifact
 
@@ -289,16 +166,14 @@ class DerivedLane:
                 f"store(s){quarantine_note} under {self.cache.root}")
 
 
-def as_lane(derived: Union[DerivedLane, DerivedCache, str, os.PathLike, None],
+def as_lane(derived: Union[DerivedLane, ContentStore, str, os.PathLike, None],
             ) -> DerivedLane:
-    """Coerce a lane argument (directory path, cache, or lane) to a lane.
+    """Coerce a lane argument (directory path, store, or lane) to a lane.
 
     ``None`` yields a disabled lane, so call sites never branch.
     """
     if isinstance(derived, DerivedLane):
         return derived
-    if derived is None:
-        return DerivedLane(None)
-    if isinstance(derived, DerivedCache):
+    if derived is None or isinstance(derived, ContentStore):
         return DerivedLane(derived)
-    return DerivedLane(DerivedCache(derived))
+    return DerivedLane(ContentStore(derived, DERIVED_FORMAT_VERSION))

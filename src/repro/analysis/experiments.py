@@ -105,7 +105,7 @@ def run_design_grid(designs: Sequence[str] = MAIN_DESIGNS,
                     processor_config: Optional[ProcessorConfig] = None,
                     workers: int = 1,
                     cache=None,
-                    policy=None, checkpoint=None, fault_plan=None,
+                    policy=None, fault_plan=None,
                     telemetry=None, sanitize: bool = False,
                     ) -> ExperimentGrid:
     """Run every design on every benchmark, one shared trace per benchmark.
@@ -113,8 +113,8 @@ def run_design_grid(designs: Sequence[str] = MAIN_DESIGNS,
     ``workers`` and ``cache`` are forwarded to
     :func:`repro.analysis.runner.run_grid`; the default (serial,
     uncached) path is cell-for-cell identical to both.  ``policy`` /
-    ``checkpoint`` / ``fault_plan`` / ``telemetry`` opt into the
-    fault-tolerant executor (:mod:`repro.analysis.resilience`).
+    ``fault_plan`` / ``telemetry`` opt into the fault-tolerant executor
+    (:mod:`repro.analysis.resilience`).
     """
     from repro.analysis.runner import run_grid
 
@@ -122,7 +122,7 @@ def run_design_grid(designs: Sequence[str] = MAIN_DESIGNS,
                     seed=seed, warmup_fraction=warmup_fraction,
                     processor_config=processor_config,
                     workers=workers, cache=cache,
-                    policy=policy, checkpoint=checkpoint,
+                    policy=policy,
                     fault_plan=fault_plan, telemetry=telemetry,
                     sanitize=sanitize)
 
@@ -133,7 +133,7 @@ def run_benchmark_suite(design: str, benchmarks: Optional[Sequence[str]] = None,
                         processor_config: Optional[ProcessorConfig] = None,
                         workers: int = 1,
                         cache=None,
-                        policy=None, checkpoint=None, fault_plan=None,
+                        policy=None, fault_plan=None,
                         telemetry=None, sanitize: bool = False,
                         ) -> Dict[str, SystemResult]:
     """Run one design across the benchmark suite.
@@ -151,7 +151,7 @@ def run_benchmark_suite(design: str, benchmarks: Optional[Sequence[str]] = None,
                     seed=seed, warmup_fraction=warmup_fraction,
                     processor_config=processor_config,
                     workers=workers, cache=cache,
-                    policy=policy, checkpoint=checkpoint,
+                    policy=policy,
                     fault_plan=fault_plan, telemetry=telemetry,
                     sanitize=sanitize)
     return {benchmark: grid.result(design, benchmark)

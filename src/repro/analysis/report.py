@@ -201,7 +201,7 @@ def build_report(main_grid: Optional[ExperimentGrid] = None,
 
     ``derived`` routes every section through a derived-artifact lane —
     a :class:`~repro.analysis.derived.DerivedLane`,
-    :class:`~repro.analysis.derived.DerivedCache`, or cache directory
+    :class:`~repro.analysis.storage.ContentStore`, or cache directory
     path (``None`` disables caching).  The lane is optimization-only:
     warm, cold, and disabled lanes all render byte-identical documents.
     """

@@ -1,11 +1,13 @@
 """Fault-tolerant grid execution: retries, timeouts, crash recovery,
-checkpoint journals, and deterministic fault injection.
+and deterministic fault injection.
 
 The paper's evaluation grids (Figs. 5-8, Tables 6-9) are the repo's hot
 path, and at scale a grid dies for boring reasons: one cell hangs, one
 worker process is OOM-killed, one cache file is truncated by a full
-disk, one Ctrl-C throws away an hour of completed cells.  This module
-gives :mod:`repro.analysis.runner` the machinery of a real job system:
+disk, one Ctrl-C stops a long run.  The last needs no machinery: the
+runner caches every cell as it finishes, so rerunning against the same
+result cache resumes.  For the rest, this module gives
+:mod:`repro.analysis.runner` the machinery of a real job system:
 
 * :class:`RetryPolicy` — per-cell wall-clock timeouts plus configurable
   retries with exponential backoff.  A timed-out or crashed cell is
@@ -16,13 +18,6 @@ gives :mod:`repro.analysis.runner` the machinery of a real job system:
   process (one cell per process, results returned over a pipe), so a
   dying worker takes down exactly one attempt of one cell.  The parent
   observes the pipe's EOF, counts a ``worker_death``, and reschedules.
-* :class:`CheckpointJournal` — an append-only JSONL journal of
-  completed :class:`~repro.analysis.runner.CellOutcome`\\ s.  An
-  interrupted ``repro grid --checkpoint`` / ``repro report
-  --checkpoint`` resumes from the journal and produces a grid
-  byte-identical to an uninterrupted run.  Journal keys embed the
-  runner's cache key (inputs + code version), so entries from a
-  different code version are ignored automatically.
 * :class:`FaultPlan` — deterministic fault injection for tests and
   smoke runs: force a specific cell to ``raise``, ``hang``, or ``die``
   on its Nth attempt, either programmatically or via the
@@ -54,16 +49,13 @@ import os
 import time
 from collections import deque
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.sim.stats import Counter
 
 #: Environment variable holding a fault plan: inline JSON (starts with
 #: ``{``) or a path to a JSON file.
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
-
-#: Journal line layout version (bump on incompatible change).
-JOURNAL_FORMAT_VERSION = 1
 
 #: Exit code an injected ``die`` fault terminates the worker with —
 #: distinguishable in logs from a Python crash (1) or a signal.
@@ -82,8 +74,8 @@ class CellFailure(RuntimeError):
     Deliberately fatal to the whole grid: the evaluation's figures and
     tables need *every* design point, so a permanently failing cell
     must stop the run rather than leave a hole.  Completed cells are
-    preserved by the checkpoint journal (when one is active), so fixing
-    the cause and re-running resumes instead of restarting.
+    already in the result cache (when one is in play), so fixing the
+    cause and re-running against it resumes instead of restarting.
     """
 
     def __init__(self, cell, attempts: int, last_failure: str) -> None:
@@ -230,7 +222,7 @@ class FaultPlan:
 #: Every count the executor can emit, in reporting order.  Stable zeros
 #: (rather than absent keys) keep manifest diffs meaningful.
 TELEMETRY_COUNTS = (
-    "cells", "cache_hits", "checkpoint_replays", "computed",
+    "cells", "cache_hits", "computed",
     "attempts", "retries", "timeouts", "worker_deaths", "cell_errors",
     "faults_injected", "quarantined", "sanitized_retries",
 )
@@ -272,139 +264,7 @@ class RunnerTelemetry:
         d = self.as_dict()
         return (f"{d['attempts']} attempt(s), {d['retries']} retry(ies), "
                 f"{d['timeouts']} timeout(s), {d['worker_deaths']} worker "
-                f"death(s), {d['quarantined']} quarantined cache entr(ies), "
-                f"{d['checkpoint_replays']} checkpoint replay(s)")
-
-
-# -- checkpoint journal ----------------------------------------------------
-
-def load_jsonl(path: Union[str, os.PathLike]) -> Tuple[List[object], int]:
-    """Tolerantly parse a JSONL file into ``(payloads, bad_lines)``.
-
-    The shared read discipline of every append-only journal in the repo
-    (:class:`CheckpointJournal` here, the service's
-    :class:`~repro.service.journal.JobJournal`): a missing file is an
-    empty journal, blank lines are ignored, and a line that fails to
-    parse — the expected artifact of a process killed mid-write — is
-    counted, not fatal.  Callers apply their own per-payload validation
-    on top.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except FileNotFoundError:
-        return [], 0
-    payloads: List[object] = []
-    bad_lines = 0
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            payloads.append(json.loads(line))
-        except ValueError:
-            bad_lines += 1
-    return payloads, bad_lines
-
-
-@dataclasses.dataclass(frozen=True)
-class JournalEntry:
-    """One replayable completed cell, as loaded from a journal."""
-
-    result: object  # SystemResult (untyped here to avoid an import cycle)
-    wall_time_s: float
-    attempts: int
-    from_cache: bool
-
-
-class CheckpointJournal:
-    """Append-only JSONL journal of completed cells, keyed by cache key.
-
-    Each completed cell appends one self-contained line (flushed
-    immediately) holding the cell's cache key, its key fields, and the
-    full result.  ``load()`` returns every trustworthy entry and
-    silently skips a truncated final line — the expected artifact of a
-    run killed mid-write — plus any line that fails result validation,
-    counting them in :attr:`skipped_lines`.
-
-    The key embeds the code-version stamp and every simulation input
-    (see :func:`repro.analysis.runner.cache_key`), so resuming after a
-    source edit or with different parameters simply finds no matching
-    entries and recomputes — stale results can never be replayed.
-    """
-
-    def __init__(self, path: Union[str, os.PathLike]) -> None:
-        self.path = Path(path).expanduser()
-        self._handle = None
-        self.recorded = 0
-        self.skipped_lines = 0
-
-    def load(self) -> Dict[str, JournalEntry]:
-        """Every valid journal entry, newest-wins, keyed by cache key."""
-        from repro.analysis.storage import result_from_dict
-
-        entries: Dict[str, JournalEntry] = {}
-        payloads, bad_lines = load_jsonl(self.path)
-        self.skipped_lines += bad_lines
-        for payload in payloads:
-            try:
-                if (not isinstance(payload, dict)
-                        or payload.get("format") != JOURNAL_FORMAT_VERSION):
-                    raise ValueError("bad journal line format")
-                key = payload["key"]
-                entry = JournalEntry(
-                    result=result_from_dict(payload["result"]),
-                    wall_time_s=float(payload["wall_time_s"]),
-                    attempts=int(payload["attempts"]),
-                    from_cache=bool(payload["from_cache"]),
-                )
-            except (ValueError, KeyError, TypeError):
-                self.skipped_lines += 1
-                continue
-            entries[key] = entry
-        return entries
-
-    def record(self, key: str, cell, outcome) -> None:
-        """Append one completed outcome (opens the journal lazily)."""
-        from repro.analysis.storage import result_to_dict
-
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self.path, "a", encoding="utf-8")
-        payload = {
-            "format": JOURNAL_FORMAT_VERSION,
-            "key": key,
-            "cell": cell.key_fields(),
-            "attempts": outcome.attempts,
-            "wall_time_s": outcome.wall_time_s,
-            "from_cache": outcome.from_cache,
-            "result": result_to_dict(outcome.result),
-        }
-        # No sort_keys: the result payload must keep result_to_dict's
-        # field order so a *replayed* grid re-serializes byte-identical
-        # to a computed one (save_grid preserves insertion order).
-        self._handle.write(json.dumps(payload, separators=(",", ":")) + "\n")
-        self._handle.flush()
-        self.recorded += 1
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "CheckpointJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def as_journal(checkpoint: Union["CheckpointJournal", str, os.PathLike, None],
-               ) -> Optional[CheckpointJournal]:
-    """Coerce a checkpoint argument (path or journal) to a journal."""
-    if checkpoint is None or isinstance(checkpoint, CheckpointJournal):
-        return checkpoint
-    return CheckpointJournal(checkpoint)
+                f"death(s), {d['quarantined']} quarantined cache entr(ies)")
 
 
 # -- the resilient executor ------------------------------------------------
@@ -438,8 +298,8 @@ def _attempt_cell(cell, attempt: int):
     simulator bug (rather than a transient environment fault) surfaces
     as a :class:`~repro.sanitizer.SanitizerViolation` naming the broken
     invariant instead of failing identically.  A clean sanitized run is
-    byte-identical, so the escalated result is still cached and
-    journalled under the original cell's key.
+    byte-identical, so the escalated result is still cached under the
+    original cell's key.
     """
     if attempt <= 1 or getattr(cell, "sanitize", False):
         return cell
@@ -483,75 +343,58 @@ def _cell_worker(conn, cell, action: Optional[str], hang_s: float) -> None:
 
 def execute_resilient(cells: Sequence, workers: int = 1, cache=None,
                       policy: Optional[RetryPolicy] = None,
-                      checkpoint=None,
                       fault_plan: Optional[FaultPlan] = None,
                       telemetry: Optional[RunnerTelemetry] = None) -> List:
     """Run every cell with retries, timeouts, and crash recovery.
 
     The fault-tolerant twin of
     :func:`repro.analysis.runner.execute_cells_detailed` (which
-    delegates here whenever a policy / checkpoint / fault plan /
-    telemetry is in play): answers come from the checkpoint journal
-    first, then the result cache (corrupt entries are quarantined and
-    recomputed), and everything else runs one-cell-per-child-process so
-    a timeout or worker death costs one attempt, never the grid.
-    Returns outcomes parallel to ``cells``, byte-identical to a clean
-    serial run.
+    delegates here whenever a policy / fault plan / telemetry is in
+    play): answers come from the result cache first (corrupt entries
+    are quarantined and recomputed), and everything else runs
+    one-cell-per-child-process so a timeout or worker death costs one
+    attempt, never the grid.  Each computed cell is cached as soon as
+    it succeeds.  Returns outcomes parallel to ``cells``,
+    byte-identical to a clean serial run.
     """
     from repro.analysis.runner import CellOutcome, as_cache, cache_key
 
     policy = policy or RetryPolicy()
     telemetry = telemetry or RunnerTelemetry()
     cache = as_cache(cache)
-    journal = as_journal(checkpoint)
 
     telemetry.add("cells", len(cells))
     quarantined_before = cache.quarantined if cache is not None else 0
-    replayable = journal.load() if journal is not None else {}
 
     outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
     pending: deque = deque()
     try:
         for index, cell in enumerate(cells):
             key = cache_key(cell)
-            entry = replayable.get(key)
-            if entry is not None:
-                outcomes[index] = CellOutcome(
-                    cell=cell, result=entry.result,
-                    wall_time_s=entry.wall_time_s,
-                    from_cache=entry.from_cache,
-                    attempts=entry.attempts, from_checkpoint=True)
-                telemetry.add("checkpoint_replays")
-                continue
             if cache is not None:
                 started = time.perf_counter()
                 cached = cache.get(key)
                 if cached is not None:
-                    outcome = CellOutcome(
-                        cell=cell, result=cached,
+                    outcomes[index] = CellOutcome(
+                        cell=cell, key=key, result=cached,
                         wall_time_s=time.perf_counter() - started,
                         from_cache=True)
-                    outcomes[index] = outcome
                     telemetry.add("cache_hits")
-                    if journal is not None:
-                        journal.record(key, cell, outcome)
                     continue
             pending.append(_Task(index=index, cell=cell, key=key))
 
         if pending:
             _drain(pending, outcomes, max(1, workers), cache, policy,
-                   fault_plan, telemetry, journal)
+                   fault_plan, telemetry)
     finally:
         if cache is not None:
             telemetry.add("quarantined",
                           cache.quarantined - quarantined_before)
-        if journal is not None:
-            journal.close()
     return outcomes  # type: ignore[return-value]
 
 
 def _drain(pending: deque, outcomes: List, capacity: int, cache, policy,
-           fault_plan, telemetry, journal) -> None:
+           fault_plan, telemetry) -> None:
     """The scheduling loop: spawn, watch pipes, enforce deadlines, retry."""
     import multiprocessing
     from multiprocessing.connection import wait as connection_wait
@@ -562,15 +405,12 @@ def _drain(pending: deque, outcomes: List, capacity: int, cache, policy,
     running: Dict[object, _Running] = {}
 
     def record_success(task: _Task, result, wall_time_s: float) -> None:
-        outcome = CellOutcome(cell=task.cell, result=result,
-                              wall_time_s=wall_time_s, from_cache=False,
-                              attempts=task.attempt)
-        outcomes[task.index] = outcome
+        outcomes[task.index] = CellOutcome(
+            cell=task.cell, key=task.key, result=result,
+            wall_time_s=wall_time_s, from_cache=False, attempts=task.attempt)
         telemetry.add("computed")
         if cache is not None:
-            cache.put(task.key, task.cell, result)
-        if journal is not None:
-            journal.record(task.key, task.cell, outcome)
+            cache.put(task.key, result, cell=task.cell.key_fields())
 
     def reschedule(task: _Task, kind: str, detail: str = "") -> None:
         telemetry.add(kind)

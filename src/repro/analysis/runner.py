@@ -20,9 +20,9 @@ module exploits that twice:
   ``repro`` package sources).  A warm cache answers a repeated cell
   without simulating; editing any source file under ``repro`` changes
   the stamp and invalidates every entry at once, so stale results can
-  never leak across code versions.  Values are the same JSON documents
-  :mod:`repro.analysis.storage` writes, one file per cell under
-  ``<cache_dir>/<key[:2]>/<key>.json``.
+  never leak across code versions.  Each cell is stored the moment it
+  finishes, so an interrupted run resumes by rerunning it against the
+  same cache directory: finished cells are hits, only the rest simulate.
 
 :func:`run_grid` is the one entry point the grid/suite/sweep helpers in
 :mod:`repro.analysis.experiments` and :mod:`repro.analysis.sweeps` are
@@ -30,14 +30,14 @@ layered on; :func:`execute_cells` is the lower-level list-in/list-out
 executor for irregular cell sets (the sweeps).
 
 Fault tolerance — per-cell timeouts, retries with backoff, worker-crash
-recovery, checkpoint/resume journals, deterministic fault injection —
-lives in :mod:`repro.analysis.resilience`; passing any of ``policy`` /
-``checkpoint`` / ``fault_plan`` / ``telemetry`` (or setting the
-``REPRO_FAULT_PLAN`` environment variable) routes execution through the
-resilient path, which is byte-identical to this module's fast path.
-Cache entries carry an integrity digest; a corrupted or truncated entry
-is quarantined under ``<cache_dir>/quarantine/`` and recomputed instead
-of crashing the grid (``ResultCache.load`` raises the typed
+recovery, deterministic fault injection — lives in
+:mod:`repro.analysis.resilience`; passing any of ``policy`` /
+``fault_plan`` / ``telemetry`` (or setting the ``REPRO_FAULT_PLAN``
+environment variable) routes execution through the resilient path,
+which is byte-identical to this module's fast path.  Cache entries
+carry an integrity digest; a corrupted or truncated entry is
+quarantined under ``<cache_dir>/quarantine/`` and recomputed instead of
+crashing the grid (``ResultCache.load`` raises the typed
 :class:`~repro.analysis.storage.CacheCorruptionError` for callers that
 want the failure).
 """
@@ -49,9 +49,9 @@ import hashlib
 import json
 import os
 import time as _time
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro.analysis.storage import RESULT_CODEC, ContentStore
 # The code-version stamp moved to repro.obs.manifest (manifests carry it
 # too); re-exported here because cache keys embed it and callers import
 # it from this module.
@@ -67,10 +67,11 @@ from repro.workloads.synthetic import TraceSpec, generate_trace
 #: ``stats`` field to the canonical pair-list encoding (see
 #: :func:`repro.analysis.storage.result_to_dict`), which preserves
 #: integer stat keys across the JSON round trip; v4 dropped the key
-#: field that chose between two replay loops (there is one now).  Old
-#: entries hash to different keys (the version is part of the key
-#: payload) and are simply unseen.
-CACHE_FORMAT_VERSION = 4
+#: field that chose between two replay loops (there is one now); v5
+#: moved entries into the :class:`~repro.analysis.storage.ContentStore`
+#: envelope both cache lanes share.  Old entries hash to different keys
+#: (the version is part of the key payload) and are simply unseen.
+CACHE_FORMAT_VERSION = 5
 
 
 @dataclasses.dataclass(frozen=True)
@@ -199,153 +200,28 @@ class CellOutcome:
     """
 
     cell: CellSpec
+    #: the cell's :func:`cache_key`, computed once per execution.
+    key: str
     result: SystemResult
     wall_time_s: float
     from_cache: bool
     #: how many attempts the resilient executor needed (1 on the fast
     #: path: it never retries).
     attempts: int = 1
-    #: True when the result was replayed from a checkpoint journal.
-    from_checkpoint: bool = False
 
 
-class ResultCache:
-    """Content-addressed on-disk cache of :class:`SystemResult` cells.
+class ResultCache(ContentStore):
+    """The result lane: :class:`SystemResult` cells by :func:`cache_key`.
 
-    Layout: ``<root>/<key[:2]>/<key>.json`` where ``key`` is
-    :func:`cache_key`.  Each file carries the key fields it was computed
-    from (for auditing with plain ``jq``/``grep``), the result in the
-    :func:`repro.analysis.storage.result_to_dict` encoding, and an
-    integrity digest over the result payload.  Writes are atomic
-    (temp file + ``os.replace``) so concurrent workers or overlapping
-    pytest sessions can share one cache directory safely.
-
-    Read integrity: :meth:`load` verifies format, fields, and digest,
-    raising the typed
-    :class:`~repro.analysis.storage.CacheCorruptionError` on anything
-    untrustworthy; :meth:`get` turns corruption into a quarantine (the
-    bad file is moved to ``<root>/quarantine/`` for post-mortem) plus a
-    miss, so grids recompute instead of crashing — or worse, silently
-    analyzing garbage.
+    Authoritative — a result lost here must be simulated again.  Layout,
+    atomic writes, verify-on-read and quarantine are
+    :class:`~repro.analysis.storage.ContentStore`'s; entries carry the
+    cell's key fields as ``meta`` (``put(key, result,
+    cell=cell.key_fields())``).
     """
 
     def __init__(self, root: Union[str, os.PathLike]) -> None:
-        self.root = Path(root).expanduser()
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.quarantined = 0
-
-    def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-    @property
-    def quarantine_dir(self) -> Path:
-        return self.root / "quarantine"
-
-    def load(self, key: str) -> SystemResult:
-        """The verified cached result for ``key``.
-
-        Raises :class:`FileNotFoundError` for an absent entry and
-        :class:`~repro.analysis.storage.CacheCorruptionError` for one
-        that exists but fails any verification step.
-        """
-        from repro.analysis.storage import (
-            CacheCorruptionError,
-            integrity_digest,
-            result_from_dict,
-        )
-
-        path = self.path_for(key)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                raw = handle.read()
-        except FileNotFoundError:
-            raise
-        except OSError as error:
-            raise CacheCorruptionError(
-                f"unreadable cache entry {path}: {error}") from error
-        try:
-            payload = json.loads(raw)
-        except ValueError as error:
-            raise CacheCorruptionError(
-                f"cache entry {path} is not valid JSON (truncated "
-                f"write?): {error}") from error
-        if not isinstance(payload, dict):
-            raise CacheCorruptionError(
-                f"cache entry {path} is not a JSON object")
-        if payload.get("cache_format") != CACHE_FORMAT_VERSION:
-            raise CacheCorruptionError(
-                f"cache entry {path} has format "
-                f"{payload.get('cache_format')!r} "
-                f"(expected {CACHE_FORMAT_VERSION})")
-        result_payload = payload.get("result")
-        if not isinstance(result_payload, dict):
-            raise CacheCorruptionError(
-                f"cache entry {path} is missing its result payload")
-        if payload.get("integrity") != integrity_digest(result_payload):
-            raise CacheCorruptionError(
-                f"cache entry {path} failed its integrity digest "
-                "(bit rot or a hand edit)")
-        try:
-            return result_from_dict(result_payload)
-        except (ValueError, TypeError) as error:
-            raise CacheCorruptionError(
-                f"cache entry {path} holds an invalid result: "
-                f"{error}") from error
-
-    def get(self, key: str) -> Optional[SystemResult]:
-        """The cached result for ``key``, or ``None`` on a miss.
-
-        A corrupt entry is quarantined and reported as a miss, so the
-        caller recomputes (and :meth:`put` then heals the entry).
-        """
-        from repro.analysis.storage import CacheCorruptionError
-
-        try:
-            result = self.load(key)
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except CacheCorruptionError:
-            self._quarantine(key)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
-
-    def _quarantine(self, key: str) -> None:
-        """Move a corrupt entry aside (never leave it to fail again)."""
-        path = self.path_for(key)
-        try:
-            self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, self.quarantine_dir / path.name)
-        except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        self.quarantined += 1
-
-    def put(self, key: str, cell: CellSpec, result: SystemResult) -> None:
-        """Store ``result`` under ``key`` atomically."""
-        from repro.analysis.storage import integrity_digest, result_to_dict
-
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        result_payload = result_to_dict(result)
-        payload = {
-            "cache_format": CACHE_FORMAT_VERSION,
-            "code_version": code_version_stamp(),
-            "cell": cell.key_fields(),
-            "integrity": integrity_digest(result_payload),
-            "result": result_payload,
-        }
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1)
-        os.replace(tmp, path)
-        self.stores += 1
+        super().__init__(root, CACHE_FORMAT_VERSION, RESULT_CODEC)
 
 
 def as_cache(cache: Union[ResultCache, str, os.PathLike, None],
@@ -356,85 +232,94 @@ def as_cache(cache: Union[ResultCache, str, os.PathLike, None],
     return ResultCache(cache)
 
 
-def _run_pool(cells: Sequence[CellSpec], workers: int,
-              ) -> Optional[List[Tuple[SystemResult, float]]]:
-    """Map :func:`run_cell_timed` over ``cells`` with a process pool.
+def _run_indexed(item: Tuple[int, CellSpec]) -> Tuple[int, SystemResult, float]:
+    """Pool worker entry: :func:`run_cell_timed` tagged with its position."""
+    position, cell = item
+    return (position, *run_cell_timed(cell))
 
-    Returns ``None`` when no pool can be stood up (missing semaphore
-    support, fork restrictions) so the caller falls back to serial.
+
+def _computed(cells: Sequence[CellSpec], workers: int,
+              ) -> Iterator[Tuple[int, SystemResult, float]]:
+    """``(position, result, wall seconds)`` for each cell as it finishes.
+
+    Cells fan out over a process pool when ``workers > 1`` and there is
+    more than one, in completion order; otherwise (or when no pool can
+    be stood up: missing semaphore support, fork restrictions) they run
+    serially, in order.
     """
-    import multiprocessing
+    if workers > 1 and len(cells) > 1:
+        import multiprocessing
 
-    try:
-        with multiprocessing.get_context().Pool(min(workers, len(cells))) as pool:
-            return pool.map(run_cell_timed, cells, chunksize=1)
-    except (ImportError, OSError, PermissionError):
-        return None
+        try:
+            pool = multiprocessing.get_context().Pool(min(workers, len(cells)))
+        except (ImportError, OSError, PermissionError):
+            pool = None
+        if pool is not None:
+            with pool:
+                yield from pool.imap_unordered(_run_indexed, enumerate(cells))
+            return
+    for position, cell in enumerate(cells):
+        yield (position, *run_cell_timed(cell))
 
 
 def execute_cells_detailed(cells: Sequence[CellSpec], workers: int = 1,
                            cache: Union[ResultCache, str, os.PathLike,
                                         None] = None,
-                           policy=None, checkpoint=None, fault_plan=None,
-                           telemetry=None,
+                           policy=None, fault_plan=None, telemetry=None,
                            ) -> List[CellOutcome]:
     """Run every cell, in order, answering from ``cache`` where possible.
 
     Cache misses fan out over ``workers`` processes when ``workers > 1``
-    (serial when ``workers=1`` or the pool is unavailable) and are
-    written back to the cache.  The returned list is parallel to
-    ``cells`` regardless of execution order, and parallel execution is
-    bit-identical to serial: each cell is a deterministic function of
-    its spec alone.  Each :class:`CellOutcome` additionally records the
-    cell's wall time and whether the cache answered it.
+    (serial when ``workers=1`` or the pool is unavailable) and each is
+    written to the cache as soon as it finishes, so a run interrupted
+    part-way resumes by running again against the same cache.  The
+    returned list is parallel to ``cells`` regardless of execution
+    order, and parallel execution is bit-identical to serial: each cell
+    is a deterministic function of its spec alone.  Each
+    :class:`CellOutcome` additionally records the cell's cache key, its
+    wall time and whether the cache answered it.
 
     Passing a :class:`~repro.analysis.resilience.RetryPolicy`
-    (``policy``), a checkpoint journal or path (``checkpoint``), a
-    :class:`~repro.analysis.resilience.FaultPlan` (``fault_plan``), or a
+    (``policy``), a :class:`~repro.analysis.resilience.FaultPlan`
+    (``fault_plan``), or a
     :class:`~repro.analysis.resilience.RunnerTelemetry` (``telemetry``)
     — or setting ``REPRO_FAULT_PLAN`` in the environment — routes
     execution through the fault-tolerant executor, which additionally
-    retries, times out, and reschedules cells and journals completed
-    outcomes.  Results are byte-identical either way.
+    retries, times out, and reschedules cells.  Results are
+    byte-identical either way.
     """
     cache = as_cache(cache)
     if fault_plan is None:
         from repro.analysis.resilience import FaultPlan
 
         fault_plan = FaultPlan.from_env()
-    if (policy is not None or checkpoint is not None
-            or fault_plan is not None or telemetry is not None):
+    if policy is not None or fault_plan is not None or telemetry is not None:
         from repro.analysis.resilience import execute_resilient
 
         return execute_resilient(cells, workers=workers, cache=cache,
-                                 policy=policy, checkpoint=checkpoint,
-                                 fault_plan=fault_plan, telemetry=telemetry)
+                                 policy=policy, fault_plan=fault_plan,
+                                 telemetry=telemetry)
     outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
     pending: List[Tuple[int, CellSpec, str]] = []
     for index, cell in enumerate(cells):
-        key = cache_key(cell) if cache is not None else ""
+        key = cache_key(cell)
         started = _time.perf_counter()
         cached = cache.get(key) if cache is not None else None
         if cached is not None:
             outcomes[index] = CellOutcome(
-                cell=cell, result=cached,
+                cell=cell, key=key, result=cached,
                 wall_time_s=_time.perf_counter() - started, from_cache=True)
         else:
             pending.append((index, cell, key))
 
-    if pending:
-        todo = [cell for _, cell, _ in pending]
-        computed: Optional[List[Tuple[SystemResult, float]]] = None
-        if workers > 1 and len(todo) > 1:
-            computed = _run_pool(todo, workers)
-        if computed is None:
-            computed = [run_cell_timed(cell) for cell in todo]
-        for (index, cell, key), (result, wall_time_s) in zip(pending, computed):
-            outcomes[index] = CellOutcome(cell=cell, result=result,
-                                          wall_time_s=wall_time_s,
-                                          from_cache=False)
-            if cache is not None:
-                cache.put(key, cell, result)
+    todo = [cell for _, cell, _ in pending]
+    for position, result, wall_time_s in _computed(todo, workers):
+        index, cell, key = pending[position]
+        outcomes[index] = CellOutcome(cell=cell, key=key, result=result,
+                                      wall_time_s=wall_time_s,
+                                      from_cache=False)
+        if cache is not None:
+            cache.put(key, result, cell=cell.key_fields())
     return outcomes  # type: ignore[return-value]
 
 
@@ -511,7 +396,7 @@ def run_grid(designs: Sequence,
              tech: Technology = TECH_45NM,
              workers: int = 1,
              cache: Union[ResultCache, str, os.PathLike, None] = None,
-             policy=None, checkpoint=None, fault_plan=None, telemetry=None,
+             policy=None, fault_plan=None, telemetry=None,
              sanitize: bool = False):
     """Run a full (design x benchmark) grid through the runner.
 
@@ -519,8 +404,8 @@ def run_grid(designs: Sequence,
     Every design sees the identical per-benchmark reference stream (the
     trace is a pure function of ``(profile spec, n_refs, seed)``), so
     this matches the legacy serial grid cell-for-cell.  ``policy`` /
-    ``checkpoint`` / ``fault_plan`` / ``telemetry`` opt into the
-    fault-tolerant executor (see :func:`execute_cells_detailed`).
+    ``fault_plan`` / ``telemetry`` opt into the fault-tolerant executor
+    (see :func:`execute_cells_detailed`).
     ``sanitize=True`` runs every cell under the simulator-core
     sanitizer; a clean sanitized grid is byte-identical to a plain one.
 
@@ -536,8 +421,7 @@ def run_grid(designs: Sequence,
         warmup_fraction=warmup_fraction, processor_config=processor_config,
         tech=tech, sanitize=sanitize)
     outcomes = execute_cells_detailed(cells, workers=workers, cache=cache,
-                                      policy=policy, checkpoint=checkpoint,
-                                      fault_plan=fault_plan,
+                                      policy=policy, fault_plan=fault_plan,
                                       telemetry=telemetry)
     cell_results: Dict[Tuple[str, str], SystemResult] = {
         (outcome.cell.design, outcome.cell.benchmark): outcome.result
@@ -548,7 +432,6 @@ def run_grid(designs: Sequence,
             "wall_time_s": outcome.wall_time_s,
             "from_cache": outcome.from_cache,
             "attempts": outcome.attempts,
-            "from_checkpoint": outcome.from_checkpoint,
             "l2_hits": outcome.result.l2_hits,
             "l2_misses": outcome.result.l2_misses,
             # The cell's result-cache key: the provenance fingerprint
@@ -556,7 +439,7 @@ def run_grid(designs: Sequence,
             # recorded when no result cache was in play (the key is a
             # pure function of the spec + code version, not of whether
             # a cache directory happened to be configured).
-            "cache_key": cache_key(outcome.cell),
+            "cache_key": outcome.key,
         }
         for outcome in outcomes
     }

@@ -4,6 +4,10 @@ Grid sweeps are the expensive part of the reproduction; this module
 saves their :class:`~repro.sim.system.SystemResult` cells to a JSON
 document so analyses (tables, figures, the report) can be re-rendered
 without re-simulating, and results can be diffed across code versions.
+
+It also holds :class:`ContentStore`, the one on-disk store behind both
+cache lanes: the result lane (:class:`~repro.analysis.runner.ResultCache`)
+and the derived-artifact lane (:class:`~repro.analysis.derived.DerivedLane`).
 """
 
 from __future__ import annotations
@@ -11,9 +15,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Dict, List, Tuple
+import os
+import threading
+from pathlib import Path
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.analysis.experiments import ExperimentGrid
+from repro.obs.manifest import code_version_stamp
 from repro.sim.system import SystemResult
 
 #: v2 canonicalized the result ``stats`` encoding: a sorted list of
@@ -29,14 +37,14 @@ _SUPPORTED_VERSIONS = (1, FORMAT_VERSION)
 
 
 class CacheCorruptionError(ValueError):
-    """A persisted result entry exists but cannot be trusted.
+    """A persisted cache entry exists but cannot be trusted.
 
     Raised (never silently swallowed into garbage data) when a cache
     file is truncated, is not JSON, carries the wrong format version,
-    fails result-field validation, or fails its integrity digest.  The
-    runner's :class:`~repro.analysis.runner.ResultCache` catches this to
-    quarantine the entry and recompute the cell instead of crashing the
-    grid — see ``ResultCache.get`` vs the raising ``ResultCache.load``.
+    fails its integrity digest, or fails the lane codec's validation.
+    :meth:`ContentStore.get` catches this to quarantine the entry and
+    report a miss, so the caller recomputes instead of crashing — see
+    ``ContentStore.get`` vs the raising ``ContentStore.load``.
     """
 
 
@@ -65,8 +73,8 @@ def _digest_canonical(value):
     return value
 
 
-def integrity_digest(result_payload: dict) -> str:
-    """SHA-256 over the canonical JSON encoding of one result payload.
+def integrity_digest(payload: Any) -> str:
+    """SHA-256 over the canonical JSON encoding of one cache payload.
 
     Stored alongside every cache entry so bit rot *inside* an otherwise
     well-formed JSON document (a flipped digit survives both
@@ -77,7 +85,7 @@ def integrity_digest(result_payload: dict) -> str:
     fingerprint (:meth:`~repro.analysis.experiments.ExperimentGrid.cell_keys`)
     depends on that.
     """
-    canonical = json.dumps(_digest_canonical(result_payload),
+    canonical = json.dumps(_digest_canonical(payload),
                            sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -138,6 +146,172 @@ def result_from_dict(payload: dict) -> SystemResult:
     payload = dict(payload)
     payload["stats"] = _decode_stats(payload["stats"])
     return SystemResult(**payload)
+
+
+def _identity(value: Any) -> Any:
+    return value
+
+
+class Codec(NamedTuple):
+    """How one cache lane's values map to and from JSON payloads.
+
+    ``decode`` raises :class:`ValueError` or :class:`TypeError` for a
+    payload that is well-formed JSON but not a valid value.
+    """
+
+    encode: Callable[[Any], Any]
+    decode: Callable[[Any], Any]
+
+
+#: Values that already are JSON documents (derived artifacts).
+JSON_CODEC = Codec(_identity, _identity)
+
+#: :class:`~repro.sim.system.SystemResult` cells.
+RESULT_CODEC = Codec(result_to_dict, result_from_dict)
+
+
+class ContentStore:
+    """Content-addressed on-disk store of JSON entries.
+
+    The storage discipline both cache lanes share; what differs between
+    them — the key, the root, the codec, the format constant and
+    whether a miss is an error or only lost work — is the lane's
+    business.  Layout: ``<root>/<key[:2]>/<key>.json``.  Each entry is
+    an envelope::
+
+        {"format": ..., "code_version": ..., "meta": {...},
+         "integrity": ..., "payload": ...}
+
+    ``payload`` is ``codec.encode(value)`` and ``integrity`` its
+    :func:`integrity_digest`.  ``meta`` holds whatever audit fields the
+    lane passes to :meth:`put` (a cell's key fields, an artifact's
+    kind), for reading with plain ``jq``/``grep``; it is never read
+    back.
+
+    Writes are atomic (a temp file unique to the writing process and
+    thread, then ``os.replace``), so pool workers, service threads and
+    overlapping sessions can share one root.  :meth:`load` verifies the
+    envelope, the digest and the codec and raises the typed
+    :class:`CacheCorruptionError` on anything untrustworthy;
+    :meth:`get` turns corruption into a quarantine (the file moves to
+    ``<root>/quarantine/`` for post-mortem) plus a miss.
+    """
+
+    def __init__(self, root: Union[str, os.PathLike], format: int,
+                 codec: Codec = JSON_CODEC) -> None:
+        self.root = Path(root).expanduser()
+        self.format = format
+        self.codec = codec
+        self.hits = 0
+        self.misses = 0
+        self.stores = 0
+        self.quarantined = 0
+
+    def path_for(self, key: str) -> Path:
+        return self.root / key[:2] / f"{key}.json"
+
+    @property
+    def quarantine_dir(self) -> Path:
+        return self.root / "quarantine"
+
+    def load(self, key: str) -> Any:
+        """The verified value stored under ``key``.
+
+        Raises :class:`FileNotFoundError` for an absent entry and
+        :class:`CacheCorruptionError` for one that exists but fails any
+        verification step.
+        """
+        path = self.path_for(key)
+        try:
+            raw = path.read_bytes()
+        except FileNotFoundError:
+            raise
+        except OSError as error:
+            raise CacheCorruptionError(
+                f"unreadable cache entry {path}: {error}") from error
+        try:
+            entry = json.loads(raw)
+        except ValueError as error:
+            raise CacheCorruptionError(
+                f"cache entry {path} is not valid JSON (truncated "
+                f"write?): {error}") from error
+        if not isinstance(entry, dict):
+            raise CacheCorruptionError(
+                f"cache entry {path} is not a JSON object")
+        if entry.get("format") != self.format:
+            raise CacheCorruptionError(
+                f"cache entry {path} has format {entry.get('format')!r} "
+                f"(expected {self.format})")
+        if "payload" not in entry:
+            raise CacheCorruptionError(
+                f"cache entry {path} is missing its payload")
+        payload = entry["payload"]
+        if entry.get("integrity") != integrity_digest(payload):
+            raise CacheCorruptionError(
+                f"cache entry {path} failed its integrity digest "
+                "(bit rot or a hand edit)")
+        try:
+            return self.codec.decode(payload)
+        except (ValueError, TypeError) as error:
+            raise CacheCorruptionError(
+                f"cache entry {path} holds an invalid payload: "
+                f"{error}") from error
+
+    def get(self, key: str) -> Optional[Any]:
+        """The value stored under ``key``, or ``None`` on a miss.
+
+        A corrupt entry is quarantined and reported as a miss, so the
+        caller recomputes (and :meth:`put` then heals the entry).
+        ``None`` is reserved for misses: stored values are never null.
+        """
+        try:
+            value = self.load(key)
+        except FileNotFoundError:
+            self.misses += 1
+            return None
+        except CacheCorruptionError:
+            self._quarantine(key)
+            self.misses += 1
+            return None
+        self.hits += 1
+        return value
+
+    def _quarantine(self, key: str) -> None:
+        """Move a corrupt entry aside (never leave it to fail again)."""
+        path = self.path_for(key)
+        try:
+            self.quarantine_dir.mkdir(parents=True, exist_ok=True)
+            os.replace(path, self.quarantine_dir / path.name)
+        except OSError:
+            try:
+                path.unlink()
+            except OSError:
+                pass
+        self.quarantined += 1
+
+    def put(self, key: str, value: Any, **meta: Any) -> None:
+        """Store ``value`` under ``key`` atomically.
+
+        Concurrent writers of one key each write their own temp file,
+        and the last ``os.replace`` wins; the entries are identical, as
+        a key names its value.
+        """
+        path = self.path_for(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        payload = self.codec.encode(value)
+        entry = {
+            "format": self.format,
+            "code_version": code_version_stamp(),
+            "meta": meta,
+            "integrity": integrity_digest(payload),
+            "payload": payload,
+        }
+        tmp = path.with_name(
+            f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        with open(tmp, "w", encoding="utf-8") as handle:
+            json.dump(entry, handle, indent=1)
+        os.replace(tmp, path)
+        self.stores += 1
 
 
 def save_grid(path: str, grid: ExperimentGrid) -> None:

@@ -367,28 +367,26 @@ def _derived_lane(args):
 
 
 def _grid_resilience(args):
-    """``(policy, checkpoint, telemetry)`` for the grid/report commands.
+    """``(policy, telemetry)`` for the grid/report/explore commands.
 
-    All ``None`` when no resilience flag is set and no ``REPRO_FAULT_PLAN``
-    is in the environment, which keeps the default path on the fast
-    (pool-based) executor.
+    Both ``None`` when no resilience flag is set and no
+    ``REPRO_FAULT_PLAN`` is in the environment, which keeps the default
+    path on the fast (pool-based) executor.
     """
     from repro.analysis.resilience import (
-        CheckpointJournal,
         FaultPlan,
         RetryPolicy,
         RunnerTelemetry,
     )
 
-    wanted = (args.retries or args.cell_timeout or args.checkpoint
+    wanted = (args.retries or args.cell_timeout
               or FaultPlan.from_env() is not None)
     if not wanted:
-        return None, None, None
+        return None, None
     policy = RetryPolicy(max_retries=args.retries,
                          cell_timeout_s=args.cell_timeout,
                          backoff_base_s=0.5)
-    checkpoint = CheckpointJournal(args.checkpoint) if args.checkpoint else None
-    return policy, checkpoint, RunnerTelemetry()
+    return policy, RunnerTelemetry()
 
 
 def _cmd_grid(args) -> int:
@@ -400,21 +398,18 @@ def _cmd_grid(args) -> int:
         print(f"loaded grid from {args.load}")
     else:
         cache = _grid_cache(args)
-        policy, checkpoint, telemetry = _grid_resilience(args)
+        policy, telemetry = _grid_resilience(args)
         grid = run_design_grid(designs=args.designs or ("SNUCA2", "DNUCA", "TLC"),
                                benchmarks=args.benchmarks or None,
                                n_refs=args.refs, seed=args.seed,
                                workers=args.workers, cache=cache,
-                               policy=policy, checkpoint=checkpoint,
-                               telemetry=telemetry,
+                               policy=policy, telemetry=telemetry,
                                sanitize=args.sanitize)
         if cache is not None:
             print(f"cache: {cache.hits} hit(s), {cache.stores} cell(s) "
                   f"simulated and stored under {args.cache_dir}")
         if telemetry is not None:
             print(f"resilience: {telemetry.summary()}")
-            if args.checkpoint:
-                print(f"checkpoint journal: {args.checkpoint}")
     if args.save:
         save_grid(args.save, grid)
         print(f"grid saved to {args.save}")
@@ -465,7 +460,7 @@ def _cmd_report(args) -> int:
     started = _time.perf_counter()
     cache = _grid_cache(args)
     lane = _derived_lane(args)
-    policy, checkpoint, telemetry = _grid_resilience(args)
+    policy, telemetry = _grid_resilience(args)
 
     # Every cell either grid would run, fingerprinted without running
     # anything — this keys the whole rendered document, so a warm lane
@@ -482,12 +477,10 @@ def _cmd_report(args) -> int:
     def compute_document() -> dict:
         grids["main"] = run_design_grid(
             designs=MAIN_DESIGNS, n_refs=args.refs, workers=args.workers,
-            cache=cache, policy=policy, checkpoint=checkpoint,
-            telemetry=telemetry)
+            cache=cache, policy=policy, telemetry=telemetry)
         grids["family"] = run_design_grid(
             designs=family_designs, n_refs=args.refs, workers=args.workers,
-            cache=cache, policy=policy, checkpoint=checkpoint,
-            telemetry=telemetry)
+            cache=cache, policy=policy, telemetry=telemetry)
         text = build_report(main_grid=grids["main"],
                             family_grid=grids["family"],
                             n_refs=args.refs, derived=lane)
@@ -525,7 +518,6 @@ def _cmd_report(args) -> int:
             "derived_cached": lane.enabled,
             "retries": args.retries,
             "cell_timeout_s": args.cell_timeout,
-            "checkpoint": args.checkpoint,
         }
         # Per-cell sections exist only when the grids actually ran; a
         # document-warm report simulated nothing to report on.
@@ -580,15 +572,14 @@ def _cmd_explore(args) -> int:
 
     cache = _grid_cache(args)
     lane = _derived_lane(args)
-    policy, checkpoint, telemetry = _grid_resilience(args)
+    policy, telemetry = _grid_resilience(args)
     registry = MetricsRegistry()
     try:
         spec = validate_space_spec(payload)
         result = run_search(spec, driver=args.driver, seed=args.seed,
                             budget=args.budget, workers=args.workers,
                             cache=cache, policy=policy,
-                            checkpoint=checkpoint, telemetry=telemetry,
-                            registry=registry)
+                            telemetry=telemetry, registry=registry)
     except ConfigError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -846,7 +837,8 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--cache-dir",
                       help="content-addressed result cache directory; "
                            "cells already simulated (by any command "
-                           "sharing the directory) are reused")
+                           "sharing the directory) are reused, so "
+                           "rerunning an interrupted grid resumes it")
     _add_resilience_flags(grid)
     _add_derived_flags(grid)
     grid.set_defaults(func=_cmd_grid)
@@ -946,9 +938,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="content-addressed result cache shared by every "
                             "job (and with grid/report runs); without it "
                             "dedupe only spans this process's lifetime")
-    serve.add_argument("--checkpoint-dir", metavar="DIR",
-                       help="journal each job's completed cells under DIR "
-                            "(one JSONL file per job) for crash resume")
     serve.add_argument("--retries", type=int, default=0, metavar="N",
                        help="retry a failed, crashed, or timed-out cell up "
                             "to N times (routes cells through the resilient "
@@ -1000,13 +989,12 @@ def _cmd_serve(args) -> int:
     from repro.service.journal import as_job_journal, describe_recovery
 
     policy = None
-    if args.retries or args.cell_timeout or args.checkpoint_dir:
+    if args.retries or args.cell_timeout:
         policy = RetryPolicy(max_retries=args.retries,
                              cell_timeout_s=args.cell_timeout,
                              backoff_base_s=0.5)
     store = JobStore(cache=_grid_cache(args), derived=_derived_lane(args),
                      workers=args.workers, policy=policy,
-                     checkpoint_dir=args.checkpoint_dir,
                      journal=as_job_journal(args.journal_dir),
                      max_active_jobs=args.max_active_jobs,
                      max_queued_cells=args.max_queued_cells,
@@ -1083,10 +1071,6 @@ def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
                         metavar="SECONDS",
                         help="kill and reschedule any cell attempt running "
                              "longer than this")
-    parser.add_argument("--checkpoint", metavar="FILE",
-                        help="journal completed cells to FILE (JSONL); an "
-                             "interrupted run resumes from it and produces "
-                             "a byte-identical grid")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

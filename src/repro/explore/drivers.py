@@ -144,14 +144,14 @@ def _rung_refs(spec: SpaceSpec, depth: int, rung: int) -> int:
 
 def run_search(spec: SpaceSpec, driver: str = "random", seed: int = 0,
                budget: int = 8, *, workers: int = 1, cache=None,
-               policy=None, checkpoint=None, telemetry=None,
+               policy=None, telemetry=None,
                registry=None) -> SearchResult:
     """Search ``spec``'s design space and rank what was evaluated.
 
     ``seed`` steers candidate selection (``random``/``halving``);
     ``budget`` is the number of variants admitted to evaluation.
-    ``cache``/``policy``/``checkpoint``/``telemetry``/``workers`` pass
-    straight through to ``run_grid``.
+    ``cache``/``policy``/``telemetry``/``workers`` pass straight through
+    to ``run_grid``.
     ``registry`` (a :class:`~repro.obs.registry.MetricsRegistry`)
     receives the ``explore.*`` counters when given.
 
@@ -193,7 +193,7 @@ def run_search(spec: SpaceSpec, driver: str = "random", seed: int = 0,
                         seed=spec.seed,
                         warmup_fraction=spec.warmup_fraction,
                         workers=workers, cache=cache, policy=policy,
-                        checkpoint=checkpoint, telemetry=telemetry,
+                        telemetry=telemetry,
                         sanitize=spec.sanitize)
         for meta in (grid.cell_meta or {}).values():
             if meta.get("from_cache"):

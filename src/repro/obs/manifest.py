@@ -90,7 +90,7 @@ class RunManifest:
     trace: Optional[Dict[str, Any]] = None
     #: :meth:`~repro.analysis.resilience.RunnerTelemetry.as_dict` —
     #: attempts / retries / timeouts / worker deaths / quarantined
-    #: cache entries / checkpoint replays — when the run went through
+    #: cache entries — when the run went through
     #: the fault-tolerant executor.  Execution provenance like wall
     #: time: excluded from :func:`diff_manifests` (a retried run and a
     #: clean run measure the same thing).

@@ -8,11 +8,12 @@ each job's cells across the existing execution stack:
 * every cell runs through
   :func:`repro.analysis.runner.execute_cells_detailed` against one
   shared content-addressed :class:`~repro.analysis.runner.ResultCache`,
-  so concurrent clients never simulate the same cell twice;
+  so a cell finished by any job is a cache hit for every later one.
+  Two jobs that reach the same uncached cell at the same time both
+  simulate it (the cache is not a lock); they store identical entries;
 * a :class:`~repro.analysis.resilience.RetryPolicy` (from ``repro serve
   --retries/--cell-timeout``) routes cells through the fault-tolerant
-  executor — per-cell child processes, timeouts, retries — and a
-  per-job checkpoint journal makes an interrupted job resumable;
+  executor — per-cell child processes, timeouts, retries;
 * identical submissions dedupe **before** any work happens: the job key
   is a digest of the grid's cell result-cache keys (each of which
   already embeds every simulation input plus the code-version stamp),
@@ -57,7 +58,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import queue
 import threading
 import time as _time
@@ -183,9 +183,6 @@ class Job:
         self.finished_s: Optional[float] = None
         self._started = _time.perf_counter()
         self.wall_time_s: Optional[float] = None
-        # Serializes this job's cells around its (single-handle,
-        # append-only) checkpoint journal; unused without checkpointing.
-        self._exec_lock = threading.Lock()
         self.cell_status: List[Dict[str, Any]] = [
             {"design": cell.design, "benchmark": cell.benchmark,
              "state": "pending", "from_cache": None, "wall_time_s": None,
@@ -239,7 +236,7 @@ class JobStore:
     """
 
     def __init__(self, cache=None, derived=None, workers: int = 2,
-                 policy=None, checkpoint_dir=None,
+                 policy=None,
                  registry: Optional[MetricsRegistry] = None,
                  journal=None,
                  max_active_jobs: Optional[int] = DEFAULT_MAX_ACTIVE_JOBS,
@@ -252,7 +249,6 @@ class JobStore:
         self.cache = as_cache(cache)
         self.lane: DerivedLane = as_lane(derived)
         self.policy = policy
-        self.checkpoint_dir = checkpoint_dir
         self.workers = max(1, int(workers))
         self.journal = as_job_journal(journal)
         self.max_active_jobs = max_active_jobs or None
@@ -276,7 +272,6 @@ class JobStore:
         self._lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
         self._by_key: Dict[str, str] = {}
-        self._journals: Dict[str, Any] = {}
         self._evicted: Dict[str, float] = {}
         self._queue: "queue.Queue[Optional[Tuple[Job, int]]]" = queue.Queue()
         self._threads: List[threading.Thread] = []
@@ -558,9 +553,6 @@ class JobStore:
                     del self._jobs[job.id]
                     if job.key is not None:
                         self._by_key.pop(job.key, None)
-                    journal = self._journals.pop(job.id, None)
-                    if journal is not None:
-                        journal.close()
                     self._evicted[job.id] = now
                     evicted.append(job)
             for job in evicted:
@@ -587,21 +579,6 @@ class JobStore:
             return counts
 
     # -- execution ---------------------------------------------------------
-    def _checkpoint_for(self, job: Job):
-        """The job's checkpoint journal (shared across its cells)."""
-        if self.checkpoint_dir is None:
-            return None
-        from repro.analysis.resilience import CheckpointJournal
-
-        with self._lock:
-            journal = self._journals.get(job.id)
-            if journal is None:
-                os.makedirs(self.checkpoint_dir, exist_ok=True)
-                journal = CheckpointJournal(
-                    os.path.join(self.checkpoint_dir, f"{job.id}.ckpt"))
-                self._journals[job.id] = journal
-        return journal
-
     def _worker_loop(self) -> None:
         while True:
             unit = self._queue.get()
@@ -619,16 +596,10 @@ class JobStore:
             if job.state == "queued":
                 job.state = "running"
             job.cell_status[index]["state"] = "running"
-        checkpoint = self._checkpoint_for(job)
-        # A shared checkpoint journal is append-only through one file
-        # handle; serialize the job's cells around it.  Without
-        # checkpointing, cells of one job run fully concurrently.
-        guard = job._exec_lock if checkpoint is not None else _NULL_GUARD
         try:
-            with guard:
-                (outcome,) = execute_cells_detailed(
-                    [cell], workers=1, cache=self.cache, policy=self.policy,
-                    checkpoint=checkpoint, telemetry=self.telemetry)
+            (outcome,) = execute_cells_detailed(
+                [cell], workers=1, cache=self.cache, policy=self.policy,
+                telemetry=self.telemetry)
         except Exception as error:  # noqa: BLE001 — any failure fails the cell
             with self._lock:
                 job.cell_status[index].update(
@@ -690,7 +661,6 @@ class JobStore:
                 "wall_time_s": outcome.wall_time_s,
                 "from_cache": outcome.from_cache,
                 "attempts": outcome.attempts,
-                "from_checkpoint": outcome.from_checkpoint,
                 "l2_hits": outcome.result.l2_hits,
                 "l2_misses": outcome.result.l2_misses,
                 "cache_key": key,
@@ -824,14 +794,3 @@ class JobStore:
                 return {"key": key, "lane": "result",
                         "result": result_to_dict(result)}
         return None
-
-
-class _NullGuard:
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info) -> bool:
-        return False
-
-
-_NULL_GUARD = _NullGuard()

@@ -3,11 +3,11 @@
 The :class:`~repro.service.jobs.JobStore` is an in-memory job table;
 without help, a ``SIGKILL`` mid-job silently loses every in-flight
 submission (only *completed cells* survive, via the result cache).
-:class:`JobJournal` closes that gap with the same discipline as
-:class:`~repro.analysis.resilience.CheckpointJournal`: an append-only
-JSONL file, one self-contained event per line, flushed at every write,
-loaded tolerantly (a half-written final line — the expected artifact of
-a crash — is skipped and counted, never fatal).
+:class:`JobJournal` closes that gap, and is the repo's only journal: an
+append-only JSONL file, one self-contained event per line, flushed at
+every write, loaded tolerantly by :func:`load_jsonl` (a half-written
+final line — the expected artifact of a crash — is skipped and counted,
+never fatal).
 
 Events (``JOB_JOURNAL_FORMAT_VERSION`` lines)::
 
@@ -39,15 +39,39 @@ import os
 import threading
 import time as _time
 from pathlib import Path
-from typing import Any, Dict, Optional, Set, Union
-
-from repro.analysis.resilience import load_jsonl
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 #: Journal line layout version (bump on incompatible change).
 JOB_JOURNAL_FORMAT_VERSION = 1
 
 #: The event vocabulary, in lifecycle order.
 JOB_JOURNAL_EVENTS = ("submit", "cell", "finish", "evict", "shutdown")
+
+
+def load_jsonl(path: Union[str, os.PathLike]) -> Tuple[List[object], int]:
+    """Tolerantly parse a JSONL file into ``(payloads, bad_lines)``.
+
+    A missing file is an empty journal, blank lines are ignored, and a
+    line that fails to parse — the expected artifact of a process
+    killed mid-write — is counted, not fatal.  Callers apply their own
+    per-payload validation on top.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except FileNotFoundError:
+        return [], 0
+    payloads: List[object] = []
+    bad_lines = 0
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            payloads.append(json.loads(line))
+        except ValueError:
+            bad_lines += 1
+    return payloads, bad_lines
 
 
 @dataclasses.dataclass

@@ -38,6 +38,21 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, option", [
+        (["grid"], "checkpoint"),
+        (["report"], "checkpoint"),
+        (["explore", "--space", "space.json"], "checkpoint"),
+        (["serve"], "checkpoint-dir"),
+    ])
+    def test_journal_options_are_rejected(self, argv, option, capsys):
+        """Resume is a rerun against the same --cache-dir; the per-run
+        and per-job cell journals and their flags are gone."""
+        flag = f"--{option}"
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + [flag, "somewhere"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
 
 class TestInformational:
     def test_designs_lists_registry(self, capsys):

@@ -2,18 +2,16 @@
 
 The lane is optimization-only, so almost every test here is some form
 of "warm and cold agree, and the lane did/did not do work": key
-determinism and invalidation, corruption quarantine, warm-vs-cold
-byte-identical reports, section-granular re-derivation, sweep and CLI
-routing, and the ``analysis.derived.*`` observability surface.
+determinism and invalidation, warm-vs-cold byte-identical reports,
+section-granular re-derivation, sweep and CLI routing, and the
+``analysis.derived.*`` observability surface.  The store under the lane
+is the result lane's; its corruption catalog runs against both lanes in
+``tests/test_runner.py::TestCacheIntegrity``.
 """
-
-import json
-
-import pytest
 
 from repro.analysis.derived import (
     ANALYSIS_VERSION,
-    DerivedCache,
+    DERIVED_FORMAT_VERSION,
     DerivedLane,
     as_lane,
     derived_key,
@@ -86,57 +84,6 @@ class TestDerivedKey:
                                analysis_version=ANALYSIS_VERSION + 1))
 
 
-class TestDerivedCache:
-    def test_roundtrip(self, tmp_path):
-        cache = DerivedCache(tmp_path)
-        key = derived_key("t", ["k"])
-        artifact = {"rows": [["gcc", 1.0], ["mcf", 0.5]], "n": 3}
-        cache.put(key, "t", artifact)
-        assert cache.get(key) == artifact
-        assert cache.hits == 1 and cache.stores == 1
-
-    def test_absent_entry_is_a_miss(self, tmp_path):
-        cache = DerivedCache(tmp_path)
-        assert cache.get(derived_key("t", [])) is None
-        assert cache.misses == 1 and cache.quarantined == 0
-
-    def test_truncated_entry_quarantined(self, tmp_path):
-        cache = DerivedCache(tmp_path)
-        key = derived_key("t", ["k"])
-        cache.put(key, "t", {"rows": []})
-        path = cache.path_for(key)
-        path.write_text(path.read_text()[:20], encoding="utf-8")
-        assert cache.get(key) is None
-        assert cache.quarantined == 1
-        assert not path.exists()
-        assert list(cache.quarantine_dir.iterdir())
-        # The lane heals: a put after quarantine serves again.
-        cache.put(key, "t", {"rows": []})
-        assert cache.get(key) == {"rows": []}
-
-    def test_bit_rot_fails_integrity(self, tmp_path):
-        cache = DerivedCache(tmp_path)
-        key = derived_key("t", ["k"])
-        cache.put(key, "t", {"value": 41})
-        path = cache.path_for(key)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["artifact"]["value"] = 42  # flip a digit, keep valid JSON
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        assert cache.get(key) is None
-        assert cache.quarantined == 1
-
-    def test_wrong_format_version_quarantined(self, tmp_path):
-        cache = DerivedCache(tmp_path)
-        key = derived_key("t", ["k"])
-        cache.put(key, "t", {"value": 1})
-        path = cache.path_for(key)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["derived_format"] = 99
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        assert cache.get(key) is None
-        assert cache.quarantined == 1
-
-
 class TestDerivedLane:
     def test_disabled_lane_computes_inline(self):
         lane = as_lane(None)
@@ -206,10 +153,13 @@ class TestDerivedLane:
         assert {"hits", "misses", "stores", "quarantined"} <= set(doc)
 
     def test_as_lane_coercions(self, tmp_path):
-        lane = DerivedLane(DerivedCache(tmp_path))
+        from repro.analysis.storage import ContentStore
+
+        store = ContentStore(tmp_path, DERIVED_FORMAT_VERSION)
+        lane = DerivedLane(store)
         assert as_lane(lane) is lane
-        assert as_lane(DerivedCache(tmp_path)).enabled
-        assert as_lane(str(tmp_path)).enabled
+        assert as_lane(store).cache is store
+        assert as_lane(str(tmp_path)).cache.format == DERIVED_FORMAT_VERSION
         assert not as_lane(None).enabled
 
 

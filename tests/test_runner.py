@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import multiprocessing
+import time
 
 import pytest
 
@@ -107,7 +109,7 @@ class TestResultCache:
         assert execute_cells([cell], cache=healed)[0] == result
         assert healed.hits == 0 and healed.stores == 1
         assert healed.quarantined == 1
-        assert json.loads(path.read_text())["result"]["design"] == "TLC"
+        assert json.loads(path.read_text())["payload"]["design"] == "TLC"
 
     def test_cache_accepts_plain_directory_path(self, tmp_path):
         run_grid(designs=("TLC",), benchmarks=("perl",), n_refs=N_REFS,
@@ -115,8 +117,112 @@ class TestResultCache:
         assert list(tmp_path.rglob("*.json"))
 
 
+def saved_bytes(grid, path) -> bytes:
+    """``grid`` as :func:`~repro.analysis.storage.save_grid` writes it."""
+    from repro.analysis.storage import save_grid
+
+    save_grid(str(path), grid)
+    return path.read_bytes()
+
+
+class TestInterruptedRunResumes:
+    """The fast path stores each cell as it finishes, so rerunning an
+    interrupted grid against the same cache simulates only the rest and
+    saves the same bytes as a clean run."""
+
+    def rerun(self, root, workers, clean, tmp_path):
+        cache = ResultCache(root)
+        resumed = run_design_grid(designs=DESIGNS, benchmarks=BENCHMARKS,
+                                  n_refs=N_REFS, workers=workers, cache=cache)
+        assert cache.hits == 3 and cache.stores == 1
+        assert (saved_bytes(resumed, tmp_path / "resumed.json")
+                == saved_bytes(clean, tmp_path / "clean.json"))
+
+    def test_serial_interrupt_keeps_finished_cells(self, tmp_path,
+                                                   monkeypatch, serial_grid):
+        import repro.analysis.runner as runner_module
+
+        real = runner_module.run_cell_timed
+        started = []
+
+        def interrupt_fourth(cell):
+            started.append(cell)
+            if len(started) == 4:
+                raise KeyboardInterrupt
+            return real(cell)
+
+        monkeypatch.setattr(runner_module, "run_cell_timed", interrupt_fourth)
+        root = tmp_path / "cache"
+        cache = ResultCache(root)
+        with pytest.raises(KeyboardInterrupt):
+            run_design_grid(designs=DESIGNS, benchmarks=BENCHMARKS,
+                            n_refs=N_REFS, cache=cache)
+        monkeypatch.undo()
+        assert cache.stores == 3
+        for cell in started[:3]:
+            assert cache.path_for(cache_key(cell)).exists()
+        self.rerun(root, 1, serial_grid, tmp_path)
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="pool workers see the patched runner only "
+                               "when forked")
+    def test_pool_interrupt_keeps_finished_cells(self, tmp_path, monkeypatch,
+                                                 serial_grid):
+        import repro.analysis.runner as runner_module
+
+        real = runner_module.run_cell_timed
+        root = tmp_path / "cache"
+
+        def crash_last(cell):
+            if (cell.design, cell.benchmark) != (DESIGNS[-1], BENCHMARKS[-1]):
+                return real(cell)
+            # Crash only once the other three cells are on disk, so the
+            # interruption lands at the same point every run.
+            deadline = time.monotonic() + 30
+            while (len(list(root.rglob("*.json"))) < 3
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            raise RuntimeError("worker crashed")
+
+        monkeypatch.setattr(runner_module, "run_cell_timed", crash_last)
+        cache = ResultCache(root)
+        with pytest.raises(RuntimeError, match="worker crashed"):
+            run_design_grid(designs=DESIGNS, benchmarks=BENCHMARKS,
+                            n_refs=N_REFS, workers=2, cache=cache)
+        monkeypatch.undo()
+        assert cache.stores == 3
+        self.rerun(root, 2, serial_grid, tmp_path)
+
+    def test_run_grid_fingerprints_each_cell_once(self, tmp_path,
+                                                  monkeypatch):
+        import repro.analysis.runner as runner_module
+
+        real = runner_module.cache_key
+        fingerprinted = []
+
+        def counting(cell):
+            fingerprinted.append(cell)
+            return real(cell)
+
+        monkeypatch.setattr(runner_module, "cache_key", counting)
+        grid = run_grid(designs=("TLC",), benchmarks=("perl",),
+                        n_refs=N_REFS, cache=ResultCache(tmp_path))
+        assert len(fingerprinted) == 1
+        assert grid.cell_meta[("TLC", "perl")]["cache_key"] == \
+            real(fingerprinted[0])
+
+
+def _rot(payload):
+    """``payload`` with its first decimal digit flipped: still valid JSON."""
+    text = json.dumps(payload)
+    at = next(index for index, char in enumerate(text) if char.isdigit())
+    return json.loads(text[:at] + str((int(text[at]) + 1) % 10)
+                      + text[at + 1:])
+
+
 class TestCacheIntegrity:
-    """Corrupt entries raise typed errors from load() and quarantine in get()."""
+    """Corrupt entries raise typed errors from load() and quarantine in
+    get() — one catalog, run against an entry of each cache lane."""
 
     @pytest.fixture(scope="class")
     def warm(self, tmp_path_factory):
@@ -127,37 +233,66 @@ class TestCacheIntegrity:
         result = execute_cells([cell], cache=cache)[0]
         return root, cell, cache_key(cell), result
 
+    @pytest.fixture(scope="class")
+    def warm_derived(self, tmp_path_factory):
+        """A derived-lane store holding one artifact, plus its key."""
+        from repro.analysis.derived import as_lane, derived_key
+
+        root = tmp_path_factory.mktemp("integrity-derived")
+        artifact = {"rows": [["perl", 1.25], ["bzip", 0.5]], "n": 3}
+        as_lane(root).get_or_compute("table", ["k"], None, lambda: artifact)
+        return root, derived_key("table", ["k"], None), artifact
+
+    #: Every way an entry can rot, as a function of its text.  Written
+    #: against the envelope both lanes share, so one catalog serves both.
     CORRUPTIONS = {
         "not_json": lambda text: "{ definitely not json",
         "truncated": lambda text: text[: len(text) // 2],
         "wrong_type": lambda text: json.dumps(["a", "list"]),
         "wrong_format_version": lambda text: json.dumps(
-            dict(json.loads(text), cache_format=999)),
+            dict(json.loads(text), format=999)),
         "missing_result": lambda text: json.dumps(
-            {k: v for k, v in json.loads(text).items() if k != "result"}),
+            {k: v for k, v in json.loads(text).items() if k != "payload"}),
         "bit_rot_inside_valid_json": lambda text: json.dumps(
-            dict(json.loads(text),
-                 result=dict(json.loads(text)["result"],
-                             cycles=json.loads(text)["result"]["cycles"] + 1))),
+            dict(json.loads(text), payload=_rot(json.loads(text)["payload"]))),
         "invalid_result_fields": lambda text: json.dumps(
-            dict(json.loads(text), result={"design": "TLC"})),
+            dict(json.loads(text), payload={"design": "TLC"})),
         "empty_file": lambda text: "",
     }
 
-    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
-    def test_load_raises_typed_error(self, warm, tmp_path, corruption):
+    def assert_corruption_caught(self, store_type, root, key, corruption,
+                                 copy_root):
+        """Corrupt a copy of ``root``'s entry: load() raises, get()
+        quarantines it and reports a miss."""
         from repro.analysis.storage import CacheCorruptionError
 
-        root, cell, key, _ = warm
-        cache = ResultCache(root)
-        original = cache.path_for(key).read_text()
+        original = store_type(root).path_for(key).read_text()
         # Work on a copy so parametrized cases don't interfere.
-        copy = ResultCache(tmp_path)
+        copy = store_type(copy_root)
         path = copy.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(self.CORRUPTIONS[corruption](original))
         with pytest.raises(CacheCorruptionError):
             copy.load(key)
+        assert copy.get(key) is None
+        assert copy.quarantined == 1 and copy.misses == 1
+        assert not path.exists()
+        assert (copy.quarantine_dir / path.name).exists()
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_load_raises_typed_error(self, warm, tmp_path, corruption):
+        root, cell, key, _ = warm
+        self.assert_corruption_caught(ResultCache, root, key, corruption,
+                                      tmp_path)
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_derived_load_raises_typed_error(self, warm_derived, tmp_path,
+                                             corruption):
+        from repro.analysis.derived import as_lane
+
+        root, key, _ = warm_derived
+        self.assert_corruption_caught(lambda path: as_lane(path).cache, root,
+                                      key, corruption, tmp_path)
 
     def test_bit_rot_defeats_field_validation_but_not_digest(self, warm,
                                                              tmp_path):
@@ -185,9 +320,13 @@ class TestCacheIntegrity:
         assert cache.misses == 1
         assert cache.quarantined == 0
 
-    def test_load_round_trips_valid_entry(self, warm):
+    def test_load_round_trips_valid_entry(self, warm, warm_derived):
+        from repro.analysis.derived import as_lane
+
         root, cell, key, result = warm
         assert ResultCache(root).load(key) == result
+        root, key, artifact = warm_derived
+        assert as_lane(root).cache.load(key) == artifact
 
 
 class TestCacheKey:

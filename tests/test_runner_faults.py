@@ -15,7 +15,6 @@ import pytest
 
 from repro.analysis.resilience import (
     CellFailure,
-    CheckpointJournal,
     FaultPlan,
     FaultSpec,
     RetryPolicy,
@@ -125,6 +124,9 @@ class TestWorkerDeath:
 
 
 class TestCheckpointResume:
+    """Resume is a rerun against the same result cache: the resilient
+    executor caches each cell as soon as it succeeds."""
+
     def grid_payload(self, grid):
         return json.dumps(
             {f"{d}/{b}": result_to_dict(r)
@@ -132,67 +134,33 @@ class TestCheckpointResume:
             sort_keys=True)
 
     def test_interrupted_grid_resumes_byte_identical(self, tmp_path):
+        from repro.analysis.storage import save_grid
+
         designs, benchmarks = ("SNUCA2", "TLC"), ("perl",)
         clean = run_grid(designs=designs, benchmarks=benchmarks,
                          n_refs=N_REFS, workers=1)
-        journal_path = tmp_path / "ckpt.jsonl"
+        cache_dir = tmp_path / "cache"
         # First run: the TLC cell dies on every allowed attempt, so the
-        # run aborts after journaling the completed SNUCA2 cell.
+        # run aborts after caching the completed SNUCA2 cell.
         plan = FaultPlan([FaultSpec(design="TLC", benchmark="perl",
                                     action="die", attempts=(1, 2))])
         with pytest.raises(CellFailure):
             run_grid(designs=designs, benchmarks=benchmarks, n_refs=N_REFS,
                      workers=1, policy=RetryPolicy(max_retries=1, **FAST),
-                     checkpoint=CheckpointJournal(journal_path),
-                     fault_plan=plan)
-        assert journal_path.exists()
-        # Resume without the fault: only the missing cell is computed.
+                     cache=cache_dir, fault_plan=plan)
+        # Rerun without the fault: only the missing cell is computed.
         telemetry = RunnerTelemetry()
         resumed = run_grid(designs=designs, benchmarks=benchmarks,
-                           n_refs=N_REFS, workers=1,
-                           checkpoint=CheckpointJournal(journal_path),
+                           n_refs=N_REFS, workers=1, cache=cache_dir,
                            telemetry=telemetry)
-        assert telemetry["checkpoint_replays"] == 1
+        assert telemetry["cache_hits"] == 1
         assert telemetry["computed"] == 1
         assert self.grid_payload(resumed) == self.grid_payload(clean)
-        meta = resumed.cell_meta[("SNUCA2", "perl")]
-        assert meta["from_checkpoint"] is True
-
-    def test_truncated_journal_tail_is_skipped(self, tmp_path, cells,
-                                               baseline):
-        journal_path = tmp_path / "ckpt.jsonl"
-        journal = CheckpointJournal(journal_path)
-        execute_cells_detailed(cells, workers=1, checkpoint=journal)
-        # Simulate a run killed mid-write: chop the last line in half.
-        text = journal_path.read_text()
-        journal_path.write_text(text[: len(text) - len(text.splitlines()[-1]) // 2 - 1])
-        reloaded = CheckpointJournal(journal_path)
-        entries = reloaded.load()
-        assert len(entries) == 1
-        assert reloaded.skipped_lines == 1
-        telemetry = RunnerTelemetry()
-        outcomes = execute_cells_detailed(cells, workers=1,
-                                          checkpoint=reloaded,
-                                          telemetry=telemetry)
-        assert results_of(outcomes) == baseline
-        assert telemetry["checkpoint_replays"] == 1
-        assert telemetry["computed"] == 1
-
-    def test_cache_hits_are_journaled_for_later_resumes(self, tmp_path,
-                                                        cells, baseline):
-        cache = ResultCache(tmp_path / "cache")
-        execute_cells_detailed(cells, workers=1, cache=cache)
-        journal = CheckpointJournal(tmp_path / "ckpt.jsonl")
-        execute_cells_detailed(cells, workers=1, cache=cache,
-                               checkpoint=journal)
-        # A third run can now resume from the journal alone.
-        telemetry = RunnerTelemetry()
-        outcomes = execute_cells_detailed(
-            cells, workers=1, checkpoint=CheckpointJournal(journal.path),
-            telemetry=telemetry)
-        assert results_of(outcomes) == baseline
-        assert telemetry["checkpoint_replays"] == len(cells)
-        assert telemetry["computed"] == 0
+        assert resumed.cell_meta[("SNUCA2", "perl")]["from_cache"] is True
+        save_grid(str(tmp_path / "resumed.json"), resumed)
+        save_grid(str(tmp_path / "clean.json"), clean)
+        assert ((tmp_path / "resumed.json").read_bytes()
+                == (tmp_path / "clean.json").read_bytes())
 
 
 class TestFaultPlanFormat:
@@ -260,7 +228,7 @@ class TestTelemetryObservability:
 
     def test_as_dict_has_stable_zeroed_keys(self):
         assert RunnerTelemetry().as_dict() == {
-            "cells": 0, "cache_hits": 0, "checkpoint_replays": 0,
+            "cells": 0, "cache_hits": 0,
             "computed": 0, "attempts": 0, "retries": 0, "timeouts": 0,
             "worker_deaths": 0, "cell_errors": 0, "faults_injected": 0,
             "quarantined": 0, "sanitized_retries": 0,
@@ -294,17 +262,17 @@ class TestTelemetryObservability:
 class TestDeterministicReplay:
     def test_faulted_run_matches_clean_run_cell_for_cell(self, tmp_path):
         """The acceptance-criteria shape: kill a worker mid-grid, retry,
-        checkpoint — the saved grid is byte-identical to a clean one."""
+        cache — the saved grid is byte-identical to a clean one."""
         from repro.analysis.storage import save_grid
 
         designs, benchmarks = ("SNUCA2", "TLC"), ("perl", "bzip")
+        cache_dir = tmp_path / "cache"
         plan = FaultPlan([FaultSpec(design="TLC", benchmark="bzip",
                                     action="die", attempts=(1,))])
         faulted = run_grid(designs=designs, benchmarks=benchmarks,
                            n_refs=N_REFS, workers=2,
                            policy=RetryPolicy(max_retries=2, **FAST),
-                           checkpoint=CheckpointJournal(tmp_path / "ck.jsonl"),
-                           fault_plan=plan)
+                           cache=cache_dir, fault_plan=plan)
         clean = run_grid(designs=designs, benchmarks=benchmarks,
                          n_refs=N_REFS, workers=1)
         faulted_path = tmp_path / "faulted.json"
@@ -313,13 +281,16 @@ class TestDeterministicReplay:
         save_grid(str(clean_path), clean)
         assert faulted_path.read_bytes() == clean_path.read_bytes()
 
-        # Resume purely from the journal (every cell replays, nothing
-        # recomputes) — the round trip through JSONL must not perturb
-        # serialization either (e.g. by reordering stats keys).
+        # Rerun purely from the cache (every cell hits, nothing
+        # recomputes) — the round trip through the store must not
+        # perturb serialization either (e.g. by reordering stats keys).
+        telemetry = RunnerTelemetry()
         resumed = run_grid(designs=designs, benchmarks=benchmarks,
                            n_refs=N_REFS, workers=2,
                            policy=RetryPolicy(max_retries=2, **FAST),
-                           checkpoint=CheckpointJournal(tmp_path / "ck.jsonl"))
+                           cache=cache_dir, telemetry=telemetry)
+        assert telemetry["cache_hits"] == 4
+        assert telemetry["computed"] == 0
         resumed_path = tmp_path / "resumed.json"
         save_grid(str(resumed_path), resumed)
         assert resumed_path.read_bytes() == clean_path.read_bytes()
@@ -329,5 +300,5 @@ class TestCellSpecReplace:
     def test_outcome_fields_default_for_fast_path(self, cells):
         outcome = execute_cells_detailed(cells[:1], workers=1)[0]
         assert outcome.attempts == 1
-        assert outcome.from_checkpoint is False
+        assert outcome.key == cache_key(cells[0])
         assert dataclasses.fields(type(outcome))  # stays a dataclass

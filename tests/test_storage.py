@@ -264,3 +264,89 @@ class TestContentDigestKeying:
         path = str(tmp_path / "grid.json")
         save_grid(path, grid)
         assert load_grid(path).cell_keys() == grid.cell_keys()
+
+
+class TestContentStore:
+    """The one store both cache lanes share (layout, counters, writes)."""
+
+    KEY = "ab" + "0" * 62
+
+    def test_roundtrip(self, tmp_path):
+        from repro.analysis.storage import ContentStore
+
+        store = ContentStore(tmp_path, 1)
+        artifact = {"rows": [["gcc", 1.0], ["mcf", 0.5]], "n": 3}
+        store.put(self.KEY, artifact, kind="t")
+        assert store.path_for(self.KEY) == tmp_path / "ab" / f"{self.KEY}.json"
+        assert store.get(self.KEY) == artifact
+        assert store.hits == 1 and store.stores == 1
+
+    def test_absent_entry_is_a_miss(self, tmp_path):
+        from repro.analysis.storage import ContentStore
+
+        store = ContentStore(tmp_path, 1)
+        assert store.get(self.KEY) is None
+        assert store.misses == 1 and store.quarantined == 0
+
+    def test_codec_decodes_on_read(self, tmp_path):
+        from repro.analysis.storage import RESULT_CODEC, ContentStore
+
+        result = run_system("TLC", "perl", n_refs=1_000)
+        store = ContentStore(tmp_path, 1, RESULT_CODEC)
+        store.put(self.KEY, result)
+        assert store.load(self.KEY) == result
+
+    def test_other_format_is_corruption(self, tmp_path):
+        from repro.analysis.storage import CacheCorruptionError, ContentStore
+
+        ContentStore(tmp_path, 1).put(self.KEY, {"v": 1})
+        with pytest.raises(CacheCorruptionError, match="format"):
+            ContentStore(tmp_path, 2).load(self.KEY)
+
+    def test_concurrent_puts_of_one_key(self, tmp_path):
+        """Threads writing one key never take each other's temp file.
+
+        Service worker threads can finish the same cell at once; each
+        writer needs its own temp name, or one thread's ``os.replace``
+        moves the file another is about to replace.  Driven through a
+        derived lane: every thread misses, then all put one key together.
+        """
+        import sys
+        import threading
+
+        from repro.analysis.derived import as_lane, derived_key
+
+        lane = as_lane(tmp_path)
+        writers, rounds = 4, 50
+        barrier = threading.Barrier(writers, timeout=30)
+        artifact = {"rows": list(range(200))}
+        errors = []
+
+        def compute():
+            barrier.wait()
+            return artifact
+
+        def write() -> None:
+            for round_index in range(rounds):
+                try:
+                    lane.get_or_compute(f"t{round_index}", ["k"], None,
+                                        compute)
+                except OSError as error:
+                    errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=write) for _ in range(writers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert not list(tmp_path.rglob("*.tmp"))
+        for round_index in range(rounds):
+            key = derived_key(f"t{round_index}", ["k"], None)
+            assert lane.cache.load(key) == artifact
