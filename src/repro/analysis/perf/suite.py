@@ -11,6 +11,10 @@ deterministic workload:
   :meth:`~repro.sim.engine.Engine.reset`.
 * ``l2.lookup.<design>`` — the L2 access path of each paper design
   (TLC, TLCopt500, SNUCA2, DNUCA) on a pre-warmed cache.
+* ``prewarm.<design>`` — building each paper design and pre-warming it
+  with mcf's resident set (150,000 blocks, nearly filling the L2) in
+  one ``prewarm_l2`` call; ``inner_ops`` is the block count.  The
+  resident set is not scaled down under ``--quick``.
 * ``link.transit`` / ``mesh.transit`` — transmission-line link and
   switched-mesh message timing.
 * ``workload.generate`` — synthetic trace generation (numpy-backed).
@@ -18,9 +22,11 @@ deterministic workload:
   experiment grids are built from; ``meta.refs_per_sec`` carries the
   headline throughput number.
 
-Every workload is sized by a *scale* so ``--quick`` (CI) runs the same
-shapes smaller.  Builders construct their fixtures outside the timed
-region: construction and pre-warming are not part of any measurement.
+Every other workload is sized by a *scale* so ``--quick`` (CI) runs the
+same shapes smaller.  Builders construct their fixtures outside the
+timed region: construction and pre-warming are not part of any
+measurement except the ``prewarm.*`` entries, which measure exactly
+those.
 """
 
 from __future__ import annotations
@@ -100,6 +106,23 @@ def _build_l2_lookup(design: str) -> BenchBuilder:
     return build
 
 
+def _build_prewarm(design: str) -> BenchBuilder:
+    def build(scale: int) -> Tuple[Callable[[], Any], Dict[str, Any]]:
+        from repro.core.config import build_design
+        from repro.sim.system import prewarm_l2
+        from repro.workloads.profiles import get_profile
+        from repro.workloads.synthetic import resident_block_addresses
+
+        resident = resident_block_addresses(get_profile("mcf").spec)
+
+        def fn() -> int:
+            return prewarm_l2(build_design(design), resident)
+
+        return fn, {"inner_ops": len(resident), "design": design, "resident": "mcf"}
+
+    return build
+
+
 def _build_link_transit(scale: int) -> Tuple[Callable[[], Any], Dict[str, Any]]:
     from repro.interconnect.link import Link
     from repro.sim.stats import UtilizationMeter
@@ -172,6 +195,7 @@ SUITE: Dict[str, BenchBuilder] = {
 }
 for _design in LOOKUP_DESIGNS:
     SUITE[f"l2.lookup.{_design.lower()}"] = _build_l2_lookup(_design)
+    SUITE[f"prewarm.{_design.lower()}"] = _build_prewarm(_design)
 
 
 def benchmark_names() -> Tuple[str, ...]:

@@ -8,6 +8,7 @@ the block size as a parameter so other design points can be modelled.
 from __future__ import annotations
 
 import dataclasses
+from typing import Iterable, List, Tuple
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -93,6 +94,24 @@ class AddressMap:
         return (block & self._bank_mask,
                 (block >> self._bank_bits) & self._set_mask,
                 block >> self._tag_shift)
+
+    def by_bank(self, addrs: Iterable[int]) -> List[List[Tuple[int, int]]]:
+        """``(set_index, tag)`` of every address, bucketed by bank.
+
+        Each bank's list keeps the order of ``addrs``.  Pre-warming
+        decomposes a whole resident population this way, one call per
+        design instead of one :meth:`decompose` per block.
+        """
+        offset_bits, bank_bits = self._offset_bits, self._bank_bits
+        bank_mask, set_mask = self._bank_mask, self._set_mask
+        tag_shift = self._tag_shift
+        buckets: List[List[Tuple[int, int]]] = [[] for _ in range(self.banks)]
+        appends = [bucket.append for bucket in buckets]
+        for addr in addrs:
+            block = addr >> offset_bits
+            appends[block & bank_mask](
+                ((block >> bank_bits) & set_mask, block >> tag_shift))
+        return buckets
 
     def rebuild(self, tag: int, set_index: int, bank_index: int = 0) -> int:
         """Inverse of the decomposition: a canonical byte address."""

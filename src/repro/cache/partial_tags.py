@@ -16,10 +16,13 @@ Two users in the paper:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 PARTIAL_TAG_BITS = 6
 PARTIAL_TAG_MASK = (1 << PARTIAL_TAG_BITS) - 1
+
+#: The byte an empty slot holds: no six-bit partial tag can equal it.
+_EMPTY = 0xFF
 
 
 def partial_tag(tag: int) -> int:
@@ -28,7 +31,7 @@ def partial_tag(tag: int) -> int:
 
 
 class PartialTagArray:
-    """A (position, set) -> partial-tag map mirroring a group of banks.
+    """A (position, set, way) -> partial-tag map mirroring a group of banks.
 
     ``positions`` is the number of banks covered (16 for a DNUCA bank
     set) and ``ways`` the associativity of each covered bank.  Entries
@@ -36,6 +39,10 @@ class PartialTagArray:
     :meth:`update` / :meth:`clear` whenever it moves blocks — the paper's
     "significant complexity" of keeping partial tags coherent during
     migration is exactly this bookkeeping.
+
+    The entries are one byte per slot, set-major: the slots of one set,
+    over every position and way, are contiguous, so a search of a set
+    is a scan of one short row.
     """
 
     def __init__(self, positions: int, num_sets: int, ways: int = 1) -> None:
@@ -44,38 +51,42 @@ class PartialTagArray:
         self.positions = positions
         self.num_sets = num_sets
         self.ways = ways
-        self._entries: Dict[Tuple[int, int], List[Optional[int]]] = {}
+        self._row = positions * ways
+        self._slots = bytearray([_EMPTY]) * (num_sets * self._row)
 
-    def _slot(self, position: int, set_index: int) -> List[Optional[int]]:
+    def _start(self, set_index: int) -> int:
+        """The first slot of ``set_index``'s row, after a range check."""
+        if 0 <= set_index < self.num_sets:
+            return set_index * self._row
+        raise IndexError(f"set index {set_index} out of range")
+
+    def _slot(self, position: int, set_index: int, way: int) -> int:
+        """The slot of (position, set, way), after a range check of all three."""
+        if (0 <= position < self.positions and 0 <= set_index < self.num_sets
+                and 0 <= way < self.ways):
+            return (set_index * self.positions + position) * self.ways + way
         if not 0 <= position < self.positions:
             raise IndexError(f"position {position} out of range")
-        if not 0 <= set_index < self.num_sets:
-            raise IndexError(f"set index {set_index} out of range")
-        key = (position, set_index)
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = [None] * self.ways
-            self._entries[key] = entry
-        return entry
+        if not 0 <= way < self.ways:
+            raise IndexError(f"way {way} out of range")
+        raise IndexError(f"set index {set_index} out of range")
 
     def update(self, position: int, set_index: int, way: int, tag: int) -> None:
         """Record that (position, set, way) now holds ``tag``."""
-        self._slot(position, set_index)[way] = partial_tag(tag)
+        self._slots[self._slot(position, set_index, way)] = partial_tag(tag)
 
     def clear(self, position: int, set_index: int, way: int) -> None:
         """Record that (position, set, way) is now empty."""
-        self._slot(position, set_index)[way] = None
+        self._slots[self._slot(position, set_index, way)] = _EMPTY
 
     def stored(self, position: int, set_index: int, way: int) -> Optional[int]:
         """The partial tag recorded for (position, set, way), or None.
 
-        Unallocated slots read as None; used by the sanitizer's
-        bank/partial-tag coherence sweep.
+        Empty slots read as None; used by the sanitizer's bank/partial-tag
+        coherence sweep.
         """
-        entry = self._entries.get((position, set_index))
-        if entry is None:
-            return None
-        return entry[way]
+        value = self._slots[self._slot(position, set_index, way)]
+        return None if value == _EMPTY else value
 
     def matches(self, set_index: int, tag: int,
                 exclude: Tuple[int, ...] = ()) -> List[int]:
@@ -85,15 +96,29 @@ class PartialTagArray:
         banks), which are skipped.  The result is sorted by position so
         searches proceed nearest-first.
         """
+        start = self._start(set_index)
+        end = start + self._row
+        ways, slots = self.ways, self._slots
         wanted = partial_tag(tag)
         found = []
-        for position in range(self.positions):
-            if position in exclude:
-                continue
-            entry = self._entries.get((position, set_index))
-            if entry is not None and wanted in entry:
+        hit = slots.find(wanted, start, end)
+        while hit >= 0:
+            position = (hit - start) // ways
+            if position not in exclude:
                 found.append(position)
+            hit = slots.find(wanted, start + (position + 1) * ways, end)
         return found
+
+    def first_empty(self, set_index: int) -> Optional[Tuple[int, int]]:
+        """The nearest empty ``(position, way)`` of ``set_index``, or None.
+
+        Slots are scanned position by position, ways in order within a
+        position; the array mirrors the banks, so this is the nearest
+        bank slot holding no block.
+        """
+        start = self._start(set_index)
+        hit = self._slots.find(_EMPTY, start, start + self._row)
+        return None if hit < 0 else divmod(hit - start, self.ways)
 
     def storage_bits(self) -> int:
         """Total storage the array would occupy in hardware, in bits."""

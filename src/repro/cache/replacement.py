@@ -5,35 +5,52 @@ promotion acts like a frequency policy — the comparison between the two
 is the root cause of the equake anomaly discussed in Section 6.1.  To
 support the replacement-policy ablation, banks take a pluggable policy.
 
-A policy instance manages *one* set; banks construct one per set via the
-factory.  This keeps policies trivially correct at the cost of a little
-memory, which is fine at the scale we simulate.
+A policy instance holds the replacement state of *every* set of one
+bank, in flat per-slot arrays: the slot of (set, way) is
+``set_index * ways + way``, the layout :class:`~repro.cache.bank.CacheBank`
+uses for its tags.  ``touch`` and ``insert`` take a slot; ``victim``
+takes the set's first slot and returns a way.  With the default
+``num_sets=1`` a policy manages a single set, whose slots are its ways.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List
+from array import array
+from typing import Dict
+
+
+def _check_geometry(ways: int, num_sets: int) -> None:
+    if ways <= 0 or num_sets <= 0:
+        raise ValueError("ways and num_sets must be positive")
 
 
 class LRUPolicy:
-    """Least-recently-used over ``ways`` slots."""
+    """Least-recently-used over each set's ``ways`` slots.
 
-    def __init__(self, ways: int) -> None:
-        if ways <= 0:
-            raise ValueError("ways must be positive")
+    Every slot carries a recency stamp: a touch stamps the slot with the
+    next tick of a per-bank clock, and the victim is the way with the
+    smallest stamp.  Never-touched slots all read 0, so among them the
+    lowest way goes first — the order of a per-set MRU-last list that
+    starts as ``[0, 1, ..., ways - 1]``.
+    """
+
+    def __init__(self, ways: int, num_sets: int = 1) -> None:
+        _check_geometry(ways, num_sets)
         self.ways = ways
-        self._order: List[int] = list(range(ways))  # MRU last
+        self._stamps = array("q", bytes(8 * ways * num_sets))
+        self._clock = 0
 
-    def touch(self, way: int) -> None:
-        self._order.remove(way)
-        self._order.append(way)
+    def touch(self, slot: int) -> None:
+        self._clock += 1
+        self._stamps[slot] = self._clock
 
-    def victim(self) -> int:
-        return self._order[0]
+    def victim(self, base: int = 0) -> int:
+        row = self._stamps[base:base + self.ways]
+        return row.index(min(row))
 
-    def insert(self, way: int) -> None:
-        self.touch(way)
+    #: an insert is a use
+    insert = touch
 
 
 class FrequencyPolicy:
@@ -41,30 +58,34 @@ class FrequencyPolicy:
 
     Counts are halved whenever the leader's count saturates, so stale
     blocks eventually become evictable — the same qualitative behaviour
-    as DNUCA's promotion distance.
+    as DNUCA's promotion distance.  A count never exceeds
+    ``SATURATION``, so one byte per slot holds it.
     """
 
     SATURATION = 255
 
-    def __init__(self, ways: int) -> None:
-        if ways <= 0:
-            raise ValueError("ways must be positive")
+    def __init__(self, ways: int, num_sets: int = 1) -> None:
+        _check_geometry(ways, num_sets)
         self.ways = ways
-        self._counts: List[int] = [0] * ways
+        self._counts = bytearray(ways * num_sets)
 
-    def touch(self, way: int) -> None:
-        self._counts[way] += 1
-        if self._counts[way] >= self.SATURATION:
-            self._counts = [c // 2 for c in self._counts]
+    def touch(self, slot: int) -> None:
+        counts = self._counts
+        counts[slot] += 1
+        if counts[slot] >= self.SATURATION:
+            base = slot - slot % self.ways
+            end = base + self.ways
+            counts[base:end] = bytes(count // 2 for count in counts[base:end])
 
-    def victim(self) -> int:
-        return self._counts.index(min(self._counts))
+    def victim(self, base: int = 0) -> int:
+        row = self._counts[base:base + self.ways]
+        return row.index(min(row))
 
-    def insert(self, way: int) -> None:
+    def insert(self, slot: int) -> None:
         # A freshly inserted block starts with a single use, so it cannot
         # immediately displace a frequently accessed block but is itself
         # the preferred victim until it proves useful.
-        self._counts[way] = 1
+        self._counts[slot] = 1
 
 
 class LIPPolicy(LRUPolicy):
@@ -75,33 +96,48 @@ class LIPPolicy(LRUPolicy):
     the reused set stays protected.  This is the set-associative
     equivalent of DNUCA's insert-at-the-tail-bank policy, and the policy
     the replacement ablation gives TLC to close the equake gap.
+
+    An insert stamps the slot below every stamp given so far, so the
+    latest insert is the next victim, as at the head of an MRU-last list.
     """
 
-    def insert(self, way: int) -> None:
-        self._order.remove(way)
-        self._order.insert(0, way)
+    def __init__(self, ways: int, num_sets: int = 1) -> None:
+        super().__init__(ways, num_sets)
+        self._floor = 0
+
+    def insert(self, slot: int) -> None:
+        self._floor -= 1
+        self._stamps[slot] = self._floor
 
 
 class RandomPolicy:
-    """Evicts a uniformly random slot (baseline for the ablation)."""
+    """Evicts a uniformly random slot (baseline for the ablation).
 
-    def __init__(self, ways: int, seed: int = 0) -> None:
-        if ways <= 0:
-            raise ValueError("ways must be positive")
+    Each set draws from its own generator, seeded ``seed + set index``
+    when the set first needs a victim, so one set's victims never depend
+    on another set's traffic.
+    """
+
+    def __init__(self, ways: int, num_sets: int = 1, seed: int = 0) -> None:
+        _check_geometry(ways, num_sets)
         self.ways = ways
-        self._rng = random.Random(seed)
+        self.seed = seed
+        self._rngs: Dict[int, random.Random] = {}
 
-    def touch(self, way: int) -> None:  # noqa: D401 - no state to update
+    def touch(self, slot: int) -> None:  # noqa: D401 - no state to update
         """Random replacement keeps no use history."""
 
-    def victim(self) -> int:
-        return self._rng.randrange(self.ways)
+    def victim(self, base: int = 0) -> int:
+        set_index = base // self.ways
+        rng = self._rngs.get(set_index)
+        if rng is None:
+            rng = self._rngs[set_index] = random.Random(self.seed + set_index)
+        return rng.randrange(self.ways)
 
-    def insert(self, way: int) -> None:
-        self.touch(way)
+    insert = touch
 
 
-_POLICIES: Dict[str, Callable[[int], object]] = {
+_POLICIES = {
     "lru": LRUPolicy,
     "lip": LIPPolicy,
     "frequency": FrequencyPolicy,
@@ -109,21 +145,12 @@ _POLICIES: Dict[str, Callable[[int], object]] = {
 }
 
 
-def policy_factory(name: str) -> Callable[[int], object]:
-    """The constructor for policy ``name`` (resolved once, called per set).
-
-    Banks allocate sets lazily by the tens of thousands during cache
-    pre-warming; resolving the policy name outside that loop keeps the
-    per-set cost to the construction itself.
-    """
+def make_policy(name: str, ways: int, num_sets: int = 1):
+    """Construct policy ``name`` (``lru``/``lip``/``frequency``/``random``)."""
     try:
-        return _POLICIES[name]
+        policy = _POLICIES[name]
     except KeyError:
         raise ValueError(
             f"unknown replacement policy {name!r}; choose from {sorted(_POLICIES)}"
         ) from None
-
-
-def make_policy(name: str, ways: int):
-    """Construct a replacement policy by name (``lru``/``frequency``/``random``)."""
-    return policy_factory(name)(ways)
+    return policy(ways, num_sets)

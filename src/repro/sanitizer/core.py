@@ -247,8 +247,8 @@ class Sanitizer:
                 and self._insert_seq == fault.at and bank.ways > 1):
             # Corrupt the tag store directly (bypassing insert()'s own
             # duplicate rejection), as a buggy install path would.
-            entry = bank._sets[set_index]
-            entry.tags[(way + 1) % bank.ways] = entry.tags[way]
+            bank.set_tag(set_index, (way + 1) % bank.ways,
+                         bank.tag_at(set_index, way))
 
     def on_access(self, cycle: int) -> None:
         """Per-L2-access hook: trigger the interval sweep when due."""

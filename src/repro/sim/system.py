@@ -73,16 +73,13 @@ def prewarm_l2(l2, resident: Sequence[int]) -> int:
     :func:`~repro.workloads.synthetic.resident_block_addresses` yields);
     designs declare via ``install_order`` whether popular blocks should
     be installed last (SNUCA/TLC: most-recent wins placement) or first
-    (DNUCA: first installs land in the closest banks).
+    (DNUCA: first installs land in the closest banks).  The design gets
+    the whole install-ordered list in one ``bulk_install`` call.
     """
     ordered = (resident if l2.install_order == "popular_last"
                else reversed(resident))
-    install = l2.install
-    count = 0
-    for addr in ordered:
-        install(addr)
-        count += 1
-    return count
+    l2.bulk_install(ordered)
+    return len(resident)
 
 
 class System:

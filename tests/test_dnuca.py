@@ -297,8 +297,7 @@ def test_partial_tags_always_consistent_with_banks(ops):
         for set_index in range(8):
             for position in range(design.positions):
                 stored = design.banks[column][position].tag_at(set_index, 0)
-                entry = pta._entries.get((position, set_index))
-                recorded = entry[0] if entry else None
+                recorded = pta.stored(position, set_index, 0)
                 if stored is None:
                     assert recorded is None
                 else:

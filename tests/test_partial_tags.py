@@ -91,6 +91,57 @@ class TestPartialTagArray:
             PartialTagArray(positions=0, num_sets=4)
 
 
+#: entry point -> (call with a position, set and way index, indices it takes)
+ENTRY_POINTS = {
+    "update": (lambda pta, p, s, w: pta.update(p, s, w, 5),
+               ("position", "set", "way")),
+    "clear": (lambda pta, p, s, w: pta.clear(p, s, w),
+              ("position", "set", "way")),
+    "stored": (lambda pta, p, s, w: pta.stored(p, s, w),
+               ("position", "set", "way")),
+    "matches": (lambda pta, p, s, w: pta.matches(s, 5), ("set",)),
+    "first_empty": (lambda pta, p, s, w: pta.first_empty(s), ("set",)),
+}
+SIZES = {"position": 4, "set": 8, "way": 2}
+
+
+@pytest.mark.parametrize("entry,axis,bad", [
+    (entry, axis, bad)
+    for entry, (_, axes) in sorted(ENTRY_POINTS.items())
+    for axis in axes for bad in ("-1", "size")
+])
+def test_out_of_range_index_raises(entry, axis, bad):
+    """A bad index never reaches another (position, set, way) slot."""
+    pta = PartialTagArray(positions=4, num_sets=8, ways=2)
+    for position in range(4):
+        for set_index in range(8):
+            pta.update(position, set_index, 0, position * 8 + set_index)
+    before = [pta.stored(p, s, w) for p in range(4) for s in range(8)
+              for w in range(2)]
+    index = {axis: -1 if bad == "-1" else SIZES[axis]}
+    call, _ = ENTRY_POINTS[entry]
+    with pytest.raises(IndexError):
+        call(pta, index.get("position", 0), index.get("set", 0),
+             index.get("way", 0))
+    assert [pta.stored(p, s, w) for p in range(4) for s in range(8)
+            for w in range(2)] == before
+
+
+def test_first_empty_is_nearest_position_then_way():
+    pta = PartialTagArray(positions=3, num_sets=2, ways=2)
+    assert pta.first_empty(1) == (0, 0)
+    pta.update(0, 1, 0, 9)
+    assert pta.first_empty(1) == (0, 1)
+    pta.update(0, 1, 1, 9)
+    pta.update(1, 1, 1, 9)
+    assert pta.first_empty(1) == (1, 0)
+    for position in range(3):
+        for way in range(2):
+            pta.update(position, 1, way, 9)
+    assert pta.first_empty(1) is None
+    assert pta.first_empty(0) == (0, 0)
+
+
 @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 3),
                           st.integers(0, 2**20)), max_size=80))
 def test_matches_agree_with_reference(ops):
