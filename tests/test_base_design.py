@@ -19,7 +19,7 @@ class MinimalDesign(L2Design):
     def link_utilization(self, elapsed_cycles):
         return 0.0
 
-    def install(self, addr, dirty=False):
+    def bulk_install(self, addrs):
         pass
 
 
