@@ -113,8 +113,8 @@ def run_design_grid(designs: Sequence[str] = MAIN_DESIGNS,
     ``workers`` and ``cache`` are forwarded to
     :func:`repro.analysis.runner.run_grid`; the default (serial,
     uncached) path is cell-for-cell identical to both.  ``policy`` /
-    ``fault_plan`` / ``telemetry`` opt into the fault-tolerant executor
-    (:mod:`repro.analysis.resilience`).
+    ``fault_plan`` / ``telemetry`` set retries, injected faults and
+    counting (:mod:`repro.analysis.resilience`).
     """
     from repro.analysis.runner import run_grid
 

@@ -1,43 +1,49 @@
-"""Fault-tolerant grid execution: retries, timeouts, crash recovery,
-and deterministic fault injection.
+"""The grid's cell scheduler: one child process per cell, with retries,
+timeouts, crash recovery and deterministic fault injection.
 
 The paper's evaluation grids (Figs. 5-8, Tables 6-9) are the repo's hot
 path, and at scale a grid dies for boring reasons: one cell hangs, one
 worker process is OOM-killed, one cache file is truncated by a full
 disk, one Ctrl-C stops a long run.  The last needs no machinery: the
 runner caches every cell as it finishes, so rerunning against the same
-result cache resumes.  For the rest, this module gives
-:mod:`repro.analysis.runner` the machinery of a real job system:
+result cache resumes.  For the rest, :func:`run_misses` — the executor
+behind :func:`repro.analysis.runner.execute_cells_detailed` for serial
+and parallel grids alike — runs each cache miss the way a job system
+would:
 
+* **one child process per attempt** — each attempt runs in its own
+  child process, at most ``workers`` at a time, and returns its result
+  over a pipe, so a dying worker takes down exactly one attempt of one
+  cell.  The parent observes the pipe's EOF, counts a
+  ``worker_death``, and reschedules.
 * :class:`RetryPolicy` — per-cell wall-clock timeouts plus configurable
   retries with exponential backoff.  A timed-out or crashed cell is
   *rescheduled*, not lost; a cell that exhausts its attempts raises
   :class:`CellFailure` (loudly — a silently missing design point would
-  corrupt every downstream figure).
-* **worker-crash recovery** — each attempt runs in its own child
-  process (one cell per process, results returned over a pipe), so a
-  dying worker takes down exactly one attempt of one cell.  The parent
-  observes the pipe's EOF, counts a ``worker_death``, and reschedules.
+  corrupt every downstream figure).  The default policy makes one
+  attempt with no deadline.
 * :class:`FaultPlan` — deterministic fault injection for tests and
   smoke runs: force a specific cell to ``raise``, ``hang``, or ``die``
   on its Nth attempt, either programmatically or via the
   ``REPRO_FAULT_PLAN`` environment variable (inline JSON or a path to
   a JSON file).
-* :class:`RunnerTelemetry` — attempts / retries / timeouts / worker
-  deaths / quarantined cache entries as a
+* :class:`RunnerTelemetry` — cells / cache hits / attempts / retries /
+  timeouts / worker deaths / quarantined cache entries as a
   :class:`~repro.sim.stats.Counter`, registrable on a
   :class:`~repro.obs.registry.MetricsRegistry` (under ``runner.*``)
   and embedded in run manifests via the ``resilience`` field.
 
+The policy, the plan and the telemetry change retries, deadlines,
+injected faults and counting — never which code runs a cell.
 Execution stays deterministic: a cell's result is a pure function of
 its :class:`~repro.analysis.runner.CellSpec`, so retried, resumed, and
 fault-injected runs are byte-identical to clean serial runs (asserted
 in ``tests/test_runner_faults.py`` and the CI fault smoke step).
 
-On platforms where child processes cannot be spawned at all the
-executor falls back to an in-process loop: retries and ``raise`` faults
-still work, but timeouts cannot be enforced and ``hang``/``die``
-faults are downgraded to ``raise`` (killing or stalling the test
+On platforms where child processes cannot be started at all the
+scheduler falls back to an in-process loop: retries and ``raise``
+faults still work, but timeouts cannot be enforced and ``hang``/``die``
+faults are downgraded to ``raise`` (killing or stalling the hosting
 process itself would be worse than the degraded fidelity).
 """
 
@@ -267,7 +273,7 @@ class RunnerTelemetry:
                 f"death(s), {d['quarantined']} quarantined cache entr(ies)")
 
 
-# -- the resilient executor ------------------------------------------------
+# -- the scheduler ---------------------------------------------------------
 
 @dataclasses.dataclass
 class _Task:
@@ -341,67 +347,29 @@ def _cell_worker(conn, cell, action: Optional[str], hang_s: float) -> None:
             pass
 
 
-def execute_resilient(cells: Sequence, workers: int = 1, cache=None,
-                      policy: Optional[RetryPolicy] = None,
-                      fault_plan: Optional[FaultPlan] = None,
-                      telemetry: Optional[RunnerTelemetry] = None) -> List:
-    """Run every cell with retries, timeouts, and crash recovery.
+def run_misses(misses: Sequence[Tuple[int, object, str]], outcomes: List,
+               workers: int, cache, policy: RetryPolicy,
+               fault_plan: Optional[FaultPlan],
+               telemetry: RunnerTelemetry) -> None:
+    """Compute every ``(index, cell, key)`` miss into ``outcomes[index]``.
 
-    The fault-tolerant twin of
-    :func:`repro.analysis.runner.execute_cells_detailed` (which
-    delegates here whenever a policy / fault plan / telemetry is in
-    play): answers come from the result cache first (corrupt entries
-    are quarantined and recomputed), and everything else runs
-    one-cell-per-child-process so a timeout or worker death costs one
-    attempt, never the grid.  Each computed cell is cached as soon as
-    it succeeds.  Returns outcomes parallel to ``cells``,
-    byte-identical to a clean serial run.
+    The scheduler behind
+    :func:`repro.analysis.runner.execute_cells_detailed`, which has
+    already answered the cache hits: each attempt runs in its own child
+    process, at most ``workers`` at a time, so a timeout or worker
+    death costs one attempt, never the grid.  Each computed cell is
+    written to ``cache`` as soon as it succeeds.  Where no child
+    process can be started the remaining cells run in-process.
     """
-    from repro.analysis.runner import CellOutcome, as_cache, cache_key
-
-    policy = policy or RetryPolicy()
-    telemetry = telemetry or RunnerTelemetry()
-    cache = as_cache(cache)
-
-    telemetry.add("cells", len(cells))
-    quarantined_before = cache.quarantined if cache is not None else 0
-
-    outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
-    pending: deque = deque()
-    try:
-        for index, cell in enumerate(cells):
-            key = cache_key(cell)
-            if cache is not None:
-                started = time.perf_counter()
-                cached = cache.get(key)
-                if cached is not None:
-                    outcomes[index] = CellOutcome(
-                        cell=cell, key=key, result=cached,
-                        wall_time_s=time.perf_counter() - started,
-                        from_cache=True)
-                    telemetry.add("cache_hits")
-                    continue
-            pending.append(_Task(index=index, cell=cell, key=key))
-
-        if pending:
-            _drain(pending, outcomes, max(1, workers), cache, policy,
-                   fault_plan, telemetry)
-    finally:
-        if cache is not None:
-            telemetry.add("quarantined",
-                          cache.quarantined - quarantined_before)
-    return outcomes  # type: ignore[return-value]
-
-
-def _drain(pending: deque, outcomes: List, capacity: int, cache, policy,
-           fault_plan, telemetry) -> None:
-    """The scheduling loop: spawn, watch pipes, enforce deadlines, retry."""
     import multiprocessing
     from multiprocessing.connection import wait as connection_wait
 
     from repro.analysis.runner import CellOutcome
 
     ctx = multiprocessing.get_context()
+    capacity = max(1, workers)
+    pending = deque(_Task(index=index, cell=cell, key=key)
+                    for index, cell, key in misses)
     running: Dict[object, _Running] = {}
 
     def record_success(task: _Task, result, wall_time_s: float) -> None:
@@ -486,13 +454,13 @@ def _drain(pending: deque, outcomes: List, capacity: int, cache, policy,
                     deferred.append(task)
                     continue
                 if not launch(task):
-                    # No process support at all: restore order and run
-                    # the remainder in-process (degraded but correct).
-                    deferred.append(task)
-                    for leftover in reversed(deferred):
-                        pending.appendleft(leftover)
-                    for state in list(running.values()):
+                    # No process support at all: requeue the cells in
+                    # flight at their current attempt, restore order and
+                    # run the remainder in-process (degraded but correct).
+                    for state in running.values():
                         kill(state)
+                    requeued = [state.task for state in running.values()]
+                    pending.extendleft(reversed(requeued + deferred + [task]))
                     running.clear()
                     _drain_in_process(pending, policy, fault_plan, telemetry,
                                       record_success, reschedule)

@@ -6,14 +6,15 @@ cell is determined by ``(design, benchmark trace spec, n_refs, seed,
 warmup_fraction, processor config, technology)`` and nothing else.  This
 module exploits that twice:
 
-* **parallelism** — cells fan out over a ``multiprocessing`` pool.
-  Workers receive only a small picklable :class:`CellSpec` and regenerate
-  the trace locally from ``(spec, n_refs, seed)`` (generation is
-  deterministic and vectorized), so no multi-megabyte trace is ever
-  pickled across the process boundary.  ``workers=1`` — or any failure
-  to stand up a pool (sandboxes without semaphores, restricted
-  platforms) — falls back to the serial path, which produces
-  byte-identical results.
+* **parallelism** — every computed cell runs in its own child process,
+  at most ``workers`` at a time, scheduled by
+  :mod:`repro.analysis.resilience`.  A child receives only a small
+  picklable :class:`CellSpec` and regenerates the trace locally from
+  ``(spec, n_refs, seed)`` (generation is deterministic and
+  vectorized), so no multi-megabyte trace is ever pickled across the
+  process boundary; it exits after its one cell.  Where no child
+  process can be started at all (sandboxes, restricted platforms) the
+  cells run in-process instead, byte-identically.
 
 * **caching** — an on-disk :class:`ResultCache` keyed by the SHA-256 of
   every simulation input plus a code-version stamp (a digest of the
@@ -29,12 +30,10 @@ module exploits that twice:
 layered on; :func:`execute_cells` is the lower-level list-in/list-out
 executor for irregular cell sets (the sweeps).
 
-Fault tolerance — per-cell timeouts, retries with backoff, worker-crash
-recovery, deterministic fault injection — lives in
-:mod:`repro.analysis.resilience`; passing any of ``policy`` /
-``fault_plan`` / ``telemetry`` (or setting the ``REPRO_FAULT_PLAN``
-environment variable) routes execution through the resilient path,
-which is byte-identical to this module's fast path.  Cache entries
+The same scheduler retries, times out and reschedules cells and
+injects planned faults: ``policy`` / ``fault_plan`` / ``telemetry``
+(see :func:`execute_cells_detailed`) tune retries, deadlines, injected
+faults and counting, never which code runs a cell.  Cache entries
 carry an integrity digest; a corrupted or truncated entry is
 quarantined under ``<cache_dir>/quarantine/`` and recomputed instead of
 crashing the grid (``ResultCache.load`` raises the typed
@@ -49,8 +48,18 @@ import hashlib
 import json
 import os
 import time as _time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+# Every computed cell runs in a child forked from this process.  The
+# design classes are otherwise imported on each cell's first
+# build_design call, so import them once here for every child to inherit.
+import repro.nuca  # noqa: F401
+from repro.analysis.resilience import (
+    FaultPlan,
+    RetryPolicy,
+    RunnerTelemetry,
+    run_misses,
+)
 from repro.analysis.storage import RESULT_CODEC, ContentStore
 # The code-version stamp moved to repro.obs.manifest (manifests carry it
 # too); re-exported here because cache keys embed it and callers import
@@ -79,10 +88,11 @@ class CellSpec:
     """One grid cell: everything that determines a :class:`SystemResult`.
 
     Small and picklable by construction — this is the only object
-    shipped to pool workers.  ``trace_spec=None`` means "the calibrated
-    profile named by ``benchmark``"; a non-``None`` spec supports the
-    sweeps' custom workloads.  ``memory_latency_cycles=None`` keeps the
-    design-point DRAM (300 cycles).
+    shipped to a cell's child process.  ``trace_spec=None`` means "the
+    calibrated profile named by ``benchmark``"; a non-``None`` spec
+    supports the sweeps' custom workloads.
+    ``memory_latency_cycles=None`` keeps the design-point DRAM (300
+    cycles).
     """
 
     design: str
@@ -145,7 +155,7 @@ def cache_key(cell: CellSpec) -> str:
 
 
 def run_cell(cell: CellSpec) -> SystemResult:
-    """Simulate one cell from scratch (no cache).  Pool worker entry."""
+    """Simulate one cell from scratch (no cache)."""
     from repro.sim.memory import MainMemory
 
     memory = (None if cell.memory_latency_cycles is None
@@ -178,9 +188,9 @@ def run_cell(cell: CellSpec) -> SystemResult:
 def run_cell_timed(cell: CellSpec) -> Tuple[SystemResult, float]:
     """Simulate one cell, returning ``(result, wall seconds)``.
 
-    Pool worker entry for the detailed path: the wall time is measured
-    inside the worker, so it reflects simulation cost, not pool
-    scheduling or pickling.
+    A cell's child-process entry: the wall time is measured inside the
+    child, so it reflects simulation cost, not process start-up or
+    pickling.
     """
     started = _time.perf_counter()
     result = run_cell(cell)
@@ -205,8 +215,8 @@ class CellOutcome:
     result: SystemResult
     wall_time_s: float
     from_cache: bool
-    #: how many attempts the resilient executor needed (1 on the fast
-    #: path: it never retries).
+    #: attempts the cell took: 1 for a cache hit or a first-try
+    #: success, more when the retry policy re-ran it.
     attempts: int = 1
 
 
@@ -232,94 +242,63 @@ def as_cache(cache: Union[ResultCache, str, os.PathLike, None],
     return ResultCache(cache)
 
 
-def _run_indexed(item: Tuple[int, CellSpec]) -> Tuple[int, SystemResult, float]:
-    """Pool worker entry: :func:`run_cell_timed` tagged with its position."""
-    position, cell = item
-    return (position, *run_cell_timed(cell))
-
-
-def _computed(cells: Sequence[CellSpec], workers: int,
-              ) -> Iterator[Tuple[int, SystemResult, float]]:
-    """``(position, result, wall seconds)`` for each cell as it finishes.
-
-    Cells fan out over a process pool when ``workers > 1`` and there is
-    more than one, in completion order; otherwise (or when no pool can
-    be stood up: missing semaphore support, fork restrictions) they run
-    serially, in order.
-    """
-    if workers > 1 and len(cells) > 1:
-        import multiprocessing
-
-        try:
-            pool = multiprocessing.get_context().Pool(min(workers, len(cells)))
-        except (ImportError, OSError, PermissionError):
-            pool = None
-        if pool is not None:
-            with pool:
-                yield from pool.imap_unordered(_run_indexed, enumerate(cells))
-            return
-    for position, cell in enumerate(cells):
-        yield (position, *run_cell_timed(cell))
-
-
 def execute_cells_detailed(cells: Sequence[CellSpec], workers: int = 1,
                            cache: Union[ResultCache, str, os.PathLike,
                                         None] = None,
-                           policy=None, fault_plan=None, telemetry=None,
+                           policy: Optional[RetryPolicy] = None,
+                           fault_plan: Optional[FaultPlan] = None,
+                           telemetry: Optional[RunnerTelemetry] = None,
                            ) -> List[CellOutcome]:
     """Run every cell, in order, answering from ``cache`` where possible.
 
-    Cache misses fan out over ``workers`` processes when ``workers > 1``
-    (serial when ``workers=1`` or the pool is unavailable) and each is
-    written to the cache as soon as it finishes, so a run interrupted
-    part-way resumes by running again against the same cache.  The
-    returned list is parallel to ``cells`` regardless of execution
-    order, and parallel execution is bit-identical to serial: each cell
-    is a deterministic function of its spec alone.  Each
-    :class:`CellOutcome` additionally records the cell's cache key, its
-    wall time and whether the cache answered it.
+    One cache pass fingerprints every cell and looks it up.  Each miss
+    then runs in its own child process, at most ``workers`` at a time,
+    and is written to the cache as soon as it finishes, so a run
+    interrupted part-way resumes by running again against the same
+    cache.  The returned list is parallel to ``cells`` regardless of
+    completion order, and results are bit-identical for any
+    ``workers``: each cell is a deterministic function of its spec
+    alone.  Each :class:`CellOutcome` additionally records the cell's
+    cache key, its wall time, whether the cache answered it and how
+    many attempts it took.
 
-    Passing a :class:`~repro.analysis.resilience.RetryPolicy`
-    (``policy``), a :class:`~repro.analysis.resilience.FaultPlan`
-    (``fault_plan``), or a
-    :class:`~repro.analysis.resilience.RunnerTelemetry` (``telemetry``)
-    — or setting ``REPRO_FAULT_PLAN`` in the environment — routes
-    execution through the fault-tolerant executor, which additionally
-    retries, times out, and reschedules cells.  Results are
-    byte-identical either way.
+    ``policy`` (default ``RetryPolicy()``: one attempt, no deadline)
+    sets retries and the per-attempt timeout, ``fault_plan`` (default:
+    the ``REPRO_FAULT_PLAN`` environment variable) injects faults, and
+    ``telemetry`` (default: a fresh
+    :class:`~repro.analysis.resilience.RunnerTelemetry`) counts hits,
+    attempts, retries, timeouts and worker deaths.  None of them
+    changes where a cell runs.
     """
     cache = as_cache(cache)
+    if policy is None:
+        policy = RetryPolicy()
     if fault_plan is None:
-        from repro.analysis.resilience import FaultPlan
-
         fault_plan = FaultPlan.from_env()
-    if policy is not None or fault_plan is not None or telemetry is not None:
-        from repro.analysis.resilience import execute_resilient
-
-        return execute_resilient(cells, workers=workers, cache=cache,
-                                 policy=policy, fault_plan=fault_plan,
-                                 telemetry=telemetry)
+    if telemetry is None:
+        telemetry = RunnerTelemetry()
+    telemetry.add("cells", len(cells))
+    quarantined_before = cache.quarantined if cache is not None else 0
     outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
-    pending: List[Tuple[int, CellSpec, str]] = []
-    for index, cell in enumerate(cells):
-        key = cache_key(cell)
-        started = _time.perf_counter()
-        cached = cache.get(key) if cache is not None else None
-        if cached is not None:
+    misses: List[Tuple[int, CellSpec, str]] = []
+    try:
+        for index, cell in enumerate(cells):
+            key = cache_key(cell)
+            started = _time.perf_counter()
+            cached = cache.get(key) if cache is not None else None
+            if cached is None:
+                misses.append((index, cell, key))
+                continue
             outcomes[index] = CellOutcome(
                 cell=cell, key=key, result=cached,
                 wall_time_s=_time.perf_counter() - started, from_cache=True)
-        else:
-            pending.append((index, cell, key))
-
-    todo = [cell for _, cell, _ in pending]
-    for position, result, wall_time_s in _computed(todo, workers):
-        index, cell, key = pending[position]
-        outcomes[index] = CellOutcome(cell=cell, key=key, result=result,
-                                      wall_time_s=wall_time_s,
-                                      from_cache=False)
+            telemetry.add("cache_hits")
+        run_misses(misses, outcomes, workers, cache, policy, fault_plan,
+                   telemetry)
+    finally:
         if cache is not None:
-            cache.put(key, result, cell=cell.key_fields())
+            telemetry.add("quarantined",
+                          cache.quarantined - quarantined_before)
     return outcomes  # type: ignore[return-value]
 
 
@@ -372,8 +351,8 @@ def grid_cell_specs(designs: Sequence,
 
     ``designs`` entries are registry names (strings) or
     :class:`~repro.core.config.DesignVariant`-like objects; a variant's
-    cell carries its base design and override pairs so pool workers can
-    rebuild it without any registry mutation.
+    cell carries its base design and override pairs so its child
+    process can rebuild it without any registry mutation.
     """
     if benchmarks is None:
         benchmarks = benchmark_names()
@@ -404,8 +383,8 @@ def run_grid(designs: Sequence,
     Every design sees the identical per-benchmark reference stream (the
     trace is a pure function of ``(profile spec, n_refs, seed)``), so
     this matches the legacy serial grid cell-for-cell.  ``policy`` /
-    ``fault_plan`` / ``telemetry`` opt into the fault-tolerant executor
-    (see :func:`execute_cells_detailed`).
+    ``fault_plan`` / ``telemetry`` are passed to
+    :func:`execute_cells_detailed`.
     ``sanitize=True`` runs every cell under the simulator-core
     sanitizer; a clean sanitized grid is byte-identical to a plain one.
 

@@ -189,8 +189,8 @@ class ContentStore:
     back.
 
     Writes are atomic (a temp file unique to the writing process and
-    thread, then ``os.replace``), so pool workers, service threads and
-    overlapping sessions can share one root.  :meth:`load` verifies the
+    thread, then ``os.replace``), so concurrent runs, service threads
+    and overlapping sessions can share one root.  :meth:`load` verifies the
     envelope, the digest and the codec and raises the typed
     :class:`CacheCorruptionError` on anything untrustworthy;
     :meth:`get` turns corruption into a quarantine (the file moves to

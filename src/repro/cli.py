@@ -367,22 +367,10 @@ def _derived_lane(args):
 
 
 def _grid_resilience(args):
-    """``(policy, telemetry)`` for the grid/report/explore commands.
+    """``(policy, telemetry)`` from the ``--retries``/``--cell-timeout``
+    flags (``serve`` uses only the policy)."""
+    from repro.analysis.resilience import RetryPolicy, RunnerTelemetry
 
-    Both ``None`` when no resilience flag is set and no
-    ``REPRO_FAULT_PLAN`` is in the environment, which keeps the default
-    path on the fast (pool-based) executor.
-    """
-    from repro.analysis.resilience import (
-        FaultPlan,
-        RetryPolicy,
-        RunnerTelemetry,
-    )
-
-    wanted = (args.retries or args.cell_timeout
-              or FaultPlan.from_env() is not None)
-    if not wanted:
-        return None, None
     policy = RetryPolicy(max_retries=args.retries,
                          cell_timeout_s=args.cell_timeout,
                          backoff_base_s=0.5)
@@ -408,8 +396,7 @@ def _cmd_grid(args) -> int:
         if cache is not None:
             print(f"cache: {cache.hits} hit(s), {cache.stores} cell(s) "
                   f"simulated and stored under {args.cache_dir}")
-        if telemetry is not None:
-            print(f"resilience: {telemetry.summary()}")
+        print(f"resilience: {telemetry.summary()}")
     if args.save:
         save_grid(args.save, grid)
         print(f"grid saved to {args.save}")
@@ -503,8 +490,7 @@ def _cmd_report(args) -> int:
         print("report: rendered from derived cache (0 cells simulated)")
     if lane.enabled:
         print(lane.summary())
-    if telemetry is not None:
-        print(f"resilience: {telemetry.summary()}")
+    print(f"resilience: {telemetry.summary()}")
     if args.metrics_out:
         from repro.obs import MetricsRegistry, build_manifest, save_manifest
 
@@ -529,15 +515,14 @@ def _cmd_report(args) -> int:
         # the same runner.* / analysis.derived.* names snapshots use.
         registry = MetricsRegistry()
         lane.register(registry)
-        if telemetry is not None:
-            telemetry.register(registry)
+        telemetry.register(registry)
         metrics.update(registry.snapshot())
         manifest = build_manifest(
             kind="report",
             config=config,
             metrics=metrics,
             wall_time_s=_time.perf_counter() - started,
-            resilience=telemetry.as_dict() if telemetry is not None else None,
+            resilience=telemetry.as_dict(),
             derived=lane.as_dict(),
         )
         save_manifest(args.metrics_out, manifest)
@@ -610,14 +595,12 @@ def _cmd_explore(args) -> int:
               f"simulated and stored under {args.cache_dir}")
     if lane.enabled:
         print(lane.summary())
-    if telemetry is not None:
-        print(f"resilience: {telemetry.summary()}")
+    print(f"resilience: {telemetry.summary()}")
     if args.metrics_out:
         from repro.obs import save_manifest
 
         lane.register(registry)
-        if telemetry is not None:
-            telemetry.register(registry)
+        telemetry.register(registry)
         manifest = build_search_manifest(
             result, wall_time_s=_time.perf_counter() - started,
             metrics=registry.snapshot(), top_k=args.top_k)
@@ -938,14 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="content-addressed result cache shared by every "
                             "job (and with grid/report runs); without it "
                             "dedupe only spans this process's lifetime")
-    serve.add_argument("--retries", type=int, default=0, metavar="N",
-                       help="retry a failed, crashed, or timed-out cell up "
-                            "to N times (routes cells through the resilient "
-                            "process-per-cell executor)")
-    serve.add_argument("--cell-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="kill and reschedule any cell attempt running "
-                            "longer than this")
+    _add_resilience_flags(serve)
     serve.add_argument("--journal-dir", metavar="DIR",
                        help="durable job journal under DIR "
                             "(journal.jsonl); on restart, unfinished jobs "
@@ -984,15 +960,10 @@ def _cmd_serve(args) -> int:
     import signal
     import threading
 
-    from repro.analysis.resilience import RetryPolicy
     from repro.service import JobStore, make_server
     from repro.service.journal import as_job_journal, describe_recovery
 
-    policy = None
-    if args.retries or args.cell_timeout:
-        policy = RetryPolicy(max_retries=args.retries,
-                             cell_timeout_s=args.cell_timeout,
-                             backoff_base_s=0.5)
+    policy, _ = _grid_resilience(args)
     store = JobStore(cache=_grid_cache(args), derived=_derived_lane(args),
                      workers=args.workers, policy=policy,
                      journal=as_job_journal(args.journal_dir),
@@ -1062,13 +1033,33 @@ def _add_derived_flags(parser: argparse.ArgumentParser) -> None:
                              "<cache-dir>/derived")
 
 
+def _bounded(convert, accept, requirement: str):
+    """An argparse ``type``: ``convert`` the text, then exit 2 with a
+    usage error unless it converted and ``accept`` holds."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {requirement}, got {text!r}")
+        return value
+    return parse
+
+
 def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
-    """The fault-tolerance flags shared by ``grid`` and ``report``."""
-    parser.add_argument("--retries", type=int, default=0, metavar="N",
+    """The fault-tolerance flags of ``grid``, ``report``, ``explore``
+    and ``serve``.  Every computed cell runs in its own child process
+    either way; these set only retries and the per-attempt deadline."""
+    parser.add_argument("--retries", default=0, metavar="N",
+                        type=_bounded(int, lambda n: n >= 0,
+                                      "an integer >= 0"),
                         help="retry a failed, crashed, or timed-out cell "
                              "up to N times (exponential backoff)")
-    parser.add_argument("--cell-timeout", type=float, default=None,
-                        metavar="SECONDS",
+    parser.add_argument("--cell-timeout", default=None, metavar="SECONDS",
+                        type=_bounded(float, lambda s: s > 0,
+                                      "a number of seconds > 0"),
                         help="kill and reschedule any cell attempt running "
                              "longer than this")
 

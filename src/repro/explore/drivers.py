@@ -3,7 +3,7 @@
 Three drivers turn a :class:`~repro.explore.space.SpaceSpec` into a
 ranking of its variants, all through the same evaluation path —
 :func:`repro.analysis.runner.run_grid` — so every candidate cell gets
-the result cache, the resilient executor, and worker pools for free:
+the result cache, retries and parallel cell processes for free:
 
 * ``grid`` — exhaustive enumeration in expansion order, clipped to the
   budget.  The control: it visits combinations exactly as the DSL

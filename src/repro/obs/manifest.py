@@ -90,8 +90,8 @@ class RunManifest:
     trace: Optional[Dict[str, Any]] = None
     #: :meth:`~repro.analysis.resilience.RunnerTelemetry.as_dict` —
     #: attempts / retries / timeouts / worker deaths / quarantined
-    #: cache entries — when the run went through
-    #: the fault-tolerant executor.  Execution provenance like wall
+    #: cache entries — for every run that went through the grid
+    #: runner (report, service job).  Execution provenance like wall
     #: time: excluded from :func:`diff_manifests` (a retried run and a
     #: clean run measure the same thing).
     resilience: Optional[Dict[str, Any]] = None

@@ -11,9 +11,10 @@ each job's cells across the existing execution stack:
   so a cell finished by any job is a cache hit for every later one.
   Two jobs that reach the same uncached cell at the same time both
   simulate it (the cache is not a lock); they store identical entries;
-* a :class:`~repro.analysis.resilience.RetryPolicy` (from ``repro serve
-  --retries/--cell-timeout``) routes cells through the fault-tolerant
-  executor — per-cell child processes, timeouts, retries;
+* every computed cell runs in its own child process, like every other
+  grid cell; a :class:`~repro.analysis.resilience.RetryPolicy` (from
+  ``repro serve --retries/--cell-timeout``) sets how often a failed
+  cell is retried and each attempt's deadline, not where it runs;
 * identical submissions dedupe **before** any work happens: the job key
   is a digest of the grid's cell result-cache keys (each of which
   already embeds every simulation input plus the code-version stamp),
@@ -229,10 +230,10 @@ class JobStore:
 
     ``workers`` threads drain one shared cell queue, so a large job's
     cells interleave with a small job's (no head-of-line blocking) and
-    cells of one job run concurrently.  With a ``policy`` each cell
-    attempt runs in its own child process (the resilient executor),
-    which also buys real CPU parallelism; without one, cells run
-    in-thread on the fast path.
+    cells of one job run concurrently.  Each thread runs its computed
+    cell in a child process, so ``workers`` cells simulate in parallel
+    on separate CPUs.  ``policy`` sets retries and the per-attempt
+    deadline (default: one attempt, no deadline).
     """
 
     def __init__(self, cache=None, derived=None, workers: int = 2,

@@ -26,6 +26,9 @@ from typing import List
 
 try:  # optional at import time: specs and resident_block_addresses are
     import numpy as np  # pure Python; only generate_trace needs numpy
+    # numpy loads np.random on first use; load it now so forked cell
+    # processes inherit it instead of each importing it again.
+    import numpy.random  # noqa: F401
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     np = None  # type: ignore[assignment]
 

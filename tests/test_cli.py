@@ -53,6 +53,26 @@ class TestParser:
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["grid"],
+        ["report"],
+        ["explore", "--space", "space.json"],
+        ["serve"],
+    ])
+    @pytest.mark.parametrize("flag, value", [
+        ("--retries", "-1"),
+        ("--cell-timeout", "0"),
+        ("--cell-timeout", "-5"),
+    ])
+    def test_bad_resilience_values_are_usage_errors(self, argv, flag, value,
+                                                     capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + [flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be" in err
+        assert "Traceback" not in err
+
 
 class TestInformational:
     def test_designs_lists_registry(self, capsys):

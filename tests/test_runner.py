@@ -126,7 +126,7 @@ def saved_bytes(grid, path) -> bytes:
 
 
 class TestInterruptedRunResumes:
-    """The fast path stores each cell as it finishes, so rerunning an
+    """The runner stores each cell as it finishes, so rerunning an
     interrupted grid against the same cache simulates only the rest and
     saves the same bytes as a clean run."""
 
@@ -140,18 +140,18 @@ class TestInterruptedRunResumes:
 
     def test_serial_interrupt_keeps_finished_cells(self, tmp_path,
                                                    monkeypatch, serial_grid):
-        import repro.analysis.runner as runner_module
+        # Cells compute in child processes; the parent stores them, so
+        # a Ctrl-C landing on the fourth store interrupts the run.
+        real_put = ResultCache.put
+        stored = []
 
-        real = runner_module.run_cell_timed
-        started = []
-
-        def interrupt_fourth(cell):
-            started.append(cell)
-            if len(started) == 4:
+        def interrupt_fourth(cache, key, value, **meta):
+            if len(stored) == 3:
                 raise KeyboardInterrupt
-            return real(cell)
+            stored.append(key)
+            real_put(cache, key, value, **meta)
 
-        monkeypatch.setattr(runner_module, "run_cell_timed", interrupt_fourth)
+        monkeypatch.setattr(ResultCache, "put", interrupt_fourth)
         root = tmp_path / "cache"
         cache = ResultCache(root)
         with pytest.raises(KeyboardInterrupt):
@@ -159,13 +159,13 @@ class TestInterruptedRunResumes:
                             n_refs=N_REFS, cache=cache)
         monkeypatch.undo()
         assert cache.stores == 3
-        for cell in started[:3]:
-            assert cache.path_for(cache_key(cell)).exists()
+        for key in stored:
+            assert cache.path_for(key).exists()
         self.rerun(root, 1, serial_grid, tmp_path)
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="pool workers see the patched runner only "
-                               "when forked")
+                        reason="cell processes see the patched runner "
+                               "only when forked")
     def test_pool_interrupt_keeps_finished_cells(self, tmp_path, monkeypatch,
                                                  serial_grid):
         import repro.analysis.runner as runner_module

@@ -1,4 +1,4 @@
-"""Fault-injection tests for the resilient grid executor.
+"""Fault-injection tests for the grid's cell scheduler.
 
 Every test drives :mod:`repro.analysis.resilience` through a
 deterministic :class:`FaultPlan` — the same hook ``REPRO_FAULT_PLAN``
@@ -123,9 +123,65 @@ class TestWorkerDeath:
         assert telemetry["retries"] == 1
 
 
+def count_starts(monkeypatch, fail_at=None):
+    """Record every child-process start; the ``fail_at``-th one raises
+    EAGAIN, as a fork does when the process limit is reached."""
+    import errno
+    from multiprocessing.process import BaseProcess
+
+    real_start = BaseProcess.start
+    starts = []
+
+    def start(process):
+        starts.append(process)
+        if len(starts) == fail_at:
+            raise OSError(errno.EAGAIN, "cannot fork")
+        real_start(process)
+
+    monkeypatch.setattr(BaseProcess, "start", start)
+    return starts
+
+
+class TestChildProcesses:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_computed_cell_starts_one_child(self, monkeypatch, cells,
+                                                  baseline, tmp_path,
+                                                  workers):
+        starts = count_starts(monkeypatch)
+        cache = ResultCache(tmp_path)
+        outcomes = execute_cells_detailed(cells, workers=workers, cache=cache)
+        assert len(starts) == len(cells)
+        assert results_of(outcomes) == baseline
+        # Cache hits start nothing.
+        execute_cells_detailed(cells, workers=workers, cache=cache)
+        assert len(starts) == len(cells)
+
+
+class TestInProcessFallback:
+    """Where no child process can be started the remaining cells run
+    in-process; an attempt already in flight is killed and requeued."""
+
+    @pytest.mark.parametrize("failing_start", [1, 2],
+                             ids=["first-start", "second-start"])
+    def test_every_cell_completes_when_a_start_fails(self, monkeypatch,
+                                                     failing_start):
+        cells = make_cells(("SNUCA2", "perl"), ("TLC", "perl"),
+                           ("SNUCA2", "bzip"), ("TLC", "bzip"))
+        expected = [run_cell(cell) for cell in cells]
+        starts = count_starts(monkeypatch, fail_at=failing_start)
+        telemetry = RunnerTelemetry()
+        outcomes = execute_cells_detailed(cells, workers=2,
+                                          policy=RetryPolicy(),
+                                          telemetry=telemetry)
+        assert len(starts) == failing_start
+        assert None not in outcomes
+        assert results_of(outcomes) == expected
+        assert telemetry["computed"] == len(cells)
+
+
 class TestCheckpointResume:
-    """Resume is a rerun against the same result cache: the resilient
-    executor caches each cell as soon as it succeeds."""
+    """Resume is a rerun against the same result cache: the runner
+    caches each cell as soon as it succeeds."""
 
     def grid_payload(self, grid):
         return json.dumps(
@@ -188,17 +244,20 @@ class TestFaultPlanFormat:
     def test_from_env_unset(self):
         assert FaultPlan.from_env({}) is None
 
-    def test_env_plan_routes_runner_through_resilient_path(
+    def test_env_plan_applies_when_no_plan_is_passed(
             self, monkeypatch, cells, baseline, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(
             {"faults": [{"design": "TLC", "benchmark": "perl",
-                         "action": "raise", "attempts": [3]}]}))
+                         "action": "raise", "attempts": [1]}]}))
         monkeypatch.setenv("REPRO_FAULT_PLAN", str(path))
-        # No explicit policy/telemetry: the env alone must activate the
-        # resilient executor (attempt 3 never happens, so this passes).
-        outcomes = execute_cells_detailed(cells, workers=1)
+        telemetry = RunnerTelemetry()
+        outcomes = execute_cells_detailed(
+            cells, workers=1, policy=RetryPolicy(max_retries=1, **FAST),
+            telemetry=telemetry)
         assert results_of(outcomes) == baseline
+        assert telemetry["faults_injected"] == 1
+        assert telemetry["retries"] == 1
 
     def test_bad_action_rejected(self):
         with pytest.raises(ValueError, match="unknown fault action"):
@@ -297,8 +356,9 @@ class TestDeterministicReplay:
 
 
 class TestCellSpecReplace:
-    def test_outcome_fields_default_for_fast_path(self, cells):
+    def test_outcome_fields_for_a_first_attempt_success(self, cells):
         outcome = execute_cells_detailed(cells[:1], workers=1)[0]
         assert outcome.attempts == 1
+        assert outcome.from_cache is False
         assert outcome.key == cache_key(cells[0])
         assert dataclasses.fields(type(outcome))  # stays a dataclass

@@ -144,4 +144,9 @@ class TestUtilizationMeter:
         m = UtilizationMeter(resources=resources)
         for b in busies:
             m.busy(b)
-        assert m.utilization(1000) == pytest.approx(sum(busies) / (1000 * resources))
+        quotient = sum(busies) / (1000 * resources)
+        # Up to 50 x 50 busy cycles can overfill a 1000-cycle window, and
+        # utilization() clamps such a window to 1.0 (see its docstring).
+        assert m.raw_utilization(1000) == pytest.approx(quotient)
+        assert m.utilization(1000) == pytest.approx(min(quotient, 1.0))
+        assert m.saturated == (quotient > 1.0)
