@@ -22,17 +22,18 @@ environment variables):
   sessions — so an interrupted session resumes instead of
   re-simulating — and are invalidated automatically whenever any
   source file under ``src/repro`` changes.
-* ``REPRO_BENCH_RETRIES`` / ``REPRO_BENCH_CELL_TIMEOUT`` — route the
-  grids through the fault-tolerant executor
-  (:mod:`repro.analysis.resilience`): retry each failed / crashed /
-  timed-out cell up to N times, bounding each attempt's wall time.
+* ``REPRO_BENCH_RETRIES`` / ``REPRO_BENCH_CELL_TIMEOUT`` — the grids'
+  retry policy, as the CLI's ``--retries`` / ``--cell-timeout`` set it:
+  retry each failed / crashed / timed-out cell up to N times (default
+  0), bounding each attempt's wall time to S seconds (default: no
+  limit).  Every computed cell runs in its own child process either
+  way (:mod:`repro.analysis.resilience`).
 * ``REPRO_FAULT_PLAN`` — deterministic fault injection (inline JSON or
   a file path), honored by the runner itself; combine with retries to
   smoke-test recovery against the real grids.
 """
 
 import os
-from typing import Optional
 
 import pytest
 
@@ -56,15 +57,14 @@ def bench_workers() -> int:
     return min(8, os.cpu_count() or 1)
 
 
-def bench_policy() -> Optional[RetryPolicy]:
-    """The retry policy from the environment; ``None`` keeps the grids
-    on the fast pool-based executor."""
-    retries = int(os.environ.get("REPRO_BENCH_RETRIES", "0"))
-    timeout = float(os.environ.get("REPRO_BENCH_CELL_TIMEOUT", "0") or 0)
-    if not (retries or timeout):
-        return None
-    return RetryPolicy(max_retries=retries, cell_timeout_s=timeout or None,
-                       backoff_base_s=0.5)
+def bench_policy() -> RetryPolicy:
+    """The retry policy from the environment, built as the CLI builds
+    it; a timeout of 0 or below is rejected by ``RetryPolicy``."""
+    timeout = os.environ.get("REPRO_BENCH_CELL_TIMEOUT")
+    return RetryPolicy(
+        max_retries=int(os.environ.get("REPRO_BENCH_RETRIES", "0")),
+        cell_timeout_s=None if timeout is None else float(timeout),
+        backoff_base_s=0.5)
 
 
 @pytest.fixture(scope="session")

@@ -11,8 +11,9 @@ everything it is evaluated against and on top of:
 * :mod:`repro.cache`, :mod:`repro.interconnect` — cache and network
   substrates shared by all designs.
 * :mod:`repro.area` — area / access-time / transistor models.
-* :mod:`repro.sim` — the event/resource timing kernel, processor and
-  memory models, and the ``run_system`` experiment entry point.
+* :mod:`repro.sim` — the trace-replay processor timing model over
+  busy-until link, mesh and bank resources, the memory model, and the
+  ``run_system`` experiment entry point.
 * :mod:`repro.workloads` — the twelve calibrated synthetic benchmarks.
 * :mod:`repro.analysis` — the table/figure regeneration harness.
 

@@ -27,7 +27,7 @@ first 12 hex digits of the code version stamp)::
       "pinned": true,
       "quick": false,
       "benchmarks": {
-        "engine.run": {
+        "link.transit": {
           "median_ns": 1234567,
           "mad_ns": 890,
           "reps": 9,

@@ -6,9 +6,6 @@ deterministic workload:
 * ``calibration.spin`` — a pure-Python integer spin loop; tracks the
   machine's single-core interpreter speed and anchors cross-machine
   normalization (see :func:`~repro.analysis.perf.harness.compare_benchmarks`).
-* ``engine.run`` — schedule/dispatch throughput of the discrete-event
-  engine, including zero-delay callbacks; reuses one engine via
-  :meth:`~repro.sim.engine.Engine.reset`.
 * ``l2.lookup.<design>`` — the L2 access path of each paper design
   (TLC, TLCopt500, SNUCA2, DNUCA) on a pre-warmed cache.
 * ``prewarm.<design>`` — building each paper design and pre-warming it
@@ -49,28 +46,6 @@ def _build_calibration_spin(scale: int) -> Tuple[Callable[[], Any], Dict[str, An
         for i in range(n):
             acc = (acc + i * 3) & 0xFFFFFFFF
         return acc
-
-    return fn, {"inner_ops": n}
-
-
-def _build_engine_run(scale: int) -> Tuple[Callable[[], Any], Dict[str, Any]]:
-    from repro.sim.engine import Engine
-
-    engine = Engine()
-    n = max(500, 4_000 // scale)
-
-    def fn() -> None:
-        engine.reset()
-        fired = [0]
-
-        def tick() -> None:
-            fired[0] += 1
-            if fired[0] % 7 == 0:
-                engine.schedule(0, lambda: None)
-
-        for i in range(n):
-            engine.schedule(i % 97, tick)
-        engine.run()
 
     return fn, {"inner_ops": n}
 
@@ -187,7 +162,6 @@ def _build_system_refs(scale: int) -> Tuple[Callable[[], Any], Dict[str, Any]]:
 #: name -> builder; names are stable identifiers BENCH documents key on.
 SUITE: Dict[str, BenchBuilder] = {
     "calibration.spin": _build_calibration_spin,
-    "engine.run": _build_engine_run,
     "link.transit": _build_link_transit,
     "mesh.transit": _build_mesh_transit,
     "workload.generate": _build_workload_generate,

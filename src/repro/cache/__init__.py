@@ -1,4 +1,4 @@
-"""Generic cache substrate: addresses, replacement, banks, L1 caches."""
+"""Generic cache substrate: addresses, replacement, banks, partial tags, ECC."""
 
 from repro.cache.address import AddressMap, block_address
 from repro.cache.replacement import (
@@ -9,7 +9,6 @@ from repro.cache.replacement import (
     make_policy,
 )
 from repro.cache.bank import CacheBank, AccessResult
-from repro.cache.l1 import L1Cache
 from repro.cache.partial_tags import PartialTagArray, partial_tag
 from repro.cache.ecc import EccGeometry, secded_check_bits
 
@@ -23,7 +22,6 @@ __all__ = [
     "make_policy",
     "CacheBank",
     "AccessResult",
-    "L1Cache",
     "PartialTagArray",
     "partial_tag",
     "EccGeometry",

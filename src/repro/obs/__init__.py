@@ -7,11 +7,11 @@ Three pieces (see docs/OBSERVABILITY.md for the formats):
   every :class:`~repro.core.base.L2Design` carries one as ``.metrics``.
 * :class:`~repro.obs.trace.EventTracer` — opt-in event capture (ring
   buffer or full, per-type filtering, JSONL export) hooked into the
-  engine, the processor models, and the full-system pipeline.
+  processor's trace-replay loop.
 * :class:`~repro.obs.manifest.RunManifest` — provenance + metrics
-  snapshot of a run, emitted by ``run_system`` / ``run_full_system``
-  via a :class:`~repro.obs.manifest.RunObserver` and rendered or
-  diffed by ``python -m repro stats``.
+  snapshot of a run, emitted by ``run_system`` via a
+  :class:`~repro.obs.manifest.RunObserver` and rendered or diffed by
+  ``python -m repro stats``.
 """
 
 from repro.obs.manifest import (

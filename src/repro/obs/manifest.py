@@ -9,10 +9,9 @@ asks: "did anything change?", and if so, "was it the code, the
 configuration, or the measurement?" — see ``repro stats`` and
 :func:`diff_manifests`.
 
-Manifests are emitted by :func:`repro.sim.system.run_system` /
-:func:`repro.sim.full_system.run_full_system` when handed a
-:class:`RunObserver`, and by the ``repro report`` command for whole
-grids.  The JSON format (schema version {SCHEMA_VERSION}) is documented
+Manifests are emitted by :func:`repro.sim.system.run_system` when
+handed a :class:`RunObserver`, and by the ``repro report`` command for
+whole grids.  The JSON format (schema version {SCHEMA_VERSION}) is documented
 in docs/OBSERVABILITY.md; loading validates fields strictly so a
 truncated or hand-edited manifest fails at the door rather than deep
 inside an analysis.
@@ -68,7 +67,7 @@ class RunManifest:
 
     #: manifest layout version (:data:`SCHEMA_VERSION`).
     schema: int
-    #: "system", "full_system", or "report".
+    #: "system", "report", "service.job", "explore.search", or "crash".
     kind: str
     #: design / benchmark of a single run; None for grid manifests.
     design: Optional[str]
@@ -151,7 +150,7 @@ def build_manifest(kind: str, config: Dict[str, Any],
 
 
 class RunObserver:
-    """Opt-in observability for ``run_system`` / ``run_full_system``.
+    """Opt-in observability for ``run_system``.
 
     Pass one to a run entry point to receive its manifest (and feed it
     an :class:`~repro.obs.trace.EventTracer` to capture events)::

@@ -4,7 +4,7 @@ Hook sites hold an ``Optional[EventTracer]`` and guard every emission
 with ``if tracer is not None`` — tracing *off* therefore costs exactly
 one branch per hook, and never allocates.  When a tracer is attached,
 each hook records a :class:`TraceEvent` carrying the simulation time,
-a dotted event type (``l2.access``, ``engine.dispatch``), and free-form
+a dotted event type (``l2.access``, ``run.warmup_end``), and free-form
 scalar fields.
 
 Capture modes

@@ -28,7 +28,9 @@ from typing import Any, Dict, List, Optional
 from repro.sanitizer.core import SanitizerViolation
 from repro.workloads.trace import Reference, load_trace, save_trace
 
-BUNDLE_FORMAT_VERSION = 1
+#: Bump when ``bundle.json`` changes incompatibly; :func:`load_bundle`
+#: refuses every other version.
+BUNDLE_FORMAT_VERSION = 2
 
 #: references kept beyond the last one the processor completed, so the
 #: prefix always covers the access that tripped the check.

@@ -1,7 +1,7 @@
 """Runtime invariant checking for the simulator core.
 
-The sanitizer is an opt-in observation layer threaded through the event
-engine, the interconnect, the cache banks, and the processor model.  It
+The sanitizer is an opt-in observation layer threaded through the
+interconnect, the cache banks, and the processor model.  It
 never changes simulated behaviour — with a sanitizer attached (and no
 fault injected) every design produces byte-identical results — it only
 *watches*, and raises a structured :class:`SanitizerViolation` the
@@ -16,9 +16,6 @@ moment an invariant breaks:
   (``bank.occupancy`` / ``bank.duplicate_tag``); DNUCA's central
   partial-tag array must mirror the banks exactly
   (``dnuca.partial_tag_incoherent``).
-* **Engine progress** — dispatched event times must be monotonic
-  (``engine.time_regression``) and a cycle may not dispatch unboundedly
-  many events (``engine.livelock``).
 * **Processor progress** — retirement must advance within
   ``watchdog_stall_cycles`` (``watchdog.no_retirement``) and the number
   of outstanding L2 requests may never exceed the configured MSHRs,
@@ -26,7 +23,7 @@ moment an invariant breaks:
 
 Checks that sweep state (bank coherence, conservation) run every
 ``check_every`` L2 accesses and once more at quiesce; per-event checks
-(watchdog, MSHR, engine progress) are a compare-and-branch each.
+(watchdog, MSHR) are a compare-and-branch each.
 
 :class:`SimFault` injects one seeded corruption — used by the test
 suite and the CI smoke to prove each invariant actually fires and that
@@ -115,19 +112,16 @@ class SanitizerConfig:
 
     Defaults are sized so a healthy run can never trip them: no
     workload in the suite goes ``watchdog_stall_cycles`` cycles without
-    retiring an instruction, and nothing schedules
-    ``max_same_cycle_events`` events in one cycle.  Tighten them per
-    run via ``repro run --watchdog-cycles`` when hunting a real hang.
+    retiring an instruction.  Tighten it per run via
+    ``repro run --watchdog-cycles`` when hunting a real hang.
     """
 
     check_every: int = 1024
     watchdog_stall_cycles: int = 1_000_000
-    max_same_cycle_events: int = 100_000
     event_ring: int = 256
 
     def __post_init__(self) -> None:
-        for name in ("check_every", "watchdog_stall_cycles",
-                     "max_same_cycle_events", "event_ring"):
+        for name in ("check_every", "watchdog_stall_cycles", "event_ring"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -170,8 +164,6 @@ class Sanitizer:
         self._last_retired = -1
         self._last_retire_cycle = 0
         self._stall_frozen: Optional[int] = None
-        # Engine livelock state.
-        self._same_cycle_events = 0
         self._last_cycle = 0
 
     # -- attachment --------------------------------------------------------
@@ -183,9 +175,6 @@ class Sanitizer:
     def attach_processor(self, processor) -> None:
         processor.sanitizer = self
         self._mshrs = processor.config.mshrs
-
-    def attach_engine(self, engine) -> None:
-        engine.sanitizer = self
 
     def register_invariant(self, name: str,
                            check: Callable[[int], None]) -> None:
@@ -290,34 +279,6 @@ class Sanitizer:
                 {"outstanding": outstanding, "mshrs": self._mshrs,
                  "at_quiesce": True})
         self.run_checks(cycle)
-
-    def on_engine_reset(self) -> None:
-        """Engine-reset hook: forget per-run engine progress state.
-
-        :meth:`Engine.reset` rewinds the clock to zero; without this
-        hook the livelock counter accumulated by the previous run would
-        leak into the next one and could fire ``engine.livelock``
-        spuriously on a reused sanitized engine.
-        """
-        self._same_cycle_events = 0
-        self._last_cycle = 0
-
-    def on_engine_dispatch(self, now: int, event_time: int,
-                           pending: int) -> None:
-        """Per-event engine hook: monotonic time + same-cycle progress."""
-        if event_time < now:
-            raise SanitizerViolation(
-                "engine.time_regression", "engine", now,
-                {"event_time": event_time})
-        if event_time == now:
-            self._same_cycle_events += 1
-            if self._same_cycle_events > self.config.max_same_cycle_events:
-                raise SanitizerViolation(
-                    "engine.livelock", "engine", event_time,
-                    {"events_this_cycle": self._same_cycle_events,
-                     "pending": pending})
-        else:
-            self._same_cycle_events = 0
 
     # -- sweeps ------------------------------------------------------------
     def run_checks(self, cycle: int) -> None:

@@ -86,6 +86,16 @@ def _run_prefix(bundle: CrashBundle, prefix: int):
         key: tuple(value) if isinstance(value, list) else value
         for key, value in bundle.design_overrides.items()
     }
+    # Decode outside the try below, which captures only what the
+    # simulation raises: a bundle this build cannot read is not a
+    # different failure of the same run.
+    try:
+        processor_config = ProcessorConfig(**bundle.processor_config)
+        sanitizer = _rebuild_sanitizer(bundle)
+    except (TypeError, KeyError, ValueError) as error:
+        raise ValueError(
+            f"bundle {bundle.path} is not replayable: cannot decode its "
+            f"run parameters ({type(error).__name__}: {error})") from error
     trace = bundle.trace[:prefix]
     try:
         run_system(
@@ -93,9 +103,9 @@ def _run_prefix(bundle: CrashBundle, prefix: int):
             seed=bundle.seed,
             trace=trace,
             warmup_refs=min(bundle.warmup_refs, prefix),
-            processor_config=ProcessorConfig(**bundle.processor_config),
+            processor_config=processor_config,
             memory=memory,
-            sanitizer=_rebuild_sanitizer(bundle),
+            sanitizer=sanitizer,
             **overrides,
         )
     except Exception as error:

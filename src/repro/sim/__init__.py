@@ -1,14 +1,11 @@
-"""Discrete-event simulation kernel, processor, and memory models."""
+"""Trace-replay processor timing model, memory model, and run entry point."""
 
-from repro.sim.engine import Engine
 from repro.sim.stats import Counter, Histogram, UtilizationMeter
 from repro.sim.memory import MainMemory
 from repro.sim.processor import ProcessorConfig, Processor, ExecutionResult
 from repro.sim.system import System, SystemResult, run_system
-from repro.sim.full_system import FullSystem, FullSystemResult, run_full_system
 
 __all__ = [
-    "Engine",
     "Counter",
     "Histogram",
     "UtilizationMeter",
@@ -19,7 +16,4 @@ __all__ = [
     "System",
     "SystemResult",
     "run_system",
-    "FullSystem",
-    "FullSystemResult",
-    "run_full_system",
 ]

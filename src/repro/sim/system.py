@@ -1,4 +1,4 @@
-"""Full-system composition: workload -> processor -> L2 design -> memory.
+"""System composition: workload -> processor -> L2 design -> memory.
 
 `run_system` is the one-call experiment entry point used by the
 examples, the tests, and every benchmark harness: it builds the named

@@ -16,7 +16,6 @@ from repro.workloads.stats import (
     reuse_distance_histogram,
     summarize,
 )
-from repro.workloads.cpu_level import CpuLevelSpec, generate_cpu_trace
 from repro.workloads.profiles import (
     BenchmarkProfile,
     PROFILES,
@@ -34,8 +33,6 @@ __all__ = [
     "predict_miss_ratio",
     "reuse_distance_histogram",
     "summarize",
-    "CpuLevelSpec",
-    "generate_cpu_trace",
     "BenchmarkProfile",
     "PROFILES",
     "benchmark_names",

@@ -3,19 +3,20 @@
 These tests tie separately implemented components together:
 
 * the scalar busy-until :class:`~repro.interconnect.link.Link` against
-  an explicit event-driven FIFO queue built on the
-  :class:`~repro.sim.engine.Engine`;
+  an explicit event-driven FIFO server built on a ``heapq`` event
+  queue;
 * the analytic stack-distance miss predictor against the actual misses
   the cache designs produce;
 * the physical-layer flight time against the cycle counts the timing
   models assume.
 """
 
+import heapq
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.interconnect.link import Link
-from repro.sim.engine import Engine
 from repro.sim.system import run_system
 from repro.tline import TABLE1_LINES, extract
 from repro.workloads.stats import predict_miss_ratio
@@ -23,31 +24,34 @@ from repro.workloads.synthetic import TraceSpec, generate_trace
 
 
 class EventDrivenFifoLink:
-    """A reference link model: an explicit server process on the engine."""
+    """A reference link model: a FIFO server draining an event queue.
+
+    Each send is an arrival event keyed by (time, arrival order); the
+    server pops them in that order and serves each message's flits
+    back to back once the link is free.
+    """
 
     def __init__(self, width_bits: int, flight_cycles: int) -> None:
         self.width_bits = width_bits
         self.flight_cycles = flight_cycles
-        self.engine = Engine()
-        self.free_at = 0
-        self.results = []
+        self.events = []
+        self.arrivals = 0
 
     def send(self, time: int, message_bits: int) -> None:
         flits = -(-message_bits // self.width_bits)
-
-        def serve(send_time=time, flits=flits):
-            start = max(send_time, self.free_at)
-            self.free_at = start + flits
-            self.results.append(
-                (start, start + self.flight_cycles,
-                 start + flits - 1 + self.flight_cycles))
-
-        # Arrival-ordered service: schedule at the send time.
-        self.engine.schedule_at(time, serve)
+        heapq.heappush(self.events, (time, self.arrivals, flits))
+        self.arrivals += 1
 
     def run(self):
-        self.engine.run()
-        return self.results
+        free_at = 0
+        results = []
+        while self.events:
+            time, _arrival, flits = heapq.heappop(self.events)
+            start = max(time, free_at)
+            free_at = start + flits
+            results.append((start, start + self.flight_cycles,
+                            start + flits - 1 + self.flight_cycles))
+        return results
 
 
 @settings(max_examples=40, deadline=None)

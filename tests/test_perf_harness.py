@@ -36,8 +36,8 @@ CODE_VERSION = "f" * 64
 def make_document(**overrides):
     results = {
         CALIBRATION_BENCHMARK: BenchResult(median_ns=1_000_000, mad_ns=100, reps=5),
-        "engine.run": BenchResult(median_ns=2_000_000, mad_ns=500, reps=5,
-                                  meta={"inner_ops": 1000}),
+        "link.transit": BenchResult(median_ns=2_000_000, mad_ns=500, reps=5,
+                                    meta={"inner_ops": 1000}),
         "l2.lookup.tlc": BenchResult(median_ns=3_000_000, mad_ns=900, reps=5),
     }
     document = bench_document(results, code_version=CODE_VERSION,
@@ -109,11 +109,11 @@ class TestBenchDocument:
         lambda d: d.update(format_version=FORMAT_VERSION + 1),
         lambda d: d.update(code_version=""),
         lambda d: d.update(benchmarks={}),
-        lambda d: d["benchmarks"]["engine.run"].update(median_ns=True),
-        lambda d: d["benchmarks"]["engine.run"].update(median_ns=0),
-        lambda d: d["benchmarks"]["engine.run"].update(mad_ns=-1),
-        lambda d: d["benchmarks"]["engine.run"].update(reps=0),
-        lambda d: d["benchmarks"]["engine.run"].update(meta=None),
+        lambda d: d["benchmarks"]["link.transit"].update(median_ns=True),
+        lambda d: d["benchmarks"]["link.transit"].update(median_ns=0),
+        lambda d: d["benchmarks"]["link.transit"].update(mad_ns=-1),
+        lambda d: d["benchmarks"]["link.transit"].update(reps=0),
+        lambda d: d["benchmarks"]["link.transit"].update(meta=None),
     ])
     def test_invalid_documents_rejected(self, mutate):
         document = make_document()
@@ -141,11 +141,11 @@ class TestCompare:
     def test_injected_regression_fails(self):
         baseline = make_document()
         current = copy.deepcopy(baseline)
-        current["benchmarks"]["engine.run"]["median_ns"] *= 3
+        current["benchmarks"]["link.transit"]["median_ns"] *= 3
         comparisons, _ = compare_benchmarks(current, baseline,
                                             fail_above_pct=40.0)
         verdicts = {c.name: c.regressed for c in comparisons}
-        assert verdicts["engine.run"] is True
+        assert verdicts["link.transit"] is True
         assert verdicts["l2.lookup.tlc"] is False
         assert main_compare_exit_code(comparisons) == 1
 
@@ -194,7 +194,7 @@ class TestSuite:
         names = benchmark_names()
         assert list(names) == sorted(names)
         assert len(names) >= 6
-        for required in (CALIBRATION_BENCHMARK, "engine.run", "l2.lookup.tlc",
+        for required in (CALIBRATION_BENCHMARK, "l2.lookup.tlc",
                          "l2.lookup.snuca2", "l2.lookup.dnuca", "link.transit",
                          "mesh.transit", "workload.generate",
                          "system.refs_per_sec.tlc"):

@@ -19,6 +19,7 @@ Three layers of coverage:
 import dataclasses
 import json
 import os
+import shutil
 import types
 
 import pytest
@@ -155,44 +156,6 @@ class TestUnitChecks:
             sanitizer.on_quiesce(10, outstanding=9)
         assert exc.value.kind == "mshr.leak"
         assert exc.value.details["at_quiesce"] is True
-
-    def test_engine_livelock_detected(self):
-        from repro.sim.engine import Engine
-
-        engine = Engine()
-        sanitizer = Sanitizer(config=SanitizerConfig(
-            max_same_cycle_events=50))
-        sanitizer.attach_engine(engine)
-
-        def spin():
-            engine.schedule(0, spin)
-
-        engine.schedule(0, spin)
-        with pytest.raises(SanitizerViolation) as exc:
-            engine.run()
-        assert exc.value.kind == "engine.livelock"
-
-    def test_engine_time_regression_detected(self):
-        sanitizer = Sanitizer()
-        sanitizer.on_engine_dispatch(100, 100, pending=1)
-        with pytest.raises(SanitizerViolation) as exc:
-            sanitizer.on_engine_dispatch(100, 99, pending=1)
-        assert exc.value.kind == "engine.time_regression"
-
-    def test_watched_engine_results_match_plain(self):
-        from repro.sim.engine import Engine
-
-        def run(engine):
-            order = []
-            engine.schedule(5, lambda: order.append("b"))
-            engine.schedule(1, lambda: order.append("a"))
-            engine.run()
-            return order, engine.now
-
-        plain = run(Engine())
-        watched_engine = Engine()
-        Sanitizer().attach_engine(watched_engine)
-        assert run(watched_engine) == plain
 
     def test_sim_fault_parse(self):
         assert SimFault.parse("drop_transfer") == SimFault("drop_transfer")
@@ -491,6 +454,44 @@ class TestCLI:
 
         assert main(["replay", str(tmp_path / "nope")]) == 2
         assert "cannot load bundle" in capsys.readouterr().err
+
+    @pytest.fixture(scope="class")
+    def drop_bundle(self, tmp_path_factory):
+        """A pristine ``drop_transfer:40`` crash bundle to tamper with."""
+        with pytest.raises(SanitizerViolation) as exc:
+            run_system("SNUCA2", "mcf", n_refs=2000, seed=7,
+                       crash_dir=str(tmp_path_factory.mktemp("crashes")),
+                       sanitizer=Sanitizer(fault=SimFault("drop_transfer",
+                                                          at=40)))
+        return exc.value.crash_bundle
+
+    @pytest.mark.parametrize("tamper, reason", [
+        (lambda doc: doc["sanitizer"]["config"].update(retired_knob=1),
+         "unexpected keyword argument 'retired_knob'"),
+        (lambda doc: doc["sanitizer"]["fault"].pop("kind"),
+         "KeyError: 'kind'"),
+        (lambda doc: doc["processor_config"].update(fetch_width=4),
+         "unexpected keyword argument 'fetch_width'"),
+        (lambda doc: doc.update(format_version=1),
+         "unsupported bundle format 1"),
+    ], ids=["unknown-sanitizer-key", "fault-without-kind",
+            "unknown-processor-key", "format-1"])
+    def test_replay_undecodable_bundle_exits_two(self, drop_bundle, tmp_path,
+                                                 capsys, tamper, reason):
+        # A bundle this build cannot decode is "not replayable" (exit
+        # 2), never a different failure of the run it recorded (exit 1).
+        from repro.cli import main
+
+        bundle = str(tmp_path / "bundle")
+        shutil.copytree(drop_bundle, bundle)
+        document_path = os.path.join(bundle, "bundle.json")
+        with open(document_path, encoding="utf-8") as handle:
+            document = json.load(handle)
+        tamper(document)
+        with open(document_path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        assert main(["replay", bundle]) == 2
+        assert reason in capsys.readouterr().err
 
     def test_bad_fault_spec_exits_two(self, capsys):
         from repro.cli import main
