@@ -102,7 +102,7 @@ def _build_link_transit(scale: int) -> Tuple[Callable[[], Any], Dict[str, Any]]:
     from repro.interconnect.link import Link
     from repro.sim.stats import UtilizationMeter
 
-    link = Link(64, flight_cycles=1, meter=UtilizationMeter(1), length_m=0.011)
+    link = Link(64, flight_cycles=1, meter=UtilizationMeter(1))
     n = max(1_000, 5_000 // scale)
     clock = [0]
 

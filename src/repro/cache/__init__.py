@@ -1,4 +1,4 @@
-"""Generic cache substrate: addresses, replacement, banks, partial tags, ECC."""
+"""Generic cache substrate: addresses, replacement, banks, partial tags."""
 
 from repro.cache.address import AddressMap, block_address
 from repro.cache.replacement import (
@@ -10,7 +10,6 @@ from repro.cache.replacement import (
 )
 from repro.cache.bank import CacheBank, AccessResult
 from repro.cache.partial_tags import PartialTagArray, partial_tag
-from repro.cache.ecc import EccGeometry, secded_check_bits
 
 __all__ = [
     "AddressMap",
@@ -24,6 +23,4 @@ __all__ = [
     "AccessResult",
     "PartialTagArray",
     "partial_tag",
-    "EccGeometry",
-    "secded_check_bits",
 ]

@@ -20,6 +20,10 @@ experiment harness can treat every design uniformly:
   and Table 6's predictable-lookup percentage.
 * ``network_energy_j``: accumulated interconnect energy for Table 9.
 
+The bank-port model (:meth:`L2Design._bank_access`) is shared too.  Each
+design keeps its interconnect in ``self.network`` and asks it only for
+arrival cycles; the network owns its counters and energy.
+
 All of these live in a per-design
 :class:`~repro.obs.registry.MetricsRegistry` (``design.metrics``) under
 dotted names — ``l2.hits``, ``l2.lookup_latency``,
@@ -79,7 +83,10 @@ class L2Design(abc.ABC):
         self.lookup_latencies = self.metrics.histogram("l2.lookup_latency")
         self.metrics.register("memory", self.memory.stats)
         self.metrics.gauge("l2.network_energy_j", self.network_energy_j)
-        self._network_energy_acc = 0.0
+        #: the interconnect, set by the concrete design: it answers
+        #: utilization(elapsed), energy_j(), reset_counters() and
+        #: attach_sanitizer(sanitizer).
+        self.network = None
         #: optional repro.sanitizer.Sanitizer; see attach_sanitizer.
         self.sanitizer = None
 
@@ -87,10 +94,6 @@ class L2Design(abc.ABC):
     @abc.abstractmethod
     def access(self, addr: int, time: int, write: bool = False) -> L2Outcome:
         """Process one request arriving at the controller at ``time``."""
-
-    @abc.abstractmethod
-    def link_utilization(self, elapsed_cycles: int) -> float:
-        """Average utilization of the design's data links (Fig. 7)."""
 
     @abc.abstractmethod
     def bulk_install(self, addrs: Iterable[int]) -> None:
@@ -118,26 +121,39 @@ class L2Design(abc.ABC):
         registered at construction keep observing the live values.
         """
         self.metrics.reset()
-        self._network_energy_acc = 0.0
-        self._reset_stats_extra()
-
-    def _reset_stats_extra(self) -> None:
-        """Hook for subclasses to clear design-specific meters."""
+        self.network.reset_counters()
 
     # -- sanitizer wiring --------------------------------------------------
     def attach_sanitizer(self, sanitizer) -> None:
         """Wire a :class:`~repro.sanitizer.Sanitizer` into this design.
 
-        Sets the per-access hook on this object, then lets the concrete
-        design wire its links/mesh/banks and register design-specific
-        invariants via :meth:`_attach_sanitizer_extra`.  Attaching a
-        sanitizer never changes simulated behaviour.
+        Sets the per-access hook on this object and wires the network,
+        then lets the concrete design watch its banks and register
+        design-specific invariants via :meth:`_attach_sanitizer_extra`.
+        Attaching a sanitizer never changes simulated behaviour.
         """
         self.sanitizer = sanitizer
+        self.network.attach_sanitizer(sanitizer)
         self._attach_sanitizer_extra(sanitizer)
 
     def _attach_sanitizer_extra(self, sanitizer) -> None:
-        """Hook for subclasses to wire components and invariants."""
+        """Hook for subclasses to watch banks and add invariants."""
+
+    # -- shared timing -------------------------------------------------------
+    def _bank_access(self, bank: int, ready: int, contend: bool = True) -> int:
+        """Occupy the bank; returns the cycle its access completes.
+
+        ``bank`` indexes the design's flat ``[0] * config.banks`` list
+        ``_bank_busy_until``.  ``contend=False`` (refills arriving from
+        memory) models the port time without reserving the bank against
+        earlier demand requests.
+        """
+        if not contend:
+            return ready + self.config.bank_access_cycles
+        start = max(ready, self._bank_busy_until[bank])
+        done = start + self.config.bank_access_cycles
+        self._bank_busy_until[bank] = done
+        return done
 
     # -- shared bookkeeping ------------------------------------------------
     def _record(self, outcome: L2Outcome, banks_accessed: int) -> None:
@@ -177,13 +193,13 @@ class L2Design(abc.ABC):
     def mean_lookup_latency(self) -> float:
         return self.lookup_latencies.mean
 
-    def network_energy_j(self) -> float:
-        """Total interconnect dynamic energy so far, joules.
+    def link_utilization(self, elapsed_cycles: int) -> float:
+        """Average utilization of the design's data links (Fig. 7)."""
+        return self.network.utilization(elapsed_cycles)
 
-        The TLC designs accumulate per-transfer signalling energy; the
-        NUCA designs override this to price their mesh traffic.
-        """
-        return self._network_energy_acc
+    def network_energy_j(self) -> float:
+        """Total interconnect dynamic energy so far, joules."""
+        return self.network.energy_j()
 
     def network_power_w(self, elapsed_cycles: int) -> float:
         """Average network dynamic power over the run, watts (Table 9)."""

@@ -10,14 +10,17 @@ lines (0.9 / 1.1 / 1.3 cm classes from Table 1), which sets the
 per-bit signalling energy used in the Table 9 power accounting.
 
 The controller is also where full-tag comparison happens in the TLCopt
-designs and where end-to-end ECC would be generated and checked; both
-are timing-neutral here (the compare fits in the already-counted
-controller wire cycles).
+designs; it is timing-neutral here (the compare fits in the
+already-counted controller wire cycles).
+
+The controller owns its traffic accounting: the shared utilization
+meter, the per-link counters and the signalling energy of every
+transfer.  The designs see arrival cycles only.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.core.config import DesignConfig
 from repro.interconnect.link import Link, Transfer
@@ -42,6 +45,7 @@ class TLCController:
         self.request_links: List[Link] = []
         self.response_links: List[Link] = []
         self._energy_per_bit: List[float] = []
+        self._energy_j = 0.0
         self._line_lengths = self._pair_line_lengths()
         for pair in range(pairs):
             length = self._line_lengths[pair]
@@ -49,10 +53,10 @@ class TLCController:
             line = extract(geometry, tech)
             flight = 1  # every Table 1 line flies in one 10 GHz cycle
             self.request_links.append(
-                Link(config.request_link_bits, flight, self.meter, length)
+                Link(config.request_link_bits, flight, self.meter)
             )
             self.response_links.append(
-                Link(config.response_link_bits, flight, self.meter, length)
+                Link(config.response_link_bits, flight, self.meter)
             )
             self._energy_per_bit.append(
                 transmission_line_energy_per_bit(line.z0, tech)
@@ -104,25 +108,30 @@ class TLCController:
 
     # -- transfers ----------------------------------------------------------
     def send_request(self, pair: int, time: int, bits: int,
-                     contend: bool = True) -> Tuple[Transfer, float]:
-        """Controller -> bank.  Returns the transfer and its energy (J)."""
+                     contend: bool = True) -> Transfer:
+        """Controller -> bank.  Returns the transfer and charges its energy."""
         transfer = self.request_links[pair].send(
             time + self._request_delays[pair], bits, contend)
-        return transfer, bits * self._energy_per_bit[pair]
+        self._energy_j += bits * self._energy_per_bit[pair]
+        return transfer
 
     def send_response(self, pair: int, time: int, bits: int,
-                      contend: bool = True) -> Tuple[Transfer, int, float]:
-        """Bank -> controller.  Returns (transfer, arrival-at-logic, energy).
+                      contend: bool = True) -> int:
+        """Bank -> controller.  Returns the arrival cycle at the logic.
 
         The arrival time adds the controller-internal wire delay after the
         critical word lands at the controller edge.
         """
         transfer = self.response_links[pair].send(time, bits, contend)
-        arrival = transfer.first_arrival + self._response_delays[pair]
-        return transfer, arrival, bits * self._energy_per_bit[pair]
+        self._energy_j += bits * self._energy_per_bit[pair]
+        return transfer.first_arrival + self._response_delays[pair]
 
     def utilization(self, elapsed_cycles: int) -> float:
         return self.meter.utilization(elapsed_cycles)
+
+    def energy_j(self) -> float:
+        """Signalling energy of every transfer since the last reset, joules."""
+        return self._energy_j
 
     # -- observability -----------------------------------------------------
     def register_metrics(self, scope) -> None:
@@ -137,13 +146,16 @@ class TLCController:
 
     def attach_sanitizer(self, sanitizer) -> None:
         """Route every bundle link's transfers into ``sanitizer`` for
-        message-conservation accounting."""
+        message-conservation accounting.  A link delivers a message when
+        it sends it, so the check fires only when the ``drop_transfer``
+        fault removes one."""
         for link in self.request_links + self.response_links:
             link.sanitizer = sanitizer
 
     def reset_counters(self) -> None:
-        """Zero traffic accounting in place, preserving link busy state
-        (the warmup-boundary reset the designs call)."""
+        """Zero traffic accounting and energy in place, preserving link
+        busy state (the warmup-boundary reset)."""
         self.meter.reset()
+        self._energy_j = 0.0
         for link in self.request_links + self.response_links:
             link.reset_counters()

@@ -50,29 +50,15 @@ class TransmissionLineCache(L2Design):
             CacheBank(sets_per_bank, config.associativity, config.replacement)
             for _ in range(config.banks)
         ]
-        self.controller = TLCController(config, tech)
+        self.network = TLCController(config, tech)
         self._bank_busy_until = [0] * config.banks
-        self.controller.register_metrics(self.metrics.scope("link"))
+        self.network.register_metrics(self.metrics.scope("link"))
         for index, bank in enumerate(self.banks):
             bank.register_metrics(self.metrics.scope(f"l2.bank{index:02d}"))
 
-    # -- timing helpers ----------------------------------------------------
-    def _bank_access(self, bank: int, ready: int, contend: bool = True) -> int:
-        """Occupy the bank; returns the cycle its access completes.
-
-        ``contend=False`` (refills arriving from memory) models the port
-        time without reserving the bank against earlier demand requests.
-        """
-        if not contend:
-            return ready + self.config.bank_access_cycles
-        start = max(ready, self._bank_busy_until[bank])
-        done = start + self.config.bank_access_cycles
-        self._bank_busy_until[bank] = done
-        return done
-
     def uncontended_latency(self, addr: int) -> int:
         pair = self.addr_map.bank_index(addr) // 2
-        return self.controller.uncontended_latency(pair)
+        return self.network.uncontended_latency(pair)
 
     # -- the access path ----------------------------------------------------
     def access(self, addr: int, time: int, write: bool = False) -> L2Outcome:
@@ -89,16 +75,13 @@ class TransmissionLineCache(L2Design):
 
     def _read(self, bank: CacheBank, bank_idx: int, pair: int,
               set_index: int, tag: int, time: int) -> L2Outcome:
-        request, energy = self.controller.send_request(pair, time, REQUEST_BITS)
-        self._network_energy_acc += energy
+        request = self.network.send_request(pair, time, REQUEST_BITS)
         bank_done = self._bank_access(bank_idx, request.first_arrival)
         lookup = bank.lookup(set_index, tag)
-        expected = self.controller.uncontended_latency(pair)
+        expected = self.network.uncontended_latency(pair)
 
         if lookup.hit:
-            _, arrival, energy = self.controller.send_response(
-                pair, bank_done, BLOCK_BITS)
-            self._network_energy_acc += energy
+            arrival = self.network.send_response(pair, bank_done, BLOCK_BITS)
             latency = arrival - time
             return L2Outcome(
                 complete_time=arrival,
@@ -109,9 +92,7 @@ class TransmissionLineCache(L2Design):
 
         # Miss: the bank's tag compare fails; a short ack tells the
         # controller, which fetches from memory and refills the bank.
-        _, miss_at, energy = self.controller.send_response(
-            pair, bank_done, REQUEST_BITS)
-        self._network_energy_acc += energy
+        miss_at = self.network.send_response(pair, bank_done, REQUEST_BITS)
         latency = miss_at - time
         mem_done = self.memory.read(miss_at)
         self._refill(bank, bank_idx, pair, set_index, tag, mem_done)
@@ -126,9 +107,8 @@ class TransmissionLineCache(L2Design):
                set_index: int, tag: int, time: int) -> L2Outcome:
         # Store/writeback: address and a full block ride the request link;
         # no tag comparison is needed (exclusive write-back design).
-        request, energy = self.controller.send_request(
+        request = self.network.send_request(
             pair, time, REQUEST_BITS + BLOCK_BITS)
-        self._network_energy_acc += energy
         self._bank_access(bank_idx, request.last_arrival)
         hit = bank.lookup(set_index, tag, write=True).hit
         if not hit:
@@ -145,9 +125,8 @@ class TransmissionLineCache(L2Design):
     def _refill(self, bank: CacheBank, bank_idx: int, pair: int,
                 set_index: int, tag: int, time: int) -> None:
         """Install a block fetched from memory (occupies the request link)."""
-        refill, energy = self.controller.send_request(
+        refill = self.network.send_request(
             pair, time, REQUEST_BITS + BLOCK_BITS, contend=False)
-        self._network_energy_acc += energy
         self._bank_access(bank_idx, refill.last_arrival, contend=False)
         self._insert(bank, bank_idx, pair, set_index, tag,
                      refill.last_arrival, dirty=False)
@@ -157,24 +136,16 @@ class TransmissionLineCache(L2Design):
         result = bank.insert(set_index, tag, dirty=dirty)
         if result.evicted_tag is not None and result.evicted_dirty:
             # Victim writeback: block travels bank -> controller -> memory.
-            _, arrival, energy = self.controller.send_response(
+            arrival = self.network.send_response(
                 pair, time, BLOCK_BITS, contend=False)
-            self._network_energy_acc += energy
             self.memory.write(arrival)
             self.stats.add("writebacks")
-
-    def link_utilization(self, elapsed_cycles: int) -> float:
-        return self.controller.utilization(elapsed_cycles)
 
     def bulk_install(self, addrs: Iterable[int]) -> None:
         for bank, pairs in zip(self.banks, self.addr_map.by_bank(addrs)):
             bank.install_all(pairs)
 
-    def _reset_stats_extra(self) -> None:
-        self.controller.reset_counters()
-
     def _attach_sanitizer_extra(self, sanitizer) -> None:
-        self.controller.attach_sanitizer(sanitizer)
         sanitizer.watch_banks(self.name, [
             (f"bank{index:02d}", bank)
             for index, bank in enumerate(self.banks)

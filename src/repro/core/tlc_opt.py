@@ -75,7 +75,7 @@ class OptimizedTLC(L2Design):
             CacheBank(sets_per_group, config.associativity, config.replacement)
             for _ in range(self.num_groups)
         ]
-        self.controller = TLCController(config, tech)
+        self.network = TLCController(config, tech)
         self._bank_busy_until = [0] * config.banks
         self._data_slice_bits = BLOCK_BITS // self.stripe_banks
         # Stripe geometry and group round-trip delay are pure functions
@@ -87,7 +87,7 @@ class OptimizedTLC(L2Design):
                 for b in self._group_banks[group])
             for group in range(self.num_groups)
         ]
-        self.controller.register_metrics(self.metrics.scope("link"))
+        self.network.register_metrics(self.metrics.scope("link"))
         for index, group in enumerate(self.groups):
             group.register_metrics(self.metrics.scope(f"l2.group{index:02d}"))
 
@@ -98,28 +98,16 @@ class OptimizedTLC(L2Design):
 
     def uncontended_latency(self, addr: int) -> int:
         group = self.addr_map.bank_index(addr)
-        return 2 + self.config.bank_access_cycles + self._group_rt_delay(group)
-
-    def _group_rt_delay(self, group: int) -> int:
-        return self._group_rt_delays[group]
+        return 2 + self.config.bank_access_cycles + self._group_rt_delays[group]
 
     # -- timing helpers --------------------------------------------------------
-    def _bank_access(self, bank: int, ready: int, contend: bool = True) -> int:
-        if not contend:
-            return ready + self.config.bank_access_cycles
-        start = max(ready, self._bank_busy_until[bank])
-        done = start + self.config.bank_access_cycles
-        self._bank_busy_until[bank] = done
-        return done
-
     def _fan_out(self, group: int, time: int, request_bits: int,
                  contend: bool = True) -> List[Tuple[int, int]]:
         """Send a request to every stripe bank; returns (bank, done) pairs."""
         results = []
         for bank in self._group_banks[group]:
-            transfer, energy = self.controller.send_request(
+            transfer = self.network.send_request(
                 bank // 2, time, request_bits, contend)
-            self._network_energy_acc += energy
             done = self._bank_access(bank, transfer.last_arrival, contend)
             results.append((bank, done))
         return results
@@ -129,9 +117,8 @@ class OptimizedTLC(L2Design):
         """Collect responses from every stripe bank; returns last arrival."""
         last = 0
         for bank, done in bank_dones:
-            _, arrival, energy = self.controller.send_response(
+            arrival = self.network.send_response(
                 bank // 2, done, response_bits, contend)
-            self._network_energy_acc += energy
             last = max(last, arrival)
         return last
 
@@ -159,7 +146,7 @@ class OptimizedTLC(L2Design):
 
     def _read(self, group: CacheBank, group_idx: int, set_index: int,
               tag: int, time: int) -> L2Outcome:
-        expected = 2 + self.config.bank_access_cycles + self._group_rt_delay(group_idx)
+        expected = 2 + self.config.bank_access_cycles + self._group_rt_delays[group_idx]
         matches = self._partial_matches(group, set_index, tag)
         hit = group.lookup(set_index, tag).hit
         bank_dones = self._fan_out(group_idx, time, OPT_REQUEST_BITS)
@@ -233,18 +220,11 @@ class OptimizedTLC(L2Design):
             self.memory.write(arrival)
             self.stats.add("writebacks")
 
-    def link_utilization(self, elapsed_cycles: int) -> float:
-        return self.controller.utilization(elapsed_cycles)
-
     def bulk_install(self, addrs: Iterable[int]) -> None:
         for group, pairs in zip(self.groups, self.addr_map.by_bank(addrs)):
             group.install_all(pairs)
 
-    def _reset_stats_extra(self) -> None:
-        self.controller.reset_counters()
-
     def _attach_sanitizer_extra(self, sanitizer) -> None:
-        self.controller.attach_sanitizer(sanitizer)
         sanitizer.watch_banks(self.name, [
             (f"group{index:02d}", group)
             for index, group in enumerate(self.groups)

@@ -44,8 +44,7 @@ class Link:
     """One unidirectional link of a given width (bits) and flight time."""
 
     def __init__(self, width_bits: int, flight_cycles: int = 1,
-                 meter: Optional[UtilizationMeter] = None,
-                 length_m: float = 0.0) -> None:
+                 meter: Optional[UtilizationMeter] = None) -> None:
         if width_bits <= 0:
             raise ValueError("width must be positive")
         if flight_cycles < 0:
@@ -53,13 +52,14 @@ class Link:
         self.width_bits = width_bits
         self.flight_cycles = flight_cycles
         self.meter = meter
-        self.length_m = length_m
         self.busy_until = 0
         self.bits_sent = 0
         self.transfers = 0
         #: optional repro.sanitizer.Sanitizer receiving one on_transfer
-        #: per send for message-conservation accounting.  Mesh-internal
-        #: links stay detached — the mesh accounts at message level.
+        #: per send for message-conservation accounting; the send is
+        #: also the delivery, so only a ``drop_transfer`` fault unbalances
+        #: it.  Mesh-internal links stay detached — the mesh accounts at
+        #: message level.
         self.sanitizer = None
         # Messages come in a handful of fixed sizes (request, ack, block,
         # request+block), so the flit count per size is computed once.

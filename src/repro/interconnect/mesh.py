@@ -12,6 +12,10 @@ Wormhole switching: the head flit advances one hop per ``hop_latency``
 cycles and each traversed link stays busy for the message's full flit
 count, so contention appears wherever message paths overlap — the
 paper's "contention in the routing network to and from the banks".
+
+The mesh owns its traffic accounting and prices it: every bit-hop costs
+one hop of conventional repeated wire plus one switch traversal
+(Table 9's NUCA network energy).
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from typing import Dict, List, NamedTuple, Tuple
 from repro.interconnect.link import Link
 from repro.interconnect.message import flits_for_bits
 from repro.sim.stats import UtilizationMeter
+from repro.tech import Technology, TECH_45NM
+from repro.tline.power import conventional_energy_per_bit
 
 LinkKey = Tuple[str, int, int, int]  # (kind, column, index, direction)
 
@@ -48,7 +54,8 @@ class MeshNetwork:
     """A controller-rooted mesh over ``columns`` x ``rows`` banks."""
 
     def __init__(self, columns: int, rows: int, flit_bits: int,
-                 hop_latency: int = 1, hop_length_m: float = 0.66e-3) -> None:
+                 hop_latency: int = 1, hop_length_m: float = 0.66e-3,
+                 tech: Technology = TECH_45NM) -> None:
         if columns < 2 or columns % 2:
             raise ValueError("columns must be an even number >= 2")
         if rows < 1:
@@ -57,7 +64,10 @@ class MeshNetwork:
         self.rows = rows
         self.flit_bits = flit_bits
         self.hop_latency = hop_latency
-        self.hop_length_m = hop_length_m
+        # Joules per bit per hop: one hop of wire plus one switch.
+        self._energy_per_bit_hop = (
+            conventional_energy_per_bit(hop_length_m, tech)
+            + tech.switch_energy_per_bit)
         # Directed links: horizontal edge links + vertical column links.
         self.meter = UtilizationMeter(resources=self._count_links())
         self._links: Dict[LinkKey, Link] = {}
@@ -70,7 +80,9 @@ class MeshNetwork:
         self.bit_hops = 0
         self.switch_traversals = 0
         #: optional repro.sanitizer.Sanitizer; accounted per *message*
-        #: (not per hop) so multi-link routes count as one transfer.
+        #: (not per hop) so multi-link routes count as one transfer.  The
+        #: send is also the delivery, so only a ``drop_transfer`` fault
+        #: unbalances it.
         self.sanitizer = None
 
     def _count_links(self) -> int:
@@ -82,7 +94,7 @@ class MeshNetwork:
         link = self._links.get(key)
         if link is None:
             link = Link(self.flit_bits, flight_cycles=self.hop_latency,
-                        meter=self.meter, length_m=self.hop_length_m)
+                        meter=self.meter)
             self._links[key] = link
         return link
 
@@ -191,6 +203,14 @@ class MeshNetwork:
     def utilization(self, elapsed_cycles: int) -> float:
         return self.meter.utilization(elapsed_cycles)
 
+    def energy_j(self) -> float:
+        """Wire-plus-switch energy of the traffic since the last reset, joules."""
+        return self.bit_hops * self._energy_per_bit_hop
+
+    def attach_sanitizer(self, sanitizer) -> None:
+        """Account every message in ``sanitizer`` (message conservation)."""
+        self.sanitizer = sanitizer
+
     def register_metrics(self, scope) -> None:
         """Mount the mesh's meters/gauges on a registry scope (``mesh``).
 
@@ -205,8 +225,8 @@ class MeshNetwork:
         scope.gauge("links_total", self._count_links)
 
     def reset_counters(self) -> None:
-        """Zero traffic accounting in place, preserving link busy state
-        (the warmup-boundary reset the designs call)."""
+        """Zero traffic accounting (and so energy) in place, preserving
+        link busy state (the warmup-boundary reset)."""
         self.meter.reset()
         self.bit_hops = 0
         self.switch_traversals = 0

@@ -55,12 +55,6 @@ class DynamicNUCA(L2Design):
         super().__init__(memory=memory, tech=tech)
         if config.kind != "dnuca":
             raise ValueError(f"{config.name} is not a DNUCA config")
-        if config.insertion_position not in ("tail", "head"):
-            raise ValueError("insertion_position must be 'tail' or 'head'")
-        if config.search_mode not in ("multicast", "incremental"):
-            raise ValueError("search_mode must be 'multicast' or 'incremental'")
-        if config.promotion_distance < 1:
-            raise ValueError("promotion_distance must be at least 1")
         self.config = config
         self.name = config.name
         self.banksets = config.mesh_columns
@@ -79,21 +73,21 @@ class DynamicNUCA(L2Design):
             PartialTagArray(self.positions, sets_per_bank, config.associativity)
             for _ in range(self.banksets)
         ]
-        self.mesh = MeshNetwork(config.mesh_columns, config.mesh_rows,
-                                config.mesh_flit_bits, config.mesh_hop_latency,
-                                config.mesh_hop_length_m)
-        self._bank_busy_until = [
-            [0] * self.positions for _ in range(self.banksets)
-        ]
+        self.network = MeshNetwork(config.mesh_columns, config.mesh_rows,
+                                   config.mesh_flit_bits, config.mesh_hop_latency,
+                                   config.mesh_hop_length_m, tech)
+        # One busy-until cycle per bank, flat: bank (column, position)
+        # is index column * positions + position.
+        self._bank_busy_until = [0] * config.banks
         # Uncontended latency is a pure function of (column, position)
         # and the config, asked for on every read hit — tabulate it once.
         self._uncontended = [
-            [self.mesh.uncontended_latency(column, position,
-                                           config.bank_access_cycles)
+            [self.network.uncontended_latency(column, position,
+                                              config.bank_access_cycles)
              for position in range(self.positions)]
             for column in range(self.banksets)
         ]
-        self.mesh.register_metrics(self.metrics.scope("mesh"))
+        self.network.register_metrics(self.metrics.scope("mesh"))
         # 256 banks: per-bank gauges would dominate every snapshot, so
         # occupancy is exposed per bank set (mesh column) instead.
         for column in range(self.banksets):
@@ -111,18 +105,6 @@ class DynamicNUCA(L2Design):
                 return position, way
         return None
 
-    def _bank_access(self, column: int, position: int, ready: int,
-                     contend: bool = True) -> int:
-        if not contend:
-            return ready + self.config.bank_access_cycles
-        start = max(ready, self._bank_busy_until[column][position])
-        done = start + self.config.bank_access_cycles
-        self._bank_busy_until[column][position] = done
-        return done
-
-    def uncontended_latency_of(self, column: int, position: int) -> int:
-        return self._uncontended[column][position]
-
     # -- the access path ----------------------------------------------------
     def access(self, addr: int, time: int, write: bool = False) -> L2Outcome:
         column, set_index, tag = self.addr_map.decompose(addr)
@@ -135,12 +117,13 @@ class DynamicNUCA(L2Design):
         holder = self._find(column, set_index, tag)
         pta = self.partial_tags[column]
         all_matches = pta.matches(set_index, tag)
+        first_bank = column * self.positions
 
         # Probe the closest two banks (in parallel with the partial tags).
         probe_done = {}
         for position in CLOSEST_BANKS:
-            request = self.mesh.send(column, position, time, REQUEST_BITS, True)
-            probe_done[position] = self._bank_access(column, position,
+            request = self.network.send(column, position, time, REQUEST_BITS, True)
+            probe_done[position] = self._bank_access(first_bank + position,
                                                      request.first_arrival)
         banks_accessed = len(CLOSEST_BANKS)
 
@@ -155,7 +138,8 @@ class DynamicNUCA(L2Design):
         # Closest-two miss.  Miss acks flow back while the partial tags
         # direct (or rule out) a wider search.
         ack_times = [
-            self.mesh.send(column, p, probe_done[p], REQUEST_BITS, False).first_arrival
+            self.network.send(column, p, probe_done[p], REQUEST_BITS,
+                              False).first_arrival
             for p in CLOSEST_BANKS
         ]
         if self.config.use_partial_tags:
@@ -200,9 +184,9 @@ class DynamicNUCA(L2Design):
         banks_accessed += len(search_candidates)
         search_done = {}
         for position in search_candidates:
-            request = self.mesh.send(column, position, search_start,
-                                     REQUEST_BITS, True)
-            search_done[position] = self._bank_access(column, position,
+            request = self.network.send(column, position, search_start,
+                                        REQUEST_BITS, True)
+            search_done[position] = self._bank_access(first_bank + position,
                                                       request.first_arrival)
 
         if holder is not None and holder[0] in search_done:
@@ -214,7 +198,7 @@ class DynamicNUCA(L2Design):
 
         # Every candidate was a partial-tag false positive.
         search_acks = [
-            self.mesh.send(column, p, done, REQUEST_BITS, False).first_arrival
+            self.network.send(column, p, done, REQUEST_BITS, False).first_arrival
             for p, done in search_done.items()
         ]
         miss_at = max(search_acks)
@@ -232,15 +216,16 @@ class DynamicNUCA(L2Design):
         latency/bandwidth trade-off of Kim et al.'s incremental search.
         """
         now = search_start
+        first_bank = column * self.positions
         for position in candidates:
             banks_accessed += 1
-            request = self.mesh.send(column, position, now, REQUEST_BITS, True)
-            done = self._bank_access(column, position, request.first_arrival)
+            request = self.network.send(column, position, now, REQUEST_BITS, True)
+            done = self._bank_access(first_bank + position, request.first_arrival)
             if holder is not None and holder[0] == position:
                 outcome = self._hit(column, position, holder[1], set_index,
                                     tag, time, done, write, close_hit=False)
                 return outcome, banks_accessed
-            ack = self.mesh.send(column, position, done, REQUEST_BITS, False)
+            ack = self.network.send(column, position, done, REQUEST_BITS, False)
             now = ack.first_arrival
         return (self._miss(column, set_index, tag, time, now,
                            predictable=False, write=write), banks_accessed)
@@ -253,11 +238,12 @@ class DynamicNUCA(L2Design):
         bank.lookup(set_index, tag, write=write)
         if write:
             # The store's data follows the probe to the located bank.
-            data = self.mesh.send(column, position, bank_done, BLOCK_BITS, True)
+            data = self.network.send(column, position, bank_done, BLOCK_BITS, True)
             complete = data.last_arrival
             outcome = L2Outcome(complete, True, 0, predictable=True, write=True)
         else:
-            response = self.mesh.send(column, position, bank_done, BLOCK_BITS, False)
+            response = self.network.send(column, position, bank_done,
+                                         BLOCK_BITS, False)
             latency = response.first_arrival - time
             expected = self._uncontended[column][position]
             predictable = close_hit and latency == expected
@@ -287,12 +273,13 @@ class DynamicNUCA(L2Design):
         # which briefly occupies both endpoint banks as well.
         transfer_time = time
         for hop in range(target + 1, position + 1):
-            self.mesh.transfer_between(column, hop, transfer_time,
-                                       BLOCK_BITS, upward=False)
-            self.mesh.transfer_between(column, hop, transfer_time,
-                                       BLOCK_BITS, upward=True)
-        self._bank_access(column, position, time)
-        self._bank_access(column, target, time)
+            self.network.transfer_between(column, hop, transfer_time,
+                                          BLOCK_BITS, upward=False)
+            self.network.transfer_between(column, hop, transfer_time,
+                                          BLOCK_BITS, upward=True)
+        first_bank = column * self.positions
+        self._bank_access(first_bank + position, time)
+        self._bank_access(first_bank + target, time)
         self.stats.add("promotions")
 
     def _miss(self, column: int, set_index: int, tag: int, time: int,
@@ -315,18 +302,18 @@ class DynamicNUCA(L2Design):
             entry = self.positions - 1
         else:
             entry = 0
-        transfer = self.mesh.send(column, entry, time,
-                                  REQUEST_BITS + BLOCK_BITS, True, contend=False)
-        accepted = self._bank_access(column, entry, transfer.last_arrival,
-                                     contend=False)
+        transfer = self.network.send(column, entry, time,
+                                     REQUEST_BITS + BLOCK_BITS, True, contend=False)
+        accepted = self._bank_access(column * self.positions + entry,
+                                     transfer.last_arrival, contend=False)
         bank = self.banks[column][entry]
         result = bank.insert(set_index, tag, dirty=dirty)
         pta = self.partial_tags[column]
         pta.update(entry, set_index, result.way, tag)
         self.stats.add("insertions")
         if result.evicted_tag is not None and result.evicted_dirty:
-            writeback = self.mesh.send(column, entry, accepted, BLOCK_BITS,
-                                       False, contend=False)
+            writeback = self.network.send(column, entry, accepted, BLOCK_BITS,
+                                          False, contend=False)
             self.memory.write(writeback.last_arrival)
             self.stats.add("writebacks")
         return accepted
@@ -364,21 +351,9 @@ class DynamicNUCA(L2Design):
         """Table 6, column 6: block promotions per insertion."""
         return self.stats.ratio("promotions", "insertions")
 
-    @property
-    def close_hit_fraction(self) -> float:
-        """Table 6, column 5: fraction of reads hitting the closest banks."""
-        return self.stats.ratio("close_hits", "requests")
-
-    def link_utilization(self, elapsed_cycles: int) -> float:
-        return self.mesh.utilization(elapsed_cycles)
-
-    def _reset_stats_extra(self) -> None:
-        self.mesh.reset_counters()
-
     def _attach_sanitizer_extra(self, sanitizer) -> None:
         from repro.sanitizer.core import SanitizerViolation
 
-        self.mesh.sanitizer = sanitizer
         sanitizer.watch_banks(self.name, [
             (f"bankset{column:02d}.pos{position:02d}", bank)
             for column, bankset in enumerate(self.banks)
@@ -408,8 +383,3 @@ class DynamicNUCA(L2Design):
 
         sanitizer.register_invariant(f"{self.name}.partial_tags",
                                      check_partial_tags)
-
-    def network_energy_j(self) -> float:
-        wire = self.tech.conventional_energy_per_bit(self.mesh.hop_length_m)
-        per_bit_hop = wire + self.tech.switch_energy_per_bit
-        return self.mesh.bit_hops * per_bit_hop

@@ -42,20 +42,20 @@ class StaticNUCA(L2Design):
             CacheBank(sets_per_bank, config.associativity, config.replacement)
             for _ in range(config.banks)
         ]
-        self.mesh = MeshNetwork(config.mesh_columns, config.mesh_rows,
-                                config.mesh_flit_bits, config.mesh_hop_latency,
-                                config.mesh_hop_length_m)
+        self.network = MeshNetwork(config.mesh_columns, config.mesh_rows,
+                                   config.mesh_flit_bits, config.mesh_hop_latency,
+                                   config.mesh_hop_length_m, tech)
         self._bank_busy_until = [0] * config.banks
         # Per-bank geometry and uncontended latency are pure functions of
         # the config; tabulate them once instead of re-deriving per access.
         self._grids = [self._grid(bank) for bank in range(config.banks)]
         self._uncontended = [
             config.controller_overhead
-            + self.mesh.uncontended_latency(column, position,
-                                            config.bank_access_cycles)
+            + self.network.uncontended_latency(column, position,
+                                               config.bank_access_cycles)
             for column, position in self._grids
         ]
-        self.mesh.register_metrics(self.metrics.scope("mesh"))
+        self.network.register_metrics(self.metrics.scope("mesh"))
         for index, bank in enumerate(self.banks):
             bank.register_metrics(self.metrics.scope(f"l2.bank{index:02d}"))
 
@@ -65,14 +65,6 @@ class StaticNUCA(L2Design):
 
     def uncontended_latency(self, addr: int) -> int:
         return self._uncontended[self.addr_map.bank_index(addr)]
-
-    def _bank_access(self, bank: int, ready: int, contend: bool = True) -> int:
-        if not contend:
-            return ready + self.config.bank_access_cycles
-        start = max(ready, self._bank_busy_until[bank])
-        done = start + self.config.bank_access_cycles
-        self._bank_busy_until[bank] = done
-        return done
 
     # -- the access path --------------------------------------------------------
     def access(self, addr: int, time: int, write: bool = False) -> L2Outcome:
@@ -92,30 +84,25 @@ class StaticNUCA(L2Design):
 
     def _read(self, bank: CacheBank, bank_idx: int, column: int, position: int,
               set_index: int, tag: int, time: int, t_inject: int) -> L2Outcome:
-        request = self.mesh.send(column, position, t_inject, REQUEST_BITS, True)
+        request = self.network.send(column, position, t_inject, REQUEST_BITS, True)
         done = self._bank_access(bank_idx, request.first_arrival)
         expected = self._uncontended[bank_idx]
         if bank.lookup(set_index, tag).hit:
-            response = self.mesh.send(column, position, done, BLOCK_BITS, False)
+            response = self.network.send(column, position, done, BLOCK_BITS, False)
             latency = response.first_arrival - time
             return L2Outcome(response.first_arrival, True, latency,
                              predictable=(latency == expected))
-        ack = self.mesh.send(column, position, done, REQUEST_BITS, False)
+        ack = self.network.send(column, position, done, REQUEST_BITS, False)
         latency = ack.first_arrival - time
         mem_done = self.memory.read(ack.first_arrival)
         self._refill(bank, bank_idx, column, position, set_index, tag, mem_done)
         return L2Outcome(mem_done, False, latency,
                          predictable=(latency == expected))
 
-    def uncontended_latency_of(self, column: int, position: int) -> int:
-        return (self.config.controller_overhead
-                + self.mesh.uncontended_latency(column, position,
-                                                self.config.bank_access_cycles))
-
     def _write(self, bank: CacheBank, bank_idx: int, column: int, position: int,
                set_index: int, tag: int, t_inject: int) -> L2Outcome:
-        request = self.mesh.send(column, position, t_inject,
-                                 REQUEST_BITS + BLOCK_BITS, True)
+        request = self.network.send(column, position, t_inject,
+                                    REQUEST_BITS + BLOCK_BITS, True)
         accepted = self._bank_access(bank_idx, request.last_arrival)
         hit = bank.lookup(set_index, tag, write=True).hit
         if not hit:
@@ -125,8 +112,8 @@ class StaticNUCA(L2Design):
 
     def _refill(self, bank: CacheBank, bank_idx: int, column: int, position: int,
                 set_index: int, tag: int, time: int) -> None:
-        refill = self.mesh.send(column, position, time,
-                                REQUEST_BITS + BLOCK_BITS, True, contend=False)
+        refill = self.network.send(column, position, time,
+                                   REQUEST_BITS + BLOCK_BITS, True, contend=False)
         self._bank_access(bank_idx, refill.last_arrival, contend=False)
         self._insert(bank, bank_idx, column, position, set_index, tag,
                      refill.last_arrival, dirty=False)
@@ -135,8 +122,8 @@ class StaticNUCA(L2Design):
                 set_index: int, tag: int, time: int, dirty: bool) -> None:
         result = bank.insert(set_index, tag, dirty=dirty)
         if result.evicted_tag is not None and result.evicted_dirty:
-            writeback = self.mesh.send(column, position, time, BLOCK_BITS,
-                                       False, contend=False)
+            writeback = self.network.send(column, position, time, BLOCK_BITS,
+                                          False, contend=False)
             self.memory.write(writeback.last_arrival)
             self.stats.add("writebacks")
 
@@ -144,21 +131,8 @@ class StaticNUCA(L2Design):
         for bank, pairs in zip(self.banks, self.addr_map.by_bank(addrs)):
             bank.install_all(pairs)
 
-    # -- reporting -----------------------------------------------------------
-    def link_utilization(self, elapsed_cycles: int) -> float:
-        return self.mesh.utilization(elapsed_cycles)
-
-    def _reset_stats_extra(self) -> None:
-        self.mesh.reset_counters()
-
     def _attach_sanitizer_extra(self, sanitizer) -> None:
-        self.mesh.sanitizer = sanitizer
         sanitizer.watch_banks(self.name, [
             (f"bank{index:02d}", bank)
             for index, bank in enumerate(self.banks)
         ])
-
-    def network_energy_j(self) -> float:
-        wire = self.tech.conventional_energy_per_bit(self.mesh.hop_length_m)
-        per_bit_hop = wire + self.tech.switch_energy_per_bit
-        return self.mesh.bit_hops * per_bit_hop

@@ -6,7 +6,8 @@ transmission-line extraction, conventional-wire RC delay, bank access
 time, and the power/area models — draws its constants from a single
 :class:`Technology` object so that experiments stay internally consistent
 and alternate design points can be explored by constructing a different
-instance.
+instance.  The signalling-energy equations of Section 6.1 that price
+these parameters live in :mod:`repro.tline.power`.
 
 Values are taken from the paper where it states them (cycle time, memory
 latency) and from the ITRS 2002 projections and the BACPAC / "Future of
@@ -88,30 +89,6 @@ class Technology:
         """
         repeated_wire_velocity = 7.5e6  # m/s effective (≈0.75 mm / cycle)
         return (length_m / repeated_wire_velocity) / self.cycle_s
-
-    def conventional_energy_per_bit(self, length_m: float, alpha: float = 1.0) -> float:
-        """Dynamic energy to signal one bit over a repeated RC wire, joules.
-
-        Implements the paper's conventional-signalling equation
-        ``P = alpha * C * V^2 * f`` expressed per transition:
-        ``E = alpha * C(length) * Vdd^2``.
-        """
-        cap = self.conventional_wire_cap_per_m * length_m
-        return alpha * cap * self.vdd * self.vdd
-
-    def tl_energy_per_bit(self, z0_ohm: float, rd_ohm: float | None = None,
-                          alpha: float = 1.0) -> float:
-        """Dynamic energy to signal one bit over a transmission line, joules.
-
-        Implements the paper's transmission-line equation
-        ``P = alpha * t_b * V^2 / (R_D + Z_0) * f`` per bit time ``t_b``
-        (one cycle at the design frequency).  ``rd_ohm`` defaults to a
-        matched source (``R_D = Z_0``).
-        """
-        if rd_ohm is None:
-            rd_ohm = z0_ohm
-        t_b = self.cycle_s
-        return alpha * t_b * self.vdd * self.vdd / (rd_ohm + z0_ohm)
 
 
 #: The default technology instance used throughout the library.

@@ -51,7 +51,7 @@ def transmission_line_dynamic_power(z0_ohm: float, tech: Technology = TECH_45NM,
 
 def conventional_energy_per_bit(length_m: float, tech: Technology = TECH_45NM) -> float:
     """Energy (joules) to move one bit one transition over an RC wire."""
-    return tech.conventional_wire_cap_per_m * length_m * tech.vdd ** 2
+    return tech.conventional_wire_cap_per_m * length_m * tech.vdd * tech.vdd
 
 
 def transmission_line_energy_per_bit(z0_ohm: float, tech: Technology = TECH_45NM,

@@ -57,29 +57,34 @@ class TestTransfers:
                        key=lambda p: TLC_BASE.controller_rt_delays[p])
         near_pair = min(range(16),
                         key=lambda p: TLC_BASE.controller_rt_delays[p])
-        far, _ = controller.send_request(far_pair, 100, REQUEST_BITS)
-        near, _ = controller.send_request(near_pair, 100, REQUEST_BITS)
+        far = controller.send_request(far_pair, 100, REQUEST_BITS)
+        near = controller.send_request(near_pair, 100, REQUEST_BITS)
         assert far.first_arrival >= near.first_arrival
 
     def test_response_arrival_adds_internal_wire(self):
         controller = TLCController(TLC_BASE)
         pair = max(range(16), key=lambda p: TLC_BASE.controller_rt_delays[p])
-        transfer, arrival, _ = controller.send_response(pair, 100, BLOCK_BITS)
-        assert arrival == (transfer.first_arrival
-                           + controller.response_delay(pair))
+        arrival = controller.send_response(pair, 100, BLOCK_BITS)
+        # The idle link lands the critical word one flight after sending.
+        first_arrival = 100 + controller.response_links[pair].flight_cycles
+        assert arrival == first_arrival + controller.response_delay(pair)
 
     def test_energy_scales_with_bits(self):
         controller = TLCController(TLC_BASE)
-        _, e_small = controller.send_request(0, 0, REQUEST_BITS)
-        _, e_big = controller.send_request(0, 100, BLOCK_BITS)
+        controller.send_request(0, 0, REQUEST_BITS)
+        e_small = controller.energy_j()
+        controller.send_request(0, 100, BLOCK_BITS)
+        e_big = controller.energy_j() - e_small
         assert e_big == pytest.approx(e_small * BLOCK_BITS / REQUEST_BITS)
 
     def test_longer_lines_cost_no_more_per_bit(self):
         """TL energy is set by impedance, not length — the paper's
         length-independent launch power."""
         controller = TLCController(TLC_BASE)
-        _, e_near = controller.send_request(0, 0, REQUEST_BITS)
-        _, e_far = controller.send_request(7, 0, REQUEST_BITS)
+        controller.send_request(0, 0, REQUEST_BITS)
+        e_near = controller.energy_j()
+        controller.send_request(7, 0, REQUEST_BITS)
+        e_far = controller.energy_j() - e_near
         # Longer lines use wider geometry (lower R), similar Z0: energy
         # within ~20 % of each other.
         assert e_far == pytest.approx(e_near, rel=0.2)

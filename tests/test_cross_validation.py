@@ -114,4 +114,4 @@ class TestPhysicalTimingConsistency:
         for pair in range(16):
             expected = (1 + tlc.config.bank_access_cycles + 1
                         + tlc.config.controller_rt_delays[pair])
-            assert tlc.controller.uncontended_latency(pair) == expected
+            assert tlc.network.uncontended_latency(pair) == expected

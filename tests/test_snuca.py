@@ -105,5 +105,5 @@ class TestAccessPaths:
         design = make()
         design.access(0x0, time=0)
         design.reset_stats()
-        assert design.mesh.bit_hops == 0
+        assert design.network.bit_hops == 0
         assert design.network_energy_j() == 0.0

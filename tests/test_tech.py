@@ -5,6 +5,10 @@ import math
 import pytest
 
 from repro.tech import TECH_45NM, Technology, C_LIGHT
+from repro.tline.power import (
+    conventional_energy_per_bit,
+    transmission_line_energy_per_bit,
+)
 
 
 class TestTechnologyBasics:
@@ -60,25 +64,21 @@ class TestConventionalWireDelay:
 
 class TestEnergyModels:
     def test_conventional_energy_scales_with_length(self):
-        short = TECH_45NM.conventional_energy_per_bit(1e-3)
-        long = TECH_45NM.conventional_energy_per_bit(10e-3)
+        short = conventional_energy_per_bit(1e-3)
+        long = conventional_energy_per_bit(10e-3)
         assert long == pytest.approx(10 * short)
 
-    def test_conventional_energy_scales_with_activity(self):
-        full = TECH_45NM.conventional_energy_per_bit(1e-2, alpha=1.0)
-        half = TECH_45NM.conventional_energy_per_bit(1e-2, alpha=0.5)
-        assert half == pytest.approx(full / 2)
-
     def test_tl_energy_matched_source_default(self):
-        explicit = TECH_45NM.tl_energy_per_bit(50.0, rd_ohm=50.0)
-        default = TECH_45NM.tl_energy_per_bit(50.0)
+        explicit = transmission_line_energy_per_bit(50.0, rd_ohm=50.0)
+        default = transmission_line_energy_per_bit(50.0)
         assert default == pytest.approx(explicit)
 
     def test_tl_energy_decreases_with_impedance(self):
-        assert TECH_45NM.tl_energy_per_bit(80.0) < TECH_45NM.tl_energy_per_bit(30.0)
+        assert (transmission_line_energy_per_bit(80.0)
+                < transmission_line_energy_per_bit(30.0))
 
     def test_tl_energy_formula(self):
         # E = t_b * V^2 / (R_D + Z_0) per the paper's equation.
         z0 = 40.0
         expected = TECH_45NM.cycle_s * TECH_45NM.vdd ** 2 / (2 * z0)
-        assert TECH_45NM.tl_energy_per_bit(z0) == pytest.approx(expected)
+        assert transmission_line_energy_per_bit(z0) == pytest.approx(expected)
