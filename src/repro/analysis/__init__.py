@@ -4,7 +4,6 @@ from repro.analysis.experiments import (
     ExperimentGrid,
     MAIN_DESIGNS,
     TLC_FAMILY,
-    run_benchmark_suite,
     run_design_grid,
 )
 from repro.analysis.tables import (
@@ -41,7 +40,6 @@ __all__ = [
     "ExperimentGrid",
     "MAIN_DESIGNS",
     "TLC_FAMILY",
-    "run_benchmark_suite",
     "run_design_grid",
     "PAPER_TABLE2",
     "PAPER_TABLE6",

@@ -125,34 +125,3 @@ def run_design_grid(designs: Sequence[str] = MAIN_DESIGNS,
                     policy=policy,
                     fault_plan=fault_plan, telemetry=telemetry,
                     sanitize=sanitize)
-
-
-def run_benchmark_suite(design: str, benchmarks: Optional[Sequence[str]] = None,
-                        n_refs: int = 30_000, seed: int = 7,
-                        warmup_fraction: float = 0.3,
-                        processor_config: Optional[ProcessorConfig] = None,
-                        workers: int = 1,
-                        cache=None,
-                        policy=None, fault_plan=None,
-                        telemetry=None, sanitize: bool = False,
-                        ) -> Dict[str, SystemResult]:
-    """Run one design across the benchmark suite.
-
-    Accepts the same ``warmup_fraction`` / ``processor_config`` /
-    ``sanitize`` as :func:`run_design_grid`, so a suite run is
-    comparable cell-for-cell with grid cells (and shares their cache
-    entries — ``sanitize`` is part of the cell cache key, so it must
-    reach the runner or sanitized suite and grid runs would compute
-    under one key and look each other up under another).
-    """
-    from repro.analysis.runner import run_grid
-
-    grid = run_grid(designs=(design,), benchmarks=benchmarks, n_refs=n_refs,
-                    seed=seed, warmup_fraction=warmup_fraction,
-                    processor_config=processor_config,
-                    workers=workers, cache=cache,
-                    policy=policy,
-                    fault_plan=fault_plan, telemetry=telemetry,
-                    sanitize=sanitize)
-    return {benchmark: grid.result(design, benchmark)
-            for benchmark in grid.benchmarks}

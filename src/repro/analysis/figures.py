@@ -8,26 +8,17 @@ no plotting dependencies.
 
 The ``figure*_dataset`` builders extract each figure's rows from an
 :class:`~repro.analysis.experiments.ExperimentGrid` (duck-typed; only
-``result`` / ``normalized_execution_time`` / ``benchmarks`` are used)
-as JSON-able lists of lists.  They are the ``(grid slice) -> dataset``
-half of the report pipeline: datasets round-trip through the
-derived-artifact cache lane (:mod:`repro.analysis.derived`), so they
-must contain only JSON scalars and lists — renderers receive exactly
-what JSON gives back.
+``result`` / ``benchmarks`` are used) as JSON-able lists of lists
+(Figures 5 and 8 use :func:`~repro.analysis.tables.normalized_time_rows`).
+They are the ``(grid slice) -> dataset`` half of the report pipeline:
+datasets round-trip through the derived-artifact cache lane
+(:mod:`repro.analysis.derived`), so they must contain only JSON scalars
+and lists — renderers receive exactly what JSON gives back.
 """
 
 from __future__ import annotations
 
 from typing import List, Mapping, Optional, Sequence
-
-
-def figure5_dataset(grid, designs: Sequence[str] = ("DNUCA", "TLC"),
-                    baseline: str = "SNUCA2") -> List[list]:
-    """Figure 5 rows: ``[benchmark, <normalized time per design>...]``."""
-    return [[bench] + [round(grid.normalized_execution_time(d, bench,
-                                                            baseline), 3)
-                       for d in designs]
-            for bench in grid.benchmarks]
 
 
 def figure6_dataset(grid, designs: Sequence[str] = ("DNUCA", "TLC"),
@@ -41,15 +32,6 @@ def figure6_dataset(grid, designs: Sequence[str] = ("DNUCA", "TLC"),
 def figure7_dataset(grid, designs: Sequence[str]) -> List[list]:
     """Figure 7 rows: ``[benchmark, <link utilization per design>...]``."""
     return [[bench] + [grid.result(d, bench).link_utilization
-                       for d in designs]
-            for bench in grid.benchmarks]
-
-
-def figure8_dataset(grid, designs: Sequence[str],
-                    baseline: str = "SNUCA2") -> List[list]:
-    """Figure 8 rows: ``[benchmark, <normalized time per design>...]``."""
-    return [[bench] + [round(grid.normalized_execution_time(d, bench,
-                                                            baseline), 3)
                        for d in designs]
             for bench in grid.benchmarks]
 

@@ -30,12 +30,11 @@ from repro.analysis.experiments import (
     run_design_grid,
 )
 from repro.analysis.figures import (
-    figure5_dataset,
     figure6_dataset,
     figure7_dataset,
-    figure8_dataset,
 )
 from repro.analysis.tables import (
+    normalized_time_rows,
     signal_integrity_rows,
     table2_rows,
     table6_rows,
@@ -114,7 +113,8 @@ REPORT_SECTIONS: Tuple[ReportSection, ...] = (
     ReportSection(
         name="fig5",
         slices=(("main", None),),
-        dataset=lambda grids: figure5_dataset(grids["main"]),
+        dataset=lambda grids: normalized_time_rows(
+            grids["main"], ("DNUCA", "TLC"), "SNUCA2"),
         render=lambda rows: _section_text(
             "Figure 5: normalized execution time (SNUCA2 = 1.0)",
             ["benchmark", "DNUCA", "TLC"], rows),
@@ -177,7 +177,8 @@ REPORT_SECTIONS: Tuple[ReportSection, ...] = (
     ReportSection(
         name="fig8",
         slices=(("family", None),),
-        dataset=lambda grids: figure8_dataset(grids["family"], TLC_FAMILY),
+        dataset=lambda grids: normalized_time_rows(
+            grids["family"], TLC_FAMILY, "SNUCA2"),
         render=lambda rows: _section_text(
             "Figure 8: TLC family normalized execution time",
             ["benchmark"] + list(TLC_FAMILY), rows),

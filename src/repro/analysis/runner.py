@@ -25,7 +25,7 @@ module exploits that twice:
   finishes, so an interrupted run resumes by rerunning it against the
   same cache directory: finished cells are hits, only the rest simulate.
 
-:func:`run_grid` is the one entry point the grid/suite/sweep helpers in
+:func:`run_grid` is the one entry point the grid and sweep helpers in
 :mod:`repro.analysis.experiments` and :mod:`repro.analysis.sweeps` are
 layered on; :func:`execute_cells` is the lower-level list-in/list-out
 executor for irregular cell sets (the sweeps).

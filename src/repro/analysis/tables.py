@@ -242,19 +242,17 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
     return "\n".join(lines)
 
 
-def normalized_time_rows(grid) -> List[list]:
-    """Normalized-execution-time rows for a whole grid.
+def normalized_time_rows(grid, designs: Sequence[str],
+                         baseline: str) -> List[list]:
+    """Normalized-execution-time rows: ``[benchmark, <time per design
+    normalized to baseline>...]``.
 
-    ``[benchmark, <time normalized to the grid's first design>...]`` —
-    the dataset behind ``repro grid``'s summary table and the service's
-    job-result document.  The baseline is always the grid's first
-    design, so the rows (and the derived-lane key built from them) are
-    a pure function of the grid.
+    The dataset behind Figures 5 and 8, ``repro grid``'s summary table
+    and the service's job-result document.
     """
-    baseline = grid.designs[0]
     return [[bench] + [
         round(grid.normalized_execution_time(design, bench, baseline), 3)
-        for design in grid.designs
+        for design in designs
     ] for bench in grid.benchmarks]
 
 
@@ -264,10 +262,12 @@ def normalized_time_artifact(grid, lane) -> dict:
     ``{"dataset": rows, "rendered": ascii table}`` routed through the
     derived-artifact lane under one well-known key space — the CLI
     ``grid`` command and the job service both call this, so a lane
-    warmed by either answers the other.
+    warmed by either answers the other.  The baseline is always the
+    grid's first design, so the rows (and the derived-lane key built
+    from them) are a pure function of the grid.
     """
     def compute() -> dict:
-        rows = normalized_time_rows(grid)
+        rows = normalized_time_rows(grid, grid.designs, grid.designs[0])
         rendered = format_table(
             ["benchmark"] + list(grid.designs), rows,
             title=f"Normalized execution time ({grid.designs[0]} = 1.0)")

@@ -22,10 +22,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
-try:  # optional: the 3x3 calibration solve has a pure-Python fallback
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.tech import Technology, TECH_45NM
 
@@ -37,32 +34,12 @@ _ACCESS_CALIBRATION = (
 )
 
 
-def _solve3(basis, targets):
-    """Solve a 3x3 linear system by Gaussian elimination with partial
-    pivoting (the numpy-free fallback for the calibration fit)."""
-    rows = [list(row) + [target] for row, target in zip(basis, targets)]
-    for col in range(3):
-        pivot = max(range(col, 3), key=lambda r: abs(rows[r][col]))
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        for r in range(col + 1, 3):
-            factor = rows[r][col] / rows[col][col]
-            for c in range(col, 4):
-                rows[r][c] -= factor * rows[col][c]
-    out = [0.0, 0.0, 0.0]
-    for r in (2, 1, 0):
-        residual = rows[r][3] - sum(rows[r][c] * out[c] for c in range(r + 1, 3))
-        out[r] = residual / rows[r][r]
-    return out
-
-
 def _access_coefficients():
     basis = [
         [1.0, math.sqrt(size), math.log2(size)]
         for size, _ in _ACCESS_CALIBRATION
     ]
     targets = [cycles for _, cycles in _ACCESS_CALIBRATION]
-    if np is None:
-        return _solve3(basis, targets)
     return np.linalg.solve(np.array(basis), np.array(targets))
 
 

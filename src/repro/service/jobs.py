@@ -26,11 +26,12 @@ each job's cells across the existing execution stack:
 The store is also the service's *lifecycle-durability* layer:
 
 * a :class:`~repro.service.journal.JobJournal` (``repro serve
-  --journal-dir``) records every submit / cell / finish / evict
-  transition, so :meth:`JobStore.recover` on a restarted server
-  re-enqueues unfinished jobs under their original deterministic
-  ``job-<key16>`` ids and replays finished jobs byte-identically from
-  the result cache with zero cells simulated;
+  --journal-dir``) records every submit / finish / evict transition;
+  the result cache already holds every finished cell, so
+  :meth:`JobStore.recover` on a restarted server re-enqueues
+  unfinished jobs under their original deterministic ``job-<key16>``
+  ids (their finished cells answer from the cache) and replays
+  finished jobs byte-identically with zero cells simulated;
 * admission control bounds what one store accepts — at most
   ``max_active_jobs`` unfinished jobs and ``max_queued_cells`` queued
   cells; over-capacity submits raise :class:`AdmissionError` (HTTP 429
@@ -177,7 +178,6 @@ class Job:
         self.spec = spec
         self.key = key
         self.cells = cells
-        self.cell_keys = [cache_key(cell) for cell in cells]
         self.state = "queued"
         self.error: Optional[str] = None
         self.created_s = _time.time()
@@ -608,10 +608,6 @@ class JobStore:
                 job.error = (f"cell ({cell.design}, {cell.benchmark}): "
                              f"{error}")
                 self.counter.add("cells_failed")
-                if self.journal is not None:
-                    self.journal.record_cell(job.id, index,
-                                             job.cell_keys[index],
-                                             "failed", None)
                 self._maybe_finish(job)
             return
         with self._lock:
@@ -622,9 +618,6 @@ class JobStore:
                 attempts=outcome.attempts)
             self.counter.add("cells_from_cache" if outcome.from_cache
                              else "cells_simulated")
-            if self.journal is not None:
-                self.journal.record_cell(job.id, index, job.cell_keys[index],
-                                         "done", outcome.from_cache)
             self._maybe_finish(job)
 
     def _maybe_finish(self, job: Job) -> None:
@@ -654,8 +647,7 @@ class JobStore:
     def _grid_for(self, job: Job) -> ExperimentGrid:
         results = {}
         cell_meta = {}
-        for cell, key, outcome in zip(job.cells, job.cell_keys,
-                                      job.outcomes):
+        for cell, outcome in zip(job.cells, job.outcomes):
             coordinate = (cell.design, cell.benchmark)
             results[coordinate] = outcome.result
             cell_meta[coordinate] = {
@@ -664,7 +656,7 @@ class JobStore:
                 "attempts": outcome.attempts,
                 "l2_hits": outcome.result.l2_hits,
                 "l2_misses": outcome.result.l2_misses,
-                "cache_key": key,
+                "cache_key": outcome.key,
             }
         return ExperimentGrid(job.spec.designs, job.spec.benchmarks,
                               results, cell_meta=cell_meta)

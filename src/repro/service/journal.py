@@ -12,8 +12,6 @@ never fatal).
 Events (``JOB_JOURNAL_FORMAT_VERSION`` lines)::
 
     {"format": 1, "event": "submit",   "job_id": ..., "key": ..., "spec": {...}}
-    {"format": 1, "event": "cell",     "job_id": ..., "index": N,
-     "key": <cell cache key>, "state": "done"|"failed", "from_cache": bool}
     {"format": 1, "event": "finish",   "job_id": ..., "state": "done"|"failed",
      "error": ...?}
     {"format": 1, "event": "evict",    "job_id": ...}
@@ -23,12 +21,13 @@ Recovery (:meth:`JobJournal.load` + :meth:`JobStore.recover
 <repro.service.jobs.JobStore.recover>`) folds the event stream in
 order into the set of known jobs: a ``submit`` (re-)registers a job, an
 ``evict`` tombstones it, a later ``submit`` of the same id resurrects
-it.  The journal deliberately stores no result bytes — a cell's result
-lives in the content-addressed result cache under the cell key the
-``cell`` event names, so replaying a job simply re-enqueues its cells:
-completed cells answer from the cache (zero simulation), unfinished
-cells run for the first time, and the re-rendered result document is
-byte-identical because rendering is a pure function of the cells.
+it.  The journal records no cells and stores no result bytes — each
+finished cell already lives in the content-addressed result cache under
+its cell key, which a job's spec determines, so replaying a job simply
+re-enqueues its cells: completed cells answer from the cache (zero
+simulation), unfinished cells run for the first time, and the
+re-rendered result document is byte-identical because rendering is a
+pure function of the cells.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple, Union
 JOB_JOURNAL_FORMAT_VERSION = 1
 
 #: The event vocabulary, in lifecycle order.
-JOB_JOURNAL_EVENTS = ("submit", "cell", "finish", "evict", "shutdown")
+JOB_JOURNAL_EVENTS = ("submit", "finish", "evict", "shutdown")
 
 
 def load_jsonl(path: Union[str, os.PathLike]) -> Tuple[List[object], int]:
@@ -83,7 +82,6 @@ class JournaledJob:
     spec: Dict[str, Any]
     state: str = "queued"  # last journaled state: queued | done | failed
     error: Optional[str] = None
-    cells_done: int = 0
 
 
 @dataclasses.dataclass
@@ -135,11 +133,6 @@ class JobJournal:
                       spec: Dict[str, Any]) -> None:
         self._append({"event": "submit", "job_id": job_id, "key": key,
                       "spec": spec})
-
-    def record_cell(self, job_id: str, index: int, key: str, state: str,
-                    from_cache: Optional[bool]) -> None:
-        self._append({"event": "cell", "job_id": job_id, "index": index,
-                      "key": key, "state": state, "from_cache": from_cache})
 
     def record_finish(self, job_id: str, state: str,
                       error: Optional[str] = None) -> None:
@@ -214,10 +207,7 @@ class JobJournal:
                 state.events -= 1
                 state.skipped_lines += 1
                 continue
-            if event == "cell":
-                if payload.get("state") == "done":
-                    job.cells_done += 1
-            elif event == "finish":
+            if event == "finish":
                 if payload.get("state") in ("done", "failed"):
                     job.state = payload["state"]
                     job.error = payload.get("error")

@@ -24,12 +24,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Union
+from typing import Union
 
-try:  # optional: extract() itself is pure scalar math; only the
-    import numpy as np  # frequency-sweep methods need numpy
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.tech import EPS_0, MU_0, Technology, TECH_45NM
 from repro.tline.geometry import WireGeometry
@@ -51,7 +48,7 @@ SIDEWALL_SHARING_FACTOR = 0.7
 #: in parallel plus the shield wires, so the penalty is modest.
 RETURN_PATH_FACTOR = 1.15
 
-ArrayLike = Union[float, Any] if np is None else Union[float, np.ndarray]
+ArrayLike = Union[float, np.ndarray]
 
 
 @dataclasses.dataclass(frozen=True)

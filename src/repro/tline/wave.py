@@ -23,10 +23,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
-try:  # optional: pulse propagation is FFT-based and needs numpy
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.tline.extraction import LineParameters
 
@@ -97,9 +94,6 @@ def propagate_pulse(line: LineParameters, vdd: float,
     digitally-tuned source termination), and the receiver is a small
     capacitive load (full-wave reflection).
     """
-    if np is None:
-        raise ImportError(
-            "pulse propagation requires numpy, which is not installed")
     if rd_ohm is None:
         rd_ohm = line.z0
     if rise_s is None:

@@ -24,13 +24,10 @@ from __future__ import annotations
 import dataclasses
 from typing import List
 
-try:  # optional at import time: specs and resident_block_addresses are
-    import numpy as np  # pure Python; only generate_trace needs numpy
-    # numpy loads np.random on first use; load it now so forked cell
-    # processes inherit it instead of each importing it again.
-    import numpy.random  # noqa: F401
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None  # type: ignore[assignment]
+import numpy as np
+# numpy loads np.random on first use; load it now so forked cell
+# processes inherit it instead of each importing it again.
+import numpy.random  # noqa: F401
 
 from repro.workloads.trace import Reference
 
@@ -172,11 +169,6 @@ def generate_trace(spec: TraceSpec, n_refs: int, seed: int = 0) -> List[Referenc
     """Generate ``n_refs`` references for ``spec``, deterministically."""
     if n_refs <= 0:
         raise ValueError("n_refs must be positive")
-    if np is None:
-        raise ImportError(
-            "trace generation requires numpy, which is not installed; "
-            "replay a saved trace (repro.workloads.trace.load_trace) "
-            "or install numpy")
     rng = np.random.default_rng(seed)
 
     source = rng.random(n_refs)

@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.experiments import (
     MAIN_DESIGNS,
     TLC_FAMILY,
-    run_benchmark_suite,
     run_design_grid,
 )
 from repro.analysis.tables import (
@@ -62,35 +61,27 @@ class TestGridRunner:
 
 
 class TestBenchmarkSuite:
-    def test_runs_named_subset(self):
-        results = run_benchmark_suite("TLC", benchmarks=("perl",), n_refs=2_000)
-        assert set(results) == {"perl"}
-        assert results["perl"].design == "TLC"
+    """A one-design grid threads every grid parameter through to its
+    cells."""
 
     def test_warmup_fraction_threaded_through(self):
-        """The suite must accept grid parameters (it used to drop them)."""
-        cold = run_benchmark_suite("TLC", benchmarks=("perl",), n_refs=2_000,
-                                   warmup_fraction=0.0)
-        warm = run_benchmark_suite("TLC", benchmarks=("perl",), n_refs=2_000,
-                                   warmup_fraction=0.5)
-        assert cold["perl"].l2_requests > warm["perl"].l2_requests
+        cold = run_design_grid(designs=("TLC",), benchmarks=("perl",),
+                               n_refs=2_000, warmup_fraction=0.0)
+        warm = run_design_grid(designs=("TLC",), benchmarks=("perl",),
+                               n_refs=2_000, warmup_fraction=0.5)
+        assert (cold.result("TLC", "perl").l2_requests
+                > warm.result("TLC", "perl").l2_requests)
 
     def test_processor_config_threaded_through(self):
         from repro.sim.processor import ProcessorConfig
 
-        narrow = run_benchmark_suite(
-            "TLC", benchmarks=("perl",), n_refs=2_000,
+        narrow = run_design_grid(
+            designs=("TLC",), benchmarks=("perl",), n_refs=2_000,
             processor_config=ProcessorConfig(issue_width=1, mshrs=1))
-        wide = run_benchmark_suite("TLC", benchmarks=("perl",), n_refs=2_000)
-        assert narrow["perl"].cycles > wide["perl"].cycles
-
-    def test_suite_cell_matches_grid_cell(self):
-        """Suite runs are comparable cell-for-cell with grid cells."""
-        grid = run_design_grid(designs=("TLC",), benchmarks=("perl",),
-                               n_refs=2_000, warmup_fraction=0.4)
-        suite = run_benchmark_suite("TLC", benchmarks=("perl",), n_refs=2_000,
-                                    warmup_fraction=0.4)
-        assert suite["perl"] == grid.result("TLC", "perl")
+        wide = run_design_grid(designs=("TLC",), benchmarks=("perl",),
+                               n_refs=2_000)
+        assert (narrow.result("TLC", "perl").cycles
+                > wide.result("TLC", "perl").cycles)
 
 
 class TestPaperReferenceData:

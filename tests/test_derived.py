@@ -326,23 +326,19 @@ class TestManifestDerivedField:
 
 class TestSuiteSanitizeForwarding:
     def test_sanitize_is_part_of_the_suite_cache_key(self, tmp_path):
-        """`run_benchmark_suite` must forward ``sanitize`` to the runner
-        (it used to drop the flag silently): sanitized and plain suite
-        runs are distinct cells, and a sanitized suite run shares its
-        entry with a sanitized grid run."""
-        from repro.analysis.experiments import (
-            run_benchmark_suite,
-            run_design_grid,
-        )
+        """`run_design_grid` must forward ``sanitize`` to the runner:
+        sanitized and plain one-design runs are distinct cells, and a
+        repeated sanitized run finds its entry."""
+        from repro.analysis.experiments import run_design_grid
         from repro.analysis.runner import ResultCache
 
         cache = ResultCache(tmp_path)
-        run_benchmark_suite("TLC", benchmarks=("gcc",), n_refs=1_500,
-                            sanitize=True, cache=cache)
+        run_design_grid(designs=("TLC",), benchmarks=("gcc",), n_refs=1_500,
+                        sanitize=True, cache=cache)
         assert cache.stores == 1
 
-        run_benchmark_suite("TLC", benchmarks=("gcc",), n_refs=1_500,
-                            sanitize=False, cache=cache)
+        run_design_grid(designs=("TLC",), benchmarks=("gcc",), n_refs=1_500,
+                        sanitize=False, cache=cache)
         assert cache.stores == 2  # distinct cell: the flag reached the key
 
         warm = ResultCache(tmp_path)

@@ -443,6 +443,33 @@ class TestExploreCLI:
         assert main(["explore", "--space", str(not_json)]) == 2
 
 
+class TestShippedSpace:
+    def test_every_example_variant_simulates_a_different_design(self):
+        """Each axis of the shipped example space must change what its
+        base design simulates; an axis the base never reads makes the
+        search pay for one design several times."""
+        from pathlib import Path
+
+        from repro.analysis.runner import run_grid
+        from repro.analysis.storage import result_to_dict
+
+        path = (Path(__file__).resolve().parents[1]
+                / "examples" / "spaces" / "tlc_latency.json")
+        spec = validate_space_spec(
+            json.loads(path.read_text(encoding="utf-8")))
+        variants = expand(spec).variants
+        grid = run_grid(designs=variants, benchmarks=spec.benchmarks[:1],
+                        n_refs=500, seed=spec.seed,
+                        warmup_fraction=spec.warmup_fraction, workers=2)
+        benchmark = grid.benchmarks[0]
+        payloads = set()
+        for variant in variants:
+            payload = result_to_dict(grid.result(variant.name, benchmark))
+            del payload["design"]
+            payloads.add(json.dumps(payload, sort_keys=True))
+        assert len(payloads) == len(variants)
+
+
 class TestDriverNamesExport:
     def test_cli_choices_match_the_registry(self):
         assert set(DRIVER_NAMES) == {"grid", "random", "halving"}

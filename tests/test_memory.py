@@ -94,7 +94,6 @@ class TestMemoryInSystem:
     """A non-default DRAM model reaches the replayed execution time."""
 
     def test_slower_dram_costs_cycles(self):
-        pytest.importorskip("numpy")
         from repro.sim.system import run_system
 
         # swim streams, so it actually misses to DRAM at this length.

@@ -53,15 +53,6 @@ class TestParallelMatchesSerial:
         legacy = run_system("TLC", "perl", n_refs=N_REFS, seed=7)
         assert legacy == serial_grid.result("TLC", "perl")
 
-    def test_parallel_suite_matches_serial(self):
-        from repro.analysis.experiments import run_benchmark_suite
-
-        serial = run_benchmark_suite("TLC", benchmarks=BENCHMARKS,
-                                     n_refs=N_REFS, workers=1)
-        parallel = run_benchmark_suite("TLC", benchmarks=BENCHMARKS,
-                                       n_refs=N_REFS, workers=2)
-        assert serial == parallel
-
 
 class TestResultCache:
     def test_cold_run_stores_every_cell(self, tmp_path, serial_grid):

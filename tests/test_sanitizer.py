@@ -377,7 +377,6 @@ class TestSanitizerFuzz:
               suppress_health_check=[HealthCheck.too_slow])
     @given(cell=fuzz_cells)
     def test_random_cells_clean_and_identical(self, cell, tmp_path_factory):
-        pytest.importorskip("numpy")
         plain = run_cell(cell)
         # A violation raises SanitizerViolation here and fails the cell.
         sanitized = run_cell(dataclasses.replace(cell, sanitize=True))
@@ -392,7 +391,6 @@ class TestSanitizerFuzz:
                                                 monkeypatch):
         """The dump path itself, proven against a deliberately broken
         replay loop: the bundle must load and replay."""
-        pytest.importorskip("numpy")
         cell = CellSpec(design="TLC", benchmark="fuzz", n_refs=400, seed=5,
                         trace_spec=TraceSpec(mean_gap=10.0))
         plain = run_cell(cell)

@@ -325,7 +325,7 @@ class TestServiceLifecycle:
         manifest_metrics = status["manifest"]["metrics"]
         assert manifest_metrics["service.jobs_submitted"] >= 1
         result = client.result(submitted["id"])
-        cell_key = store.get(submitted["id"]).cell_keys[0]
+        cell_key = store.get(submitted["id"]).outcomes[0].key
         served = client.artifact(cell_key)
         assert served["lane"] == "result"
         assert served["result"]["design"] == "SNUCA2"

@@ -47,7 +47,7 @@ from repro.service import (
     make_server,
     validate_job_spec,
 )
-from repro.service.journal import JobJournal
+from repro.service.journal import JobJournal, load_jsonl
 
 SPEC = {"designs": ["SNUCA2", "TLC"], "benchmarks": ["gcc", "mcf"],
         "n_refs": 1_500}
@@ -151,6 +151,29 @@ class TestJournalRecovery:
         finally:
             second.close()
 
+    def test_journal_records_jobs_not_cells(self, tmp_path):
+        """The result cache already holds every finished cell, so a
+        finished job leaves exactly two journal lines: its submit and
+        its finish."""
+        store = _store(tmp_path)
+        store.start()
+        try:
+            job, _created = store.submit(validate_job_spec(
+                {"designs": ["SNUCA2", "TLC"], "benchmarks": ["gcc"],
+                 "n_refs": 1_500}))
+            deadline = time.monotonic() + 120
+            while job.state not in ("done", "failed"):
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+            assert job.state == "done"
+        finally:
+            store.close()
+        payloads, bad_lines = load_jsonl(
+            tmp_path / "journal" / "journal.jsonl")
+        assert bad_lines == 0
+        assert [(p["event"], p["job_id"]) for p in payloads] == [
+            ("submit", job.id), ("finish", job.id)]
+
     def test_recover_is_idempotent(self, tmp_path):
         with JobJournal(tmp_path / "journal" / "journal.jsonl") as journal:
             spec = validate_job_spec(SPEC)
@@ -173,7 +196,7 @@ class TestJournalRecovery:
             handle.write("{corrupt json\n")
             handle.write(json.dumps({"format": 99, "event": "submit"}) + "\n")
             handle.write(json.dumps(
-                {"format": 1, "event": "cell", "job_id": "job-neverseen",
+                {"format": 1, "event": "finish", "job_id": "job-neverseen",
                  "state": "done"}) + "\n")
             handle.write('{"format": 1, "event": "fin')  # torn final write
         store = _store(tmp_path, workers=1)
