@@ -12,8 +12,9 @@ deterministic workload:
   with mcf's resident set (150,000 blocks, nearly filling the L2) in
   one ``prewarm_l2`` call; ``inner_ops`` is the block count.  The
   resident set is not scaled down under ``--quick``.
-* ``link.transit`` / ``mesh.transit`` — transmission-line link and
-  switched-mesh message timing.
+* ``link.transit`` / ``mesh.transit`` — message timing on one TLC
+  controller pair link (the request link of pair 0) and on the
+  switched mesh.
 * ``workload.generate`` — synthetic trace generation (numpy-backed).
 * ``system.refs_per_sec.tlc`` — the end-to-end ``run_system`` path the
   experiment grids are built from; ``meta.refs_per_sec`` carries the
@@ -99,18 +100,18 @@ def _build_prewarm(design: str) -> BenchBuilder:
 
 
 def _build_link_transit(scale: int) -> Tuple[Callable[[], Any], Dict[str, Any]]:
-    from repro.interconnect.link import Link
-    from repro.sim.stats import UtilizationMeter
+    from repro.core.config import TLC_BASE
+    from repro.core.controller import TLCController
 
-    link = Link(64, flight_cycles=1, meter=UtilizationMeter(1))
+    controller = TLCController(TLC_BASE)
     n = max(1_000, 5_000 // scale)
     clock = [0]
 
     def fn() -> None:
         time = clock[0]
-        send = link.send
+        send = controller.send_request
         for i in range(n):
-            send(time, 512 if i % 3 else 38, True)
+            send(0, time, 512 if i % 3 else 38, True)
             time += 5
         clock[0] = time
 

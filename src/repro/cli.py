@@ -732,8 +732,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="design name (flag form of the positional)")
     run.add_argument("--benchmark", dest="benchmark_opt", metavar="BENCH",
                      help="benchmark name (flag form of the positional)")
-    run.add_argument("--refs", type=int, default=20_000)
-    run.add_argument("--seed", type=int, default=7)
+    run.add_argument("--refs", type=_at_least(1), default=20_000)
+    run.add_argument("--seed", type=_at_least(0), default=7)
     run.add_argument("--metrics-out", metavar="FILE",
                      help="write the run manifest (config digest, code "
                           "version, full metrics snapshot) as JSON")
@@ -746,10 +746,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run under the simulator-core sanitizer "
                           "(invariant checks + livelock watchdog); a "
                           "violation exits 3")
-    run.add_argument("--sanitize-interval", type=int, default=1024,
+    run.add_argument("--sanitize-interval", type=_at_least(1), default=1024,
                      metavar="N", help="invariant sweep every N L2 "
                                        "accesses (default 1024)")
-    run.add_argument("--watchdog-cycles", type=int, default=1_000_000,
+    run.add_argument("--watchdog-cycles", type=_at_least(1), default=1_000_000,
                      metavar="CYCLES",
                      help="cycles without retirement before the "
                           "livelock watchdog trips (default 1000000)")
@@ -760,7 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="seed a deliberate fault to exercise the "
                           "sanitizer, e.g. drop_transfer:40 or "
                           "double_install:3 (implies --sanitize)")
-    run.add_argument("--trace-capacity", type=int, default=None,
+    run.add_argument("--trace-capacity", type=_at_least(1), default=None,
                      metavar="N",
                      help="keep only the newest N events (ring buffer); "
                           "default keeps every event")
@@ -793,14 +793,14 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("benchmark", choices=list(benchmark_names()))
     compare.add_argument("--designs", nargs="+",
                          choices=list(design_names()))
-    compare.add_argument("--refs", type=int, default=15_000)
-    compare.add_argument("--seed", type=int, default=7)
+    compare.add_argument("--refs", type=_at_least(1), default=15_000)
+    compare.add_argument("--seed", type=_at_least(0), default=7)
     compare.set_defaults(func=_cmd_compare)
 
     trace = sub.add_parser("trace", help="generate + characterize a trace")
     trace.add_argument("benchmark", choices=list(benchmark_names()))
-    trace.add_argument("--refs", type=int, default=20_000)
-    trace.add_argument("--seed", type=int, default=7)
+    trace.add_argument("--refs", type=_at_least(1), default=20_000)
+    trace.add_argument("--seed", type=_at_least(0), default=7)
     trace.add_argument("--out", help="write the trace to this path")
     trace.set_defaults(func=_cmd_trace)
 
@@ -808,14 +808,14 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--designs", nargs="+", choices=list(design_names()))
     grid.add_argument("--benchmarks", nargs="+",
                       choices=list(benchmark_names()))
-    grid.add_argument("--refs", type=int, default=15_000)
-    grid.add_argument("--seed", type=int, default=7)
+    grid.add_argument("--refs", type=_at_least(1), default=15_000)
+    grid.add_argument("--seed", type=_at_least(0), default=7)
     grid.add_argument("--sanitize", action="store_true",
                       help="run every cell under the simulator-core "
                            "sanitizer (identical results, checked)")
     grid.add_argument("--save", help="write the grid to this JSON path")
     grid.add_argument("--load", help="load a grid instead of running")
-    grid.add_argument("--workers", type=int, default=1,
+    grid.add_argument("--workers", type=_at_least(1), default=1,
                       help="worker processes for grid cells (1 = serial)")
     grid.add_argument("--cache-dir",
                       help="content-addressed result cache directory; "
@@ -827,9 +827,9 @@ def build_parser() -> argparse.ArgumentParser:
     grid.set_defaults(func=_cmd_grid)
 
     report = sub.add_parser("report", help="full measured-vs-paper report")
-    report.add_argument("--refs", type=int, default=20_000)
+    report.add_argument("--refs", type=_at_least(1), default=20_000)
     report.add_argument("--out", help="write markdown to this path")
-    report.add_argument("--workers", type=int, default=1,
+    report.add_argument("--workers", type=_at_least(1), default=1,
                         help="worker processes for grid cells (1 = serial)")
     report.add_argument("--cache-dir",
                         help="content-addressed result cache directory "
@@ -852,14 +852,14 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--driver", default="random",
                          choices=["random", "grid", "halving"],
                          help="search driver (default: random)")
-    explore.add_argument("--seed", type=int, default=0,
+    explore.add_argument("--seed", type=_at_least(0), default=0,
                          help="search seed — drives candidate selection "
                               "only; the trace seed lives in the spec")
     explore.add_argument("--budget", type=int, default=8,
                          help="variants admitted to evaluation")
-    explore.add_argument("--top-k", type=int, default=5, dest="top_k",
+    explore.add_argument("--top-k", type=_at_least(1), default=5, dest="top_k",
                          help="variants shown on the leaderboard")
-    explore.add_argument("--workers", type=int, default=1,
+    explore.add_argument("--workers", type=_at_least(1), default=1,
                          help="worker processes for grid cells (1 = serial)")
     explore.add_argument("--cache-dir",
                          help="content-addressed result cache directory; "
@@ -887,7 +887,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="smaller workloads, fewer reps (the CI mode)")
     perf.add_argument("--filter", metavar="SUBSTR",
                       help="only run benchmarks whose name contains SUBSTR")
-    perf.add_argument("--reps", type=int, default=None, metavar="N",
+    perf.add_argument("--reps", type=_at_least(1), default=None, metavar="N",
                       help="override the repetition count")
     perf.add_argument("--no-pin", action="store_true",
                       help="do not pin the process to one CPU")
@@ -913,9 +913,11 @@ def build_parser() -> argparse.ArgumentParser:
                       "(see docs/SERVICE.md)")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default: 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=8765,
+    serve.add_argument("--port", default=8765,
+                       type=_bounded(int, lambda port: 0 <= port <= 65535,
+                                     "a port number in [0, 65535]"),
                        help="bind port; 0 picks a free one (default: 8765)")
-    serve.add_argument("--workers", type=int, default=2,
+    serve.add_argument("--workers", type=_at_least(1), default=2,
                        help="worker threads sharding job cells (default: 2)")
     serve.add_argument("--cache-dir",
                        help="content-addressed result cache shared by every "
@@ -927,25 +929,29 @@ def build_parser() -> argparse.ArgumentParser:
                             "(journal.jsonl); on restart, unfinished jobs "
                             "are re-enqueued under their original ids and "
                             "finished jobs replay from the result cache")
-    serve.add_argument("--max-active-jobs", type=int,
+    serve.add_argument("--max-active-jobs", type=_at_least(0),
                        default=DEFAULT_MAX_ACTIVE_JOBS, metavar="N",
                        help="admission cap on concurrently active "
                             "(queued+running) jobs; over-capacity submits "
                             "answer 429 with Retry-After; 0 = unlimited "
                             f"(default: {DEFAULT_MAX_ACTIVE_JOBS})")
-    serve.add_argument("--max-queued-cells", type=int,
+    serve.add_argument("--max-queued-cells", type=_at_least(0),
                        default=DEFAULT_MAX_QUEUED_CELLS, metavar="N",
                        help="admission cap on the shared cell queue depth; "
                             "0 = unlimited "
                             f"(default: {DEFAULT_MAX_QUEUED_CELLS})")
-    serve.add_argument("--job-ttl", type=float, default=None,
+    serve.add_argument("--job-ttl", default=None,
+                       type=_bounded(float, lambda s: s > 0,
+                                     "a number of seconds > 0"),
                        metavar="SECONDS",
                        help="evict a finished job's status this long after "
                             "it completes (status answers 410 gone; the "
                             "result stays reachable by resubmitting the "
                             "spec — the cache replays it without "
                             "simulation); default: keep forever")
-    serve.add_argument("--drain-timeout", type=float, default=30.0,
+    serve.add_argument("--drain-timeout", default=30.0,
+                       type=_bounded(float, lambda s: s >= 0,
+                                     "a number of seconds >= 0"),
                        metavar="SECONDS",
                        help="on SIGTERM/SIGINT, stop admitting (503) and "
                             "wait up to this long for in-flight jobs "
@@ -1048,13 +1054,17 @@ def _bounded(convert, accept, requirement: str):
     return parse
 
 
+def _at_least(minimum: int):
+    """An argparse ``type`` for an integer flag bounded below."""
+    return _bounded(int, lambda n: n >= minimum, f"an integer >= {minimum}")
+
+
 def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
     """The fault-tolerance flags of ``grid``, ``report``, ``explore``
     and ``serve``.  Every computed cell runs in its own child process
     either way; these set only retries and the per-attempt deadline."""
     parser.add_argument("--retries", default=0, metavar="N",
-                        type=_bounded(int, lambda n: n >= 0,
-                                      "an integer >= 0"),
+                        type=_at_least(0),
                         help="retry a failed, crashed, or timed-out cell "
                              "up to N times (exponential backoff)")
     parser.add_argument("--cell-timeout", default=None, metavar="SECONDS",

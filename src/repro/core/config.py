@@ -19,16 +19,21 @@ constraints:
 * DNUCA: 16 bank sets x 16 banks on a 16x16 mesh, 3-cycle banks,
   1-cycle hops -> 3..47 cycles uncontended.
 * SNUCA2: 32 static banks on an 8x4 mesh, 8-cycle banks, 2-cycle hops.
+
+The module also validates the run parameters (benchmarks, reference
+count, seed, warmup, sanitize) that the service's job spec and the
+explorer's space spec both carry, with the same :class:`ConfigError`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.sim.memory import MainMemory
 from repro.tech import Technology, TECH_45NM
+from repro.workloads.profiles import benchmark_names
 
 #: Bits on a TLCopt request link: 13 set-index + 6 partial-tag + 3 command.
 OPT_REQUEST_LINK_BITS = 22
@@ -45,6 +50,101 @@ class ConfigError(ValueError):
     unknown override names, so an invalid configuration fails at the
     door instead of producing a half-built simulator or NaN latencies.
     """
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# -- run parameters of a job or space document ------------------------------
+#: Guard rails: a document must not be able to demand unbounded work.
+MAX_REFS_PER_CELL = 2_000_000
+MAX_SEED = 2**32 - 1
+
+#: JSON-Schema properties of the run parameters; the job-spec and
+#: space-spec schemas include them, and :func:`validate_run_parameters`
+#: is their executable twin.
+RUN_PARAMETER_SCHEMA = {
+    "benchmarks": {
+        "type": "array",
+        "minItems": 1,
+        "items": {"type": "string"},
+        "description": "calibrated workload profiles every cell runs; "
+                       "omitted means the full 12-benchmark suite",
+    },
+    "n_refs": {
+        "type": "integer",
+        "minimum": 1,
+        "maximum": MAX_REFS_PER_CELL,
+        "default": 20_000,
+        "description": "L2 references simulated per cell",
+    },
+    "seed": {
+        "type": "integer",
+        "minimum": 0,
+        "maximum": MAX_SEED,
+        "default": 7,
+        "description": "trace-generation seed (identical across "
+                       "designs, like the paper's shared checkpoints)",
+    },
+    "warmup_fraction": {
+        "type": "number",
+        "minimum": 0.0,
+        "exclusiveMaximum": 1.0,
+        "default": 0.3,
+        "description": "leading fraction of each trace excluded "
+                       "from measurement",
+    },
+    "sanitize": {
+        "type": "boolean",
+        "default": False,
+        "description": "run every cell under the simulator-core "
+                       "sanitizer (part of the cell cache key)",
+    },
+}
+
+
+def validate_run_parameters(payload: dict, document: str) -> Dict[str, Any]:
+    """Validate the run parameters of a decoded JSON document.
+
+    Returns ``benchmarks``, ``n_refs``, ``seed``, ``warmup_fraction``
+    and ``sanitize``, defaults filled in, as keyword arguments for the
+    document's spec.  Raises :class:`ConfigError` whose message starts
+    with ``document`` (``"job spec"``, ``"space spec"``).
+    """
+    def fail(message: str) -> None:
+        raise ConfigError(f"{document}: {message}")
+
+    benchmarks = payload.get("benchmarks", benchmark_names())
+    if (not isinstance(benchmarks, (list, tuple)) or not benchmarks
+            or not all(isinstance(item, str) for item in benchmarks)):
+        fail(f"benchmarks must be a non-empty array of strings, "
+             f"got {benchmarks!r}")
+    for item in benchmarks:
+        if item not in benchmark_names():
+            fail(f"unknown benchmark {item!r}; choose from "
+                 f"{sorted(benchmark_names())}")
+    duplicates = sorted({name for name in benchmarks
+                         if benchmarks.count(name) > 1})
+    if duplicates:
+        fail(f"benchmarks contains duplicate entries {duplicates}")
+    n_refs = payload.get("n_refs", 20_000)
+    if not _is_int(n_refs) or not 1 <= n_refs <= MAX_REFS_PER_CELL:
+        fail(f"n_refs must be an integer in [1, {MAX_REFS_PER_CELL}], "
+             f"got {n_refs!r}")
+    seed = payload.get("seed", 7)
+    if not _is_int(seed) or not 0 <= seed <= MAX_SEED:
+        fail(f"seed must be an integer in [0, {MAX_SEED}], got {seed!r}")
+    warmup = payload.get("warmup_fraction", 0.3)
+    if (not isinstance(warmup, (int, float)) or isinstance(warmup, bool)
+            or not math.isfinite(warmup) or not 0.0 <= warmup < 1.0):
+        fail(f"warmup_fraction must be a finite number in [0, 1), "
+             f"got {warmup!r}")
+    sanitize = payload.get("sanitize", False)
+    if not isinstance(sanitize, bool):
+        fail(f"sanitize must be a boolean, got {sanitize!r}")
+    return {"benchmarks": tuple(benchmarks), "n_refs": n_refs, "seed": seed,
+            "warmup_fraction": float(warmup), "sanitize": sanitize}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,10 +195,6 @@ class DesignConfig:
         if not condition:
             raise ConfigError(f"{self.name or '<unnamed>'}: {message}")
 
-    @staticmethod
-    def _is_int(value) -> bool:
-        return isinstance(value, int) and not isinstance(value, bool)
-
     def _check_scalars(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ConfigError("design name must be a non-empty string")
@@ -107,13 +203,13 @@ class DesignConfig:
         for field in ("banks", "bank_bytes", "bank_access_cycles",
                       "banks_per_block", "associativity"):
             value = getattr(self, field)
-            self._require(self._is_int(value) and value > 0,
+            self._require(_is_int(value) and value > 0,
                           f"{field} must be a positive integer, got {value!r}")
         for field in ("lines_per_pair", "mesh_columns", "mesh_rows",
                       "mesh_flit_bits", "mesh_hop_latency",
                       "partial_tag_latency", "controller_overhead"):
             value = getattr(self, field)
-            self._require(self._is_int(value) and value >= 0,
+            self._require(_is_int(value) and value >= 0,
                           f"{field} must be a non-negative integer, "
                           f"got {value!r}")
         length = self.mesh_hop_length_m
@@ -122,7 +218,7 @@ class DesignConfig:
                       and math.isfinite(length) and length > 0,
                       f"mesh_hop_length_m must be a positive finite number, "
                       f"got {length!r}")
-        self._require(self._is_int(self.promotion_distance)
+        self._require(_is_int(self.promotion_distance)
                       and self.promotion_distance >= 1,
                       "promotion_distance must be a positive integer")
         self._require(self.insertion_position in ("tail", "head"),
@@ -161,7 +257,7 @@ class DesignConfig:
                     f"of integers, got {self.controller_rt_delays!r}") from None
             object.__setattr__(self, "controller_rt_delays", delays)
         for delay in delays:
-            self._require(self._is_int(delay) and delay >= 0,
+            self._require(_is_int(delay) and delay >= 0,
                           f"controller_rt_delays entries must be "
                           f"non-negative integers, got {delay!r}")
         self._require(len(delays) == self.pairs,

@@ -13,6 +13,16 @@ The controller is also where full-tag comparison happens in the TLCopt
 designs; it is timing-neutral here (the compare fits in the
 already-counted controller wire cycles).
 
+Each pair's request and response link is a FIFO resource occupied one
+cycle per flit.  A single processor issues requests in nondecreasing
+time order, so one busy-until cycle per link gives exact FIFO
+contention without event scheduling::
+
+    start          = max(send_time, busy_until)      (queueing)
+    first_arrival  = start + FLIGHT_CYCLES           (critical word)
+    last_arrival   = start + flits - 1 + FLIGHT_CYCLES
+    busy_until     = start + flits                   (serialization)
+
 The controller owns its traffic accounting: the shared utilization
 meter, the per-link counters and the signalling energy of every
 transfer.  The designs see arrival cycles only.
@@ -20,15 +30,22 @@ transfer.  The designs see arrival cycles only.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from repro.core.config import DesignConfig
-from repro.interconnect.link import Link, Transfer
+from repro.interconnect.message import flits_for_bits
 from repro.sim.stats import UtilizationMeter
 from repro.tech import Technology, TECH_45NM
 from repro.tline.extraction import extract
 from repro.tline.geometry import tl_geometry_for_length, TABLE1_LINES
 from repro.tline.power import transmission_line_energy_per_bit
+
+#: Wave flight plus receiver capture: one 10 GHz cycle for every
+#: Table 1 line (see :func:`repro.tline.signaling.evaluate_link`).
+FLIGHT_CYCLES = 1
+
+#: Link directions, the first index of the per-link state.
+_REQUEST, _RESPONSE = 0, 1
 
 
 class TLCController:
@@ -42,8 +59,15 @@ class TLCController:
         pairs = config.pairs
         #: one meter across every link; Fig. 7 reports the average.
         self.meter = UtilizationMeter(resources=2 * pairs)
-        self.request_links: List[Link] = []
-        self.response_links: List[Link] = []
+        # Per-link state, indexed [direction][pair]: the busy-until
+        # cycle, and the traffic behind the link.pairNN.* gauges.
+        self._widths = (config.request_link_bits, config.response_link_bits)
+        self._busy = ([0] * pairs, [0] * pairs)
+        self._bits_sent = ([0] * pairs, [0] * pairs)
+        self._transfers = ([0] * pairs, [0] * pairs)
+        #: optional repro.sanitizer.Sanitizer receiving one on_transfer
+        #: per message for message-conservation accounting.
+        self.sanitizer = None
         self._energy_per_bit: List[float] = []
         self._energy_j = 0.0
         self._line_lengths = self._pair_line_lengths()
@@ -51,13 +75,6 @@ class TLCController:
             length = self._line_lengths[pair]
             geometry = tl_geometry_for_length(length)
             line = extract(geometry, tech)
-            flight = 1  # every Table 1 line flies in one 10 GHz cycle
-            self.request_links.append(
-                Link(config.request_link_bits, flight, self.meter)
-            )
-            self.response_links.append(
-                Link(config.response_link_bits, flight, self.meter)
-            )
             self._energy_per_bit.append(
                 transmission_line_energy_per_bit(line.z0, tech)
             )
@@ -108,12 +125,21 @@ class TLCController:
 
     # -- transfers ----------------------------------------------------------
     def send_request(self, pair: int, time: int, bits: int,
-                     contend: bool = True) -> Transfer:
-        """Controller -> bank.  Returns the transfer and charges its energy."""
-        transfer = self.request_links[pair].send(
-            time + self._request_delays[pair], bits, contend)
-        self._energy_j += bits * self._energy_per_bit[pair]
-        return transfer
+                     contend: bool = True) -> Tuple[int, int]:
+        """Controller -> bank.  Returns the cycles the first and last
+        flits reach the bank.
+
+        ``contend=False`` is for fill/writeback traffic scheduled at a
+        future completion time (e.g. a refill arriving from memory): the
+        message still consumes bandwidth for utilization and energy
+        accounting, but does not reserve the link against *earlier*
+        demand requests — the busy-until model would otherwise charge
+        requests that arrive first for traffic that arrives later.
+        """
+        start, flits = self._send(_REQUEST, pair,
+                                  time + self._request_delays[pair], bits,
+                                  contend)
+        return start + FLIGHT_CYCLES, start + flits - 1 + FLIGHT_CYCLES
 
     def send_response(self, pair: int, time: int, bits: int,
                       contend: bool = True) -> int:
@@ -122,9 +148,29 @@ class TLCController:
         The arrival time adds the controller-internal wire delay after the
         critical word lands at the controller edge.
         """
-        transfer = self.response_links[pair].send(time, bits, contend)
+        start, _ = self._send(_RESPONSE, pair, time, bits, contend)
+        return start + FLIGHT_CYCLES + self._response_delays[pair]
+
+    def _send(self, direction: int, pair: int, time: int, bits: int,
+              contend: bool) -> Tuple[int, int]:
+        """Put a message on one pair link at cycle ``time``, account its
+        traffic and energy; returns its start cycle and flit count."""
+        if pair < 0:  # the per-pair lists raise past the last pair
+            raise IndexError(f"pair {pair} out of range")
+        flits = flits_for_bits(bits, self._widths[direction])
+        start = time
+        if contend:
+            busy = self._busy[direction]
+            if busy[pair] > start:
+                start = busy[pair]
+            busy[pair] = start + flits
+        self._bits_sent[direction][pair] += bits
+        self._transfers[direction][pair] += 1
+        self.meter.busy(flits)
+        if self.sanitizer is not None:
+            self.sanitizer.on_transfer("link", time)
         self._energy_j += bits * self._energy_per_bit[pair]
-        return transfer.first_arrival + self._response_delays[pair]
+        return start, flits
 
     def utilization(self, elapsed_cycles: int) -> float:
         return self.meter.utilization(elapsed_cycles)
@@ -139,23 +185,25 @@ class TLCController:
         scope (the designs use ``link``), yielding names like
         ``link.util`` and ``link.pair02.req.bits_sent``."""
         scope.register("util", self.meter)
-        for pair, (req, resp) in enumerate(
-                zip(self.request_links, self.response_links)):
-            req.register_metrics(scope.scope(f"pair{pair:02d}.req"))
-            resp.register_metrics(scope.scope(f"pair{pair:02d}.resp"))
+        for pair in range(self.config.pairs):
+            for direction, label in ((_REQUEST, "req"), (_RESPONSE, "resp")):
+                link = scope.scope(f"pair{pair:02d}.{label}")
+                link.gauge("bits_sent", lambda d=direction, p=pair:
+                           self._bits_sent[d][p])
+                link.gauge("transfers", lambda d=direction, p=pair:
+                           self._transfers[d][p])
 
     def attach_sanitizer(self, sanitizer) -> None:
-        """Route every bundle link's transfers into ``sanitizer`` for
+        """Route every pair link's messages into ``sanitizer`` for
         message-conservation accounting.  A link delivers a message when
         it sends it, so the check fires only when the ``drop_transfer``
         fault removes one."""
-        for link in self.request_links + self.response_links:
-            link.sanitizer = sanitizer
+        self.sanitizer = sanitizer
 
     def reset_counters(self) -> None:
         """Zero traffic accounting and energy in place, preserving link
         busy state (the warmup-boundary reset)."""
         self.meter.reset()
         self._energy_j = 0.0
-        for link in self.request_links + self.response_links:
-            link.reset_counters()
+        for counts in self._bits_sent + self._transfers:
+            counts[:] = [0] * len(counts)

@@ -75,8 +75,8 @@ class TransmissionLineCache(L2Design):
 
     def _read(self, bank: CacheBank, bank_idx: int, pair: int,
               set_index: int, tag: int, time: int) -> L2Outcome:
-        request = self.network.send_request(pair, time, REQUEST_BITS)
-        bank_done = self._bank_access(bank_idx, request.first_arrival)
+        request_at, _ = self.network.send_request(pair, time, REQUEST_BITS)
+        bank_done = self._bank_access(bank_idx, request_at)
         lookup = bank.lookup(set_index, tag)
         expected = self.network.uncontended_latency(pair)
 
@@ -107,15 +107,15 @@ class TransmissionLineCache(L2Design):
                set_index: int, tag: int, time: int) -> L2Outcome:
         # Store/writeback: address and a full block ride the request link;
         # no tag comparison is needed (exclusive write-back design).
-        request = self.network.send_request(
+        _, data_at = self.network.send_request(
             pair, time, REQUEST_BITS + BLOCK_BITS)
-        self._bank_access(bank_idx, request.last_arrival)
+        self._bank_access(bank_idx, data_at)
         hit = bank.lookup(set_index, tag, write=True).hit
         if not hit:
             self._insert(bank, bank_idx, pair, set_index, tag,
-                         request.last_arrival, dirty=True)
+                         data_at, dirty=True)
         return L2Outcome(
-            complete_time=request.last_arrival,
+            complete_time=data_at,
             hit=hit,
             lookup_latency=0,
             predictable=True,
@@ -125,11 +125,11 @@ class TransmissionLineCache(L2Design):
     def _refill(self, bank: CacheBank, bank_idx: int, pair: int,
                 set_index: int, tag: int, time: int) -> None:
         """Install a block fetched from memory (occupies the request link)."""
-        refill = self.network.send_request(
+        _, refill_at = self.network.send_request(
             pair, time, REQUEST_BITS + BLOCK_BITS, contend=False)
-        self._bank_access(bank_idx, refill.last_arrival, contend=False)
+        self._bank_access(bank_idx, refill_at, contend=False)
         self._insert(bank, bank_idx, pair, set_index, tag,
-                     refill.last_arrival, dirty=False)
+                     refill_at, dirty=False)
 
     def _insert(self, bank: CacheBank, bank_idx: int, pair: int,
                 set_index: int, tag: int, time: int, dirty: bool) -> None:

@@ -106,9 +106,9 @@ class OptimizedTLC(L2Design):
         """Send a request to every stripe bank; returns (bank, done) pairs."""
         results = []
         for bank in self._group_banks[group]:
-            transfer = self.network.send_request(
+            _, request_at = self.network.send_request(
                 bank // 2, time, request_bits, contend)
-            done = self._bank_access(bank, transfer.last_arrival, contend)
+            done = self._bank_access(bank, request_at, contend)
             results.append((bank, done))
         return results
 

@@ -22,11 +22,10 @@ from repro.explore.leaderboard import (
     leaderboard_dataset,
     render_leaderboard,
 )
+from repro.core.config import MAX_REFS_PER_CELL, MAX_SEED
 from repro.explore.space import (
     MAX_AXES,
     MAX_CHOICES_PER_AXIS,
-    MAX_REFS_PER_CELL,
-    MAX_SEED,
     MAX_VARIANTS,
     SPACE_SPEC_SCHEMA,
     AxisSpec,

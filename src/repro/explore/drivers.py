@@ -41,8 +41,8 @@ import math
 import random
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.config import ConfigError, DesignVariant
-from repro.explore.space import MAX_SEED, SpaceSpec, expand
+from repro.core.config import MAX_SEED, ConfigError, DesignVariant
+from repro.explore.space import SpaceSpec, expand
 from repro.obs.manifest import RunManifest, build_manifest
 from repro.sim.stats import Counter
 

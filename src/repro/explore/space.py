@@ -36,21 +36,20 @@ import math
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import (
+    RUN_PARAMETER_SCHEMA,
     ConfigError,
     DesignVariant,
     RESERVED_VARIANT_FIELDS,
     DesignConfig,
     resolve_design_name,
+    validate_run_parameters,
 )
-from repro.workloads.profiles import benchmark_names
 
 #: Guard rails for one exploration (same spirit as the service caps:
 #: a declarative document should not be able to demand unbounded work).
 MAX_VARIANTS = 512
 MAX_AXES = 8
 MAX_CHOICES_PER_AXIS = 64
-MAX_REFS_PER_CELL = 2_000_000
-MAX_SEED = 2**32 - 1
 MAX_NAME_LENGTH = 48
 
 #: JSON Schema for a space document (the ``repro explore --space`` file).
@@ -116,43 +115,7 @@ SPACE_SPEC_SCHEMA = {
             "description": "explored dimensions; expansion is the "
                            "cartesian product in document order",
         },
-        "benchmarks": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "string"},
-            "description": "calibrated workload profiles every candidate "
-                           "runs; omitted means the full suite",
-        },
-        "n_refs": {
-            "type": "integer",
-            "minimum": 1,
-            "maximum": MAX_REFS_PER_CELL,
-            "default": 20_000,
-            "description": "L2 references per cell at full fidelity "
-                           "(successive halving starts lower)",
-        },
-        "seed": {
-            "type": "integer",
-            "minimum": 0,
-            "maximum": MAX_SEED,
-            "default": 7,
-            "description": "trace-generation seed (identical for every "
-                           "variant; the search seed is separate)",
-        },
-        "warmup_fraction": {
-            "type": "number",
-            "minimum": 0.0,
-            "exclusiveMaximum": 1.0,
-            "default": 0.3,
-            "description": "leading fraction of each trace excluded "
-                           "from measurement",
-        },
-        "sanitize": {
-            "type": "boolean",
-            "default": False,
-            "description": "run every cell under the simulator-core "
-                           "sanitizer (part of the cell cache key)",
-        },
+        **RUN_PARAMETER_SCHEMA,
         "on_invalid": {
             "type": "string",
             "enum": ["raise", "skip"],
@@ -253,10 +216,6 @@ class Expansion:
         return len(self.variants) + len(self.skipped)
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _fail(message: str) -> None:
     raise ConfigError(f"space spec: {message}")
 
@@ -352,21 +311,6 @@ def _validated_design(raw: object, field: str) -> str:
         raise ConfigError(f"space spec: {field}: {error}") from error
 
 
-def _validated_benchmarks(raw: object) -> Tuple[str, ...]:
-    if (not isinstance(raw, (list, tuple)) or not raw
-            or not all(isinstance(item, str) for item in raw)):
-        _fail(f"benchmarks must be a non-empty array of strings, "
-              f"got {raw!r}")
-    for item in raw:
-        if item not in benchmark_names():
-            _fail(f"unknown benchmark {item!r}; choose from "
-                  f"{sorted(benchmark_names())}")
-    duplicates = sorted({name for name in raw if raw.count(name) > 1})
-    if duplicates:
-        _fail(f"benchmarks contains duplicate entries {duplicates}")
-    return tuple(raw)
-
-
 def validate_space_spec(payload: object) -> SpaceSpec:
     """Validate one space document into a :class:`SpaceSpec`.
 
@@ -428,34 +372,13 @@ def validate_space_spec(payload: object) -> SpaceSpec:
         resolved = [baseline, base]
     references = tuple(dict.fromkeys([baseline] + resolved))
 
-    benchmarks = (_validated_benchmarks(payload["benchmarks"])
-                  if "benchmarks" in payload
-                  else tuple(benchmark_names()))
-
-    n_refs = payload.get("n_refs", 20_000)
-    if not _is_int(n_refs) or not 1 <= n_refs <= MAX_REFS_PER_CELL:
-        _fail(f"n_refs must be an integer in [1, {MAX_REFS_PER_CELL}], "
-              f"got {n_refs!r}")
-    seed = payload.get("seed", 7)
-    if not _is_int(seed) or not 0 <= seed <= MAX_SEED:
-        _fail(f"seed must be an integer in [0, {MAX_SEED}], got {seed!r}")
-    warmup = payload.get("warmup_fraction", 0.3)
-    if (not isinstance(warmup, (int, float)) or isinstance(warmup, bool)
-            or not math.isfinite(warmup) or not 0.0 <= warmup < 1.0):
-        _fail(f"warmup_fraction must be a finite number in [0, 1), "
-              f"got {warmup!r}")
-    sanitize = payload.get("sanitize", False)
-    if not isinstance(sanitize, bool):
-        _fail(f"sanitize must be a boolean, got {sanitize!r}")
+    run = validate_run_parameters(payload, "space spec")
     on_invalid = payload.get("on_invalid", "raise")
     if on_invalid not in ("raise", "skip"):
         _fail(f"on_invalid must be 'raise' or 'skip', got {on_invalid!r}")
 
     return SpaceSpec(name=name, base=base, axes=axes, baseline=baseline,
-                     references=references, benchmarks=benchmarks,
-                     n_refs=n_refs, seed=seed,
-                     warmup_fraction=float(warmup),
-                     sanitize=sanitize, on_invalid=on_invalid)
+                     references=references, on_invalid=on_invalid, **run)
 
 
 def expand(spec: SpaceSpec) -> Expansion:

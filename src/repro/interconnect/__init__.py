@@ -1,4 +1,4 @@
-"""On-chip interconnect substrate: links, messages, and the NUCA mesh."""
+"""On-chip interconnect substrate: message sizing and the NUCA mesh."""
 
 from repro.interconnect.message import (
     flits_for_bits,
@@ -6,16 +6,12 @@ from repro.interconnect.message import (
     BLOCK_BITS,
     BLOCK_BYTES,
 )
-from repro.interconnect.link import Link, Transfer
-from repro.interconnect.mesh import MeshNetwork, MeshPath
+from repro.interconnect.mesh import MeshNetwork
 
 __all__ = [
     "flits_for_bits",
     "REQUEST_BITS",
     "BLOCK_BITS",
     "BLOCK_BYTES",
-    "Link",
-    "Transfer",
     "MeshNetwork",
-    "MeshPath",
 ]

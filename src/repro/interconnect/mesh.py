@@ -12,6 +12,16 @@ Wormhole switching: the head flit advances one hop per ``hop_latency``
 cycles and each traversed link stays busy for the message's full flit
 count, so contention appears wherever message paths overlap — the
 paper's "contention in the routing network to and from the banks".
+A single processor issues messages in nondecreasing time order, so one
+busy-until cycle per link gives exact FIFO contention without event
+scheduling.
+
+Network state is flat: every directed link has an id, its busy-until
+cycle lives in one list, and each route is a memoized tuple of link
+ids.  Ids run over the ``2 * (columns - 1)`` horizontal edge links,
+two per gap between adjacent columns, then over each column's
+``2 * (rows - 1)`` vertical links, two per gap between adjacent rows;
+of each two, the first points away from the controller.
 
 The mesh owns its traffic accounting and prices it: every bit-hop costs
 one hop of conventional repeated wire plus one switch traversal
@@ -20,34 +30,15 @@ one hop of conventional repeated wire plus one switch traversal
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, Set, Tuple
 
-from repro.interconnect.link import Link
 from repro.interconnect.message import flits_for_bits
 from repro.sim.stats import UtilizationMeter
 from repro.tech import Technology, TECH_45NM
 from repro.tline.power import conventional_energy_per_bit
 
-LinkKey = Tuple[str, int, int, int]  # (kind, column, index, direction)
-
-
-class MeshPath(NamedTuple):
-    """A routed path plus the timing of a transfer along it.
-
-    A NamedTuple for the same reason as
-    :class:`~repro.interconnect.link.Transfer`: one is built per mesh
-    message, on the innermost simulation path.
-    """
-
-    links: Tuple[LinkKey, ...]
-    start: int
-    first_arrival: int
-    last_arrival: int
-    queued_cycles: int
-
-    @property
-    def hops(self) -> int:
-        return len(self.links)
+#: A routed path: link ids in travel order.
+Route = Tuple[int, ...]
 
 
 class MeshNetwork:
@@ -68,15 +59,16 @@ class MeshNetwork:
         self._energy_per_bit_hop = (
             conventional_energy_per_bit(hop_length_m, tech)
             + tech.switch_energy_per_bit)
-        # Directed links: horizontal edge links + vertical column links.
-        self.meter = UtilizationMeter(resources=self._count_links())
-        self._links: Dict[LinkKey, Link] = {}
-        # Routing is a pure function of the endpoint, and every message
-        # size maps to a fixed flit count; both are asked for on every
-        # simulated transfer, so both are computed once and memoized.
-        self._route_cache: Dict[Tuple[int, int, bool],
-                                Tuple[Tuple[LinkKey, ...], List[Link]]] = {}
-        self._flits_cache: Dict[int, int] = {}
+        self._horizontal_links = 2 * (columns - 1)
+        links = self._horizontal_links + 2 * columns * (rows - 1)
+        #: busy-until cycle of every directed link, by link id.
+        self._busy = [0] * links
+        self.meter = UtilizationMeter(resources=links)
+        # Routing is a pure function of the endpoint and is asked for on
+        # every simulated message, so each route is computed once.
+        self._routes: Dict[Tuple[int, int, bool], Route] = {}
+        #: ids of the links some route or promotion hop has used.
+        self._touched: Set[int] = set()
         self.bit_hops = 0
         self.switch_traversals = 0
         #: optional repro.sanitizer.Sanitizer; accounted per *message*
@@ -84,19 +76,6 @@ class MeshNetwork:
         #: send is also the delivery, so only a ``drop_transfer`` fault
         #: unbalances it.
         self.sanitizer = None
-
-    def _count_links(self) -> int:
-        horizontal = 2 * (self.columns - 1)
-        vertical = 2 * self.columns * (self.rows - 1)
-        return horizontal + vertical
-
-    def _link(self, key: LinkKey) -> Link:
-        link = self._links.get(key)
-        if link is None:
-            link = Link(self.flit_bits, flight_cycles=self.hop_latency,
-                        meter=self.meter)
-            self._links[key] = link
-        return link
 
     # -- routing ---------------------------------------------------------
     def horizontal_distance(self, column: int) -> int:
@@ -119,86 +98,96 @@ class MeshNetwork:
         """Round-trip network plus bank access latency, no contention."""
         return 2 * self.hops_to(column, position) * self.hop_latency + bank_cycles
 
-    def _route(self, column: int, position: int, outbound: bool) -> Tuple[LinkKey, ...]:
-        """Links from controller to (column, position); reversed if inbound."""
-        links: List[LinkKey] = []
+    def _vertical_link(self, column: int, row: int, away: bool) -> int:
+        """Id of the link joining positions ``row`` and ``row + 1``."""
+        return (self._horizontal_links + 2 * (column * (self.rows - 1) + row)
+                + (0 if away else 1))
+
+    def route(self, column: int, position: int, outbound: bool) -> Route:
+        """Link ids from the controller to bank (column, position), or
+        back when not ``outbound``.
+
+        Memoized: the first call for a bank and direction range-checks
+        the bank and counts the route's links as touched.
+        """
+        key = (column, position, outbound)
+        route = self._routes.get(key)
+        if route is not None:
+            return route
+        self.hops_to(column, position)  # raises IndexError off the mesh
         centre_right = self.columns // 2
-        direction = 1 if outbound else -1
         if column >= centre_right:
-            for j in range(centre_right, column):
-                links.append(("h", j, 0, direction))
+            gaps = range(centre_right, column)
         else:
-            for j in range(centre_right - 2, column - 1, -1):
-                links.append(("h", j, 0, -direction))
-        for r in range(position):
-            links.append(("v", column, r, direction))
+            gaps = range(centre_right - 2, column - 1, -1)
+        offset = 0 if outbound else 1
+        links = [2 * gap + offset for gap in gaps]
+        links += [self._vertical_link(column, row, outbound)
+                  for row in range(position)]
         if not outbound:
             links.reverse()
-        return tuple(links)
+        route = self._routes[key] = tuple(links)
+        self._touched.update(route)
+        return route
 
     # -- transfers -------------------------------------------------------
     def send(self, column: int, position: int, time: int, message_bits: int,
-             outbound: bool, contend: bool = True) -> MeshPath:
-        """Route a message controller<->bank and account for contention.
+             outbound: bool, contend: bool = True) -> Tuple[int, int]:
+        """Route a message controller<->bank; returns the cycles its
+        first and last flits arrive.
 
-        ``contend=False`` (fill/writeback traffic scheduled in the
-        future) consumes bandwidth for accounting but does not reserve
-        links against earlier demand traffic — see ``Link.send``.
+        ``contend=False`` is for fill/writeback traffic scheduled at a
+        future completion time (e.g. a refill arriving from memory): the
+        message still consumes bandwidth for utilization and energy
+        accounting, but reserves no link against *earlier* demand
+        messages — the busy-until model would otherwise charge messages
+        that arrive first for traffic that arrives later.
         """
-        route = self._route_cache.get((column, position, outbound))
+        route = self._routes.get((column, position, outbound))
         if route is None:
-            keys = self._route(column, position, outbound)
-            route = (keys, [self._link(key) for key in keys])
-            self._route_cache[(column, position, outbound)] = route
-        links, link_objects = route
-        flits = self._flits_cache.get(message_bits)
-        if flits is None:
-            flits = flits_for_bits(message_bits, self.flit_bits)
-            self._flits_cache[message_bits] = flits
-        head = time
-        start = time
-        first = True
-        for link in link_objects:
-            transfer = link.send(head, message_bits, contend)
-            if first:
-                start = transfer.start
-                first = False
-            head = transfer.first_arrival
-        self.bit_hops += message_bits * len(links)
-        self.switch_traversals += len(links)
-        if self.sanitizer is not None:
-            self.sanitizer.on_transfer("mesh", time)
-        return MeshPath(
-            links=links,
-            start=start,
-            first_arrival=head,
-            last_arrival=head + flits - 1,
-            queued_cycles=start - time,
-        )
+            route = self.route(column, position, outbound)
+        return self._traverse(route, time, message_bits, contend)
 
     def transfer_between(self, column: int, upper_position: int, time: int,
-                         message_bits: int, upward: bool) -> MeshPath:
+                         message_bits: int, upward: bool) -> Tuple[int, int]:
         """One-hop bank-to-adjacent-bank transfer (DNUCA promotion swaps).
 
         Moves a message between (column, upper_position-1) and
         (column, upper_position) over the single vertical link joining
         them; ``upward`` selects the direction away from the controller.
+        Returns the cycles the first and last flits arrive.
         """
+        if not 0 <= column < self.columns:
+            raise IndexError(f"column {column} out of range")
         if not 1 <= upper_position < self.rows:
             raise IndexError("upper_position must be in [1, rows)")
-        key: LinkKey = ("v", column, upper_position - 1, 1 if upward else -1)
-        transfer = self._link(key).send(time, message_bits)
-        self.bit_hops += message_bits
-        self.switch_traversals += 1
+        link = self._vertical_link(column, upper_position - 1, upward)
+        self._touched.add(link)
+        return self._traverse((link,), time, message_bits, True)
+
+    def _traverse(self, route: Route, time: int, message_bits: int,
+                  contend: bool) -> Tuple[int, int]:
+        """Walk ``route`` wormhole-style and account the message once."""
+        flits = flits_for_bits(message_bits, self.flit_bits)
+        hops = len(route)
+        head = time
+        if contend:
+            busy = self._busy
+            hop_latency = self.hop_latency
+            for link in route:
+                start = busy[link]
+                if start < head:
+                    start = head
+                busy[link] = start + flits
+                head = start + hop_latency
+        else:
+            head += hops * self.hop_latency
+        self.meter.busy(flits * hops)
+        self.bit_hops += message_bits * hops
+        self.switch_traversals += hops
         if self.sanitizer is not None:
             self.sanitizer.on_transfer("mesh", time)
-        return MeshPath(
-            links=(key,),
-            start=transfer.start,
-            first_arrival=transfer.first_arrival,
-            last_arrival=transfer.last_arrival,
-            queued_cycles=transfer.queued_cycles,
-        )
+        return head, head + flits - 1
 
     def utilization(self, elapsed_cycles: int) -> float:
         return self.meter.utilization(elapsed_cycles)
@@ -214,15 +203,14 @@ class MeshNetwork:
     def register_metrics(self, scope) -> None:
         """Mount the mesh's meters/gauges on a registry scope (``mesh``).
 
-        Links are created lazily as traffic first touches them, so the
-        per-link population is summarized by aggregate gauges rather
-        than registered individually.
+        ``links_touched`` counts the links that some route or promotion
+        hop has used, ``links_total`` every directed link of the mesh.
         """
         scope.register("util", self.meter)
         scope.gauge("bit_hops", lambda: self.bit_hops)
         scope.gauge("switch_traversals", lambda: self.switch_traversals)
-        scope.gauge("links_touched", lambda: len(self._links))
-        scope.gauge("links_total", self._count_links)
+        scope.gauge("links_touched", lambda: len(self._touched))
+        scope.gauge("links_total", lambda: len(self._busy))
 
     def reset_counters(self) -> None:
         """Zero traffic accounting (and so energy) in place, preserving
@@ -230,5 +218,3 @@ class MeshNetwork:
         self.meter.reset()
         self.bit_hops = 0
         self.switch_traversals = 0
-        for link in self._links.values():
-            link.reset_counters()

@@ -122,9 +122,10 @@ class DynamicNUCA(L2Design):
         # Probe the closest two banks (in parallel with the partial tags).
         probe_done = {}
         for position in CLOSEST_BANKS:
-            request = self.network.send(column, position, time, REQUEST_BITS, True)
+            request_at, _ = self.network.send(column, position, time,
+                                              REQUEST_BITS, True)
             probe_done[position] = self._bank_access(first_bank + position,
-                                                     request.first_arrival)
+                                                     request_at)
         banks_accessed = len(CLOSEST_BANKS)
 
         if holder is not None and holder[0] in CLOSEST_BANKS:
@@ -139,7 +140,7 @@ class DynamicNUCA(L2Design):
         # direct (or rule out) a wider search.
         ack_times = [
             self.network.send(column, p, probe_done[p], REQUEST_BITS,
-                              False).first_arrival
+                              False)[0]
             for p in CLOSEST_BANKS
         ]
         if self.config.use_partial_tags:
@@ -184,10 +185,10 @@ class DynamicNUCA(L2Design):
         banks_accessed += len(search_candidates)
         search_done = {}
         for position in search_candidates:
-            request = self.network.send(column, position, search_start,
-                                        REQUEST_BITS, True)
+            request_at, _ = self.network.send(column, position, search_start,
+                                              REQUEST_BITS, True)
             search_done[position] = self._bank_access(first_bank + position,
-                                                      request.first_arrival)
+                                                      request_at)
 
         if holder is not None and holder[0] in search_done:
             position = holder[0]
@@ -198,7 +199,7 @@ class DynamicNUCA(L2Design):
 
         # Every candidate was a partial-tag false positive.
         search_acks = [
-            self.network.send(column, p, done, REQUEST_BITS, False).first_arrival
+            self.network.send(column, p, done, REQUEST_BITS, False)[0]
             for p, done in search_done.items()
         ]
         miss_at = max(search_acks)
@@ -219,14 +220,13 @@ class DynamicNUCA(L2Design):
         first_bank = column * self.positions
         for position in candidates:
             banks_accessed += 1
-            request = self.network.send(column, position, now, REQUEST_BITS, True)
-            done = self._bank_access(first_bank + position, request.first_arrival)
+            request_at, _ = self.network.send(column, position, now, REQUEST_BITS, True)
+            done = self._bank_access(first_bank + position, request_at)
             if holder is not None and holder[0] == position:
                 outcome = self._hit(column, position, holder[1], set_index,
                                     tag, time, done, write, close_hit=False)
                 return outcome, banks_accessed
-            ack = self.network.send(column, position, done, REQUEST_BITS, False)
-            now = ack.first_arrival
+            now, _ = self.network.send(column, position, done, REQUEST_BITS, False)
         return (self._miss(column, set_index, tag, time, now,
                            predictable=False, write=write), banks_accessed)
 
@@ -238,16 +238,16 @@ class DynamicNUCA(L2Design):
         bank.lookup(set_index, tag, write=write)
         if write:
             # The store's data follows the probe to the located bank.
-            data = self.network.send(column, position, bank_done, BLOCK_BITS, True)
-            complete = data.last_arrival
+            _, complete = self.network.send(column, position, bank_done,
+                                            BLOCK_BITS, True)
             outcome = L2Outcome(complete, True, 0, predictable=True, write=True)
         else:
-            response = self.network.send(column, position, bank_done,
-                                         BLOCK_BITS, False)
-            latency = response.first_arrival - time
+            response_at, _ = self.network.send(column, position, bank_done,
+                                               BLOCK_BITS, False)
+            latency = response_at - time
             expected = self._uncontended[column][position]
             predictable = close_hit and latency == expected
-            outcome = L2Outcome(response.first_arrival, True, latency, predictable)
+            outcome = L2Outcome(response_at, True, latency, predictable)
         if position > 0:
             self._promote(column, position, way, set_index,
                           outcome.complete_time)
@@ -302,19 +302,19 @@ class DynamicNUCA(L2Design):
             entry = self.positions - 1
         else:
             entry = 0
-        transfer = self.network.send(column, entry, time,
-                                     REQUEST_BITS + BLOCK_BITS, True, contend=False)
+        _, data_at = self.network.send(column, entry, time,
+                                       REQUEST_BITS + BLOCK_BITS, True, contend=False)
         accepted = self._bank_access(column * self.positions + entry,
-                                     transfer.last_arrival, contend=False)
+                                     data_at, contend=False)
         bank = self.banks[column][entry]
         result = bank.insert(set_index, tag, dirty=dirty)
         pta = self.partial_tags[column]
         pta.update(entry, set_index, result.way, tag)
         self.stats.add("insertions")
         if result.evicted_tag is not None and result.evicted_dirty:
-            writeback = self.network.send(column, entry, accepted, BLOCK_BITS,
-                                          False, contend=False)
-            self.memory.write(writeback.last_arrival)
+            _, writeback_at = self.network.send(column, entry, accepted, BLOCK_BITS,
+                                                False, contend=False)
+            self.memory.write(writeback_at)
             self.stats.add("writebacks")
         return accepted
 

@@ -84,26 +84,28 @@ class StaticNUCA(L2Design):
 
     def _read(self, bank: CacheBank, bank_idx: int, column: int, position: int,
               set_index: int, tag: int, time: int, t_inject: int) -> L2Outcome:
-        request = self.network.send(column, position, t_inject, REQUEST_BITS, True)
-        done = self._bank_access(bank_idx, request.first_arrival)
+        request_at, _ = self.network.send(column, position, t_inject,
+                                          REQUEST_BITS, True)
+        done = self._bank_access(bank_idx, request_at)
         expected = self._uncontended[bank_idx]
         if bank.lookup(set_index, tag).hit:
-            response = self.network.send(column, position, done, BLOCK_BITS, False)
-            latency = response.first_arrival - time
-            return L2Outcome(response.first_arrival, True, latency,
+            response_at, _ = self.network.send(column, position, done,
+                                               BLOCK_BITS, False)
+            latency = response_at - time
+            return L2Outcome(response_at, True, latency,
                              predictable=(latency == expected))
-        ack = self.network.send(column, position, done, REQUEST_BITS, False)
-        latency = ack.first_arrival - time
-        mem_done = self.memory.read(ack.first_arrival)
+        ack_at, _ = self.network.send(column, position, done, REQUEST_BITS, False)
+        latency = ack_at - time
+        mem_done = self.memory.read(ack_at)
         self._refill(bank, bank_idx, column, position, set_index, tag, mem_done)
         return L2Outcome(mem_done, False, latency,
                          predictable=(latency == expected))
 
     def _write(self, bank: CacheBank, bank_idx: int, column: int, position: int,
                set_index: int, tag: int, t_inject: int) -> L2Outcome:
-        request = self.network.send(column, position, t_inject,
-                                    REQUEST_BITS + BLOCK_BITS, True)
-        accepted = self._bank_access(bank_idx, request.last_arrival)
+        _, data_at = self.network.send(column, position, t_inject,
+                                       REQUEST_BITS + BLOCK_BITS, True)
+        accepted = self._bank_access(bank_idx, data_at)
         hit = bank.lookup(set_index, tag, write=True).hit
         if not hit:
             self._insert(bank, bank_idx, column, position, set_index, tag,
@@ -112,19 +114,19 @@ class StaticNUCA(L2Design):
 
     def _refill(self, bank: CacheBank, bank_idx: int, column: int, position: int,
                 set_index: int, tag: int, time: int) -> None:
-        refill = self.network.send(column, position, time,
-                                   REQUEST_BITS + BLOCK_BITS, True, contend=False)
-        self._bank_access(bank_idx, refill.last_arrival, contend=False)
+        _, refill_at = self.network.send(column, position, time,
+                                         REQUEST_BITS + BLOCK_BITS, True, contend=False)
+        self._bank_access(bank_idx, refill_at, contend=False)
         self._insert(bank, bank_idx, column, position, set_index, tag,
-                     refill.last_arrival, dirty=False)
+                     refill_at, dirty=False)
 
     def _insert(self, bank: CacheBank, bank_idx: int, column: int, position: int,
                 set_index: int, tag: int, time: int, dirty: bool) -> None:
         result = bank.insert(set_index, tag, dirty=dirty)
         if result.evicted_tag is not None and result.evicted_dirty:
-            writeback = self.network.send(column, position, time, BLOCK_BITS,
-                                          False, contend=False)
-            self.memory.write(writeback.last_arrival)
+            _, writeback_at = self.network.send(column, position, time, BLOCK_BITS,
+                                                False, contend=False)
+            self.memory.write(writeback_at)
             self.stats.add("writebacks")
 
     def bulk_install(self, addrs: Iterable[int]) -> None:

@@ -8,14 +8,15 @@ fault injected) every design produces byte-identical results — it only
 moment an invariant breaks:
 
 * **Message conservation** — every transfer injected into a
-  :class:`~repro.interconnect.link.Link` bundle or
+  :class:`~repro.core.controller.TLCController` pair link or the
   :class:`~repro.interconnect.mesh.MeshNetwork` must be delivered
   exactly once (kinds ``link.conservation`` / ``mesh.conservation``).
-  A busy-until link delivers a message in the same call that sends
-  it, so :meth:`Sanitizer.on_transfer` counts the delivery together
-  with the send.  The check therefore fires only when the
-  ``drop_transfer`` fault removes a message; that is how the CI
-  flit-drop smoke exercises the violation -> bundle -> replay path.
+  Both networks keep busy-until cycles, so a message is delivered in
+  the same call that sends it, and :meth:`Sanitizer.on_transfer`
+  counts the delivery together with the send.  The check therefore
+  fires only when the ``drop_transfer`` fault removes a message; that
+  is how the CI flit-drop smoke exercises the violation -> bundle ->
+  replay path.
 * **Bank coherence** — a :class:`~repro.cache.bank.CacheBank` set may
   never hold more blocks than its associativity nor the same tag twice
   (``bank.occupancy`` / ``bank.duplicate_tag``); DNUCA's central

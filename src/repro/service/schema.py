@@ -21,21 +21,24 @@ error type with one message style.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Tuple
 
-from repro.core.config import ConfigError, get_design, resolve_design_name
-from repro.workloads.profiles import benchmark_names
+from repro.core.config import (
+    RUN_PARAMETER_SCHEMA,
+    ConfigError,
+    get_design,
+    resolve_design_name,
+    validate_run_parameters,
+)
 
 #: Bump when a response document's layout changes incompatibly.
 SERVICE_SCHEMA_VERSION = 1
 
-#: Service-side guard rails: a long-running shared service must bound
-#: the work one request can demand.  Large grids are submitted as
-#: several jobs; the result cache makes the split free.
-MAX_REFS_PER_CELL = 2_000_000
+#: Service-side guard rail: a long-running shared service must bound
+#: the work one request can demand (per-cell bounds are in
+#: :data:`~repro.core.config.RUN_PARAMETER_SCHEMA`).  Large grids are
+#: submitted as several jobs; the result cache makes the split free.
 MAX_CELLS_PER_JOB = 256
-MAX_SEED = 2**32 - 1
 
 #: Admission-control defaults (``repro serve --max-active-jobs /
 #: --max-queued-cells``; pass 0 for unlimited).  Submits beyond either
@@ -65,42 +68,7 @@ JOB_SPEC_SCHEMA = {
                            "duplicates rejected; first entry is the "
                            "normalization baseline",
         },
-        "benchmarks": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "string"},
-            "description": "calibrated workload profiles; omitted means "
-                           "the full 12-benchmark suite",
-        },
-        "n_refs": {
-            "type": "integer",
-            "minimum": 1,
-            "maximum": MAX_REFS_PER_CELL,
-            "default": 20_000,
-            "description": "L2 references simulated per cell",
-        },
-        "seed": {
-            "type": "integer",
-            "minimum": 0,
-            "maximum": MAX_SEED,
-            "default": 7,
-            "description": "trace-generation seed (identical across "
-                           "designs, like the paper's shared checkpoints)",
-        },
-        "warmup_fraction": {
-            "type": "number",
-            "minimum": 0.0,
-            "exclusiveMaximum": 1.0,
-            "default": 0.3,
-            "description": "leading fraction of each trace excluded "
-                           "from measurement",
-        },
-        "sanitize": {
-            "type": "boolean",
-            "default": False,
-            "description": "run every cell under the simulator-core "
-                           "sanitizer (part of the cell cache key)",
-        },
+        **RUN_PARAMETER_SCHEMA,
     },
 }
 
@@ -170,38 +138,27 @@ class JobSpec:
         }
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _fail(message: str) -> None:
     raise ConfigError(f"job spec: {message}")
 
 
-def _validated_names(raw: object, field: str, resolve) -> Tuple[str, ...]:
-    """A tuple of resolved, duplicate-free names for one list field."""
+def _validated_designs(raw: object) -> Tuple[str, ...]:
+    """A tuple of resolved, duplicate-free design names."""
     if (not isinstance(raw, (list, tuple)) or not raw
             or not all(isinstance(item, str) for item in raw)):
-        _fail(f"{field} must be a non-empty array of strings, got {raw!r}")
+        _fail(f"designs must be a non-empty array of strings, got {raw!r}")
     resolved = []
     for item in raw:
         try:
-            resolved.append(resolve(item))
+            resolved.append(resolve_design_name(item))
         except ValueError as error:
             raise ConfigError(f"job spec: {error}") from error
     duplicates = sorted({name for name in resolved
                          if resolved.count(name) > 1})
     if duplicates:
-        _fail(f"{field} contains duplicate entries {duplicates} "
+        _fail(f"designs contains duplicate entries {duplicates} "
               f"(after name resolution)")
     return tuple(resolved)
-
-
-def _resolve_benchmark(name: str) -> str:
-    if name not in benchmark_names():
-        raise ValueError(f"unknown benchmark {name!r}; choose from "
-                         f"{sorted(benchmark_names())}")
-    return name
 
 
 def validate_job_spec(payload: object) -> JobSpec:
@@ -219,39 +176,18 @@ def validate_job_spec(payload: object) -> JobSpec:
     if unknown:
         _fail(f"unknown field(s) {unknown}; known fields: {sorted(known)}")
 
-    designs = _validated_names(payload["designs"], "designs",
-                               resolve_design_name) \
+    designs = _validated_designs(payload["designs"]) \
         if "designs" in payload else _fail("designs is required")
     for design in designs:
         # The registry lookup is the DesignConfig-backed guarantee: a
         # name that resolves maps to a config whose __post_init__ has
         # already proven the design buildable.
         get_design(design)
-    benchmarks = (_validated_names(payload["benchmarks"], "benchmarks",
-                                   _resolve_benchmark)
-                  if "benchmarks" in payload else tuple(benchmark_names()))
+    run = validate_run_parameters(payload, "job spec")
 
-    n_refs = payload.get("n_refs", 20_000)
-    if not _is_int(n_refs) or not 1 <= n_refs <= MAX_REFS_PER_CELL:
-        _fail(f"n_refs must be an integer in [1, {MAX_REFS_PER_CELL}], "
-              f"got {n_refs!r}")
-    seed = payload.get("seed", 7)
-    if not _is_int(seed) or not 0 <= seed <= MAX_SEED:
-        _fail(f"seed must be an integer in [0, {MAX_SEED}], got {seed!r}")
-    warmup = payload.get("warmup_fraction", 0.3)
-    if (not isinstance(warmup, (int, float)) or isinstance(warmup, bool)
-            or not math.isfinite(warmup) or not 0.0 <= warmup < 1.0):
-        _fail(f"warmup_fraction must be a finite number in [0, 1), "
-              f"got {warmup!r}")
-    sanitize = payload.get("sanitize", False)
-    if not isinstance(sanitize, bool):
-        _fail(f"sanitize must be a boolean, got {sanitize!r}")
-
-    cells = len(designs) * len(benchmarks)
+    cells = len(designs) * len(run["benchmarks"])
     if cells > MAX_CELLS_PER_JOB:
         _fail(f"grid has {cells} cells; the service caps a job at "
               f"{MAX_CELLS_PER_JOB} (split it into several jobs — the "
               f"shared result cache makes the split free)")
-    return JobSpec(designs=designs, benchmarks=benchmarks, n_refs=n_refs,
-                   seed=seed, warmup_fraction=float(warmup),
-                   sanitize=sanitize)
+    return JobSpec(designs=designs, **run)

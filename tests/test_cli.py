@@ -73,6 +73,53 @@ class TestParser:
         assert f"argument {flag}: must be" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        *[(argv, "--refs", "0") for argv in (
+            ["run", "TLC", "mcf"], ["compare", "mcf"], ["trace", "mcf"],
+            ["grid"], ["report"])],
+        *[(argv, "--seed", "-1") for argv in (
+            ["run", "TLC", "mcf"], ["compare", "mcf"], ["trace", "mcf"],
+            ["grid"], ["explore", "--space", "space.json"])],
+        (["run", "TLC", "mcf", "--sanitize"], "--sanitize-interval", "0"),
+        (["run", "TLC", "mcf", "--sanitize"], "--watchdog-cycles", "0"),
+        (["run", "TLC", "mcf", "--trace-out", "t.jsonl"],
+         "--trace-capacity", "0"),
+        (["perf"], "--reps", "0"),
+        (["grid"], "--workers", "0"),
+        (["report"], "--workers", "-3"),
+        (["explore", "--space", "space.json"], "--workers", "0"),
+        (["serve"], "--workers", "0"),
+        (["explore", "--space", "space.json"], "--top-k", "-1"),
+        (["serve"], "--port", "-1"),
+        (["serve"], "--port", "65536"),
+        (["serve"], "--max-active-jobs", "-1"),
+        (["serve"], "--max-queued-cells", "-1"),
+        (["serve"], "--job-ttl", "0"),
+        (["serve"], "--drain-timeout", "-1"),
+        (["grid"], "--refs", "many"),
+    ])
+    def test_bad_numeric_values_are_usage_errors(self, argv, flag, value,
+                                                 capsys):
+        # Parse only: an accepted value would start a run or a server.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv + [flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be" in err
+        assert "Traceback" not in err
+
+    def test_numeric_bounds_are_inclusive(self):
+        parser = build_parser()
+        run = parser.parse_args(["run", "TLC", "mcf", "--refs", "1",
+                                 "--seed", str(2**40)])
+        assert (run.refs, run.seed) == (1, 2**40)
+        serve = parser.parse_args(["serve", "--port", "65535",
+                                   "--max-active-jobs", "0",
+                                   "--max-queued-cells", "0",
+                                   "--drain-timeout", "0"])
+        assert (serve.port, serve.max_active_jobs, serve.max_queued_cells,
+                serve.drain_timeout) == (65535, 0, 0, 0.0)
+
 
 class TestInformational:
     def test_designs_lists_registry(self, capsys):

@@ -3,21 +3,30 @@
 import pytest
 
 from repro.core.config import SNUCA2, TLC_BASE, TLC_OPT_1000, TLC_OPT_350
-from repro.core.controller import TLCController
-from repro.interconnect.message import BLOCK_BITS, REQUEST_BITS
+from repro.core.controller import FLIGHT_CYCLES, TLCController
+from repro.interconnect.message import BLOCK_BITS, REQUEST_BITS, flits_for_bits
+from repro.obs.registry import MetricsRegistry
 
 
 class TestConstruction:
     def test_one_link_pair_per_bank_pair(self):
         controller = TLCController(TLC_BASE)
-        assert len(controller.request_links) == 16
-        assert len(controller.response_links) == 16
+        registry = MetricsRegistry()
+        controller.register_metrics(registry.scope("link"))
+        names = registry.names()
+        assert sum(name.endswith(".req.bits_sent") for name in names) == 16
+        assert sum(name.endswith(".resp.bits_sent") for name in names) == 16
         assert controller.meter.resources == 32
 
     def test_link_widths_follow_config(self):
+        assert TLC_OPT_350.request_link_bits == 22
+        assert TLC_OPT_350.response_link_bits == 44 - 22
         controller = TLCController(TLC_OPT_350)
-        assert controller.request_links[0].width_bits == 22
-        assert controller.response_links[0].width_bits == 44 - 22
+        first, last = controller.send_request(0, 0, REQUEST_BITS)
+        assert last - first == flits_for_bits(REQUEST_BITS, 22) - 1
+        controller.send_response(0, 0, BLOCK_BITS)
+        assert controller.meter.busy_cycles == (
+            flits_for_bits(REQUEST_BITS, 22) + flits_for_bits(BLOCK_BITS, 22))
 
     def test_rejects_nuca_config(self):
         with pytest.raises(ValueError):
@@ -57,16 +66,16 @@ class TestTransfers:
                        key=lambda p: TLC_BASE.controller_rt_delays[p])
         near_pair = min(range(16),
                         key=lambda p: TLC_BASE.controller_rt_delays[p])
-        far = controller.send_request(far_pair, 100, REQUEST_BITS)
-        near = controller.send_request(near_pair, 100, REQUEST_BITS)
-        assert far.first_arrival >= near.first_arrival
+        far, _ = controller.send_request(far_pair, 100, REQUEST_BITS)
+        near, _ = controller.send_request(near_pair, 100, REQUEST_BITS)
+        assert far >= near
 
     def test_response_arrival_adds_internal_wire(self):
         controller = TLCController(TLC_BASE)
         pair = max(range(16), key=lambda p: TLC_BASE.controller_rt_delays[p])
         arrival = controller.send_response(pair, 100, BLOCK_BITS)
         # The idle link lands the critical word one flight after sending.
-        first_arrival = 100 + controller.response_links[pair].flight_cycles
+        first_arrival = 100 + FLIGHT_CYCLES
         assert arrival == first_arrival + controller.response_delay(pair)
 
     def test_energy_scales_with_bits(self):

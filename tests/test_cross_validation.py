@@ -2,9 +2,8 @@
 
 These tests tie separately implemented components together:
 
-* the scalar busy-until :class:`~repro.interconnect.link.Link` against
-  an explicit event-driven FIFO server built on a ``heapq`` event
-  queue;
+* a TLC controller pair link's busy-until timing against an explicit
+  event-driven FIFO server built on a ``heapq`` event queue;
 * the analytic stack-distance miss predictor against the actual misses
   the cache designs produce;
 * the physical-layer flight time against the cycle counts the timing
@@ -16,7 +15,8 @@ import heapq
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.interconnect.link import Link
+from repro.core.config import TLC_BASE
+from repro.core.controller import FLIGHT_CYCLES, TLCController
 from repro.sim.system import run_system
 from repro.tline import TABLE1_LINES, extract
 from repro.workloads.stats import predict_miss_ratio
@@ -59,14 +59,17 @@ class EventDrivenFifoLink:
                 min_size=1, max_size=40))
 def test_link_matches_event_driven_reference(messages):
     """The O(1) busy-until link and the event-driven FIFO queue must
-    produce identical transfer timings for arrival-ordered traffic."""
+    produce identical transfer timings for arrival-ordered traffic.
+    The link is the 64-bit request link of a pair without controller
+    wire delay, so a message starts one flight before it arrives."""
     messages = sorted(messages)
-    fast = Link(width_bits=64, flight_cycles=2)
-    reference = EventDrivenFifoLink(width_bits=64, flight_cycles=2)
+    pair = TLC_BASE.controller_rt_delays.index(0)
+    fast = TLCController(TLC_BASE)
+    reference = EventDrivenFifoLink(width_bits=64, flight_cycles=FLIGHT_CYCLES)
     fast_results = []
     for time, bits in messages:
-        t = fast.send(time, bits)
-        fast_results.append((t.start, t.first_arrival, t.last_arrival))
+        first, last = fast.send_request(pair, time, bits)
+        fast_results.append((first - FLIGHT_CYCLES, first, last))
         reference.send(time, bits)
     assert fast_results == reference.run()
 

@@ -1,11 +1,27 @@
-"""Tests for point-to-point link timing and contention semantics."""
+"""Tests for point-to-point link timing and contention semantics.
+
+The links are the TLC controller's per-pair transmission lines; these
+tests drive the request link of a centre pair, whose lines reach the
+controller without extra wire delay, so a message put on the link at
+``time`` starts there.
+"""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.interconnect.link import Link
+from repro.core.config import TLC_BASE
+from repro.core.controller import FLIGHT_CYCLES, TLCController
 from repro.interconnect.message import flits_for_bits, REQUEST_BITS, BLOCK_BITS
-from repro.sim.stats import UtilizationMeter
+from repro.obs.registry import MetricsRegistry
+
+#: a pair with no controller wire delay; its request link is 64 bits.
+PAIR = TLC_BASE.controller_rt_delays.index(0)
+
+
+def send(controller, time, bits, contend=True):
+    """Put a message on the pair's request link at ``time``; returns
+    the cycles its first and last flits arrive."""
+    return controller.send_request(PAIR, time, bits, contend)
 
 
 class TestFlits:
@@ -27,66 +43,52 @@ class TestFlits:
 
 class TestIdleLink:
     def test_single_flit_timing(self):
-        link = Link(width_bits=64, flight_cycles=1)
-        t = link.send(time=100, message_bits=REQUEST_BITS)
-        assert t.start == 100
-        assert t.first_arrival == 101
-        assert t.last_arrival == 101
-        assert t.queued_cycles == 0
+        first, last = send(TLCController(TLC_BASE), 100, REQUEST_BITS)
+        assert first == 101
+        assert last == 101
 
     def test_multi_flit_timing(self):
-        link = Link(width_bits=64, flight_cycles=1)
-        t = link.send(time=100, message_bits=BLOCK_BITS)
-        assert t.flits == 8
-        assert t.first_arrival == 101      # critical word
-        assert t.last_arrival == 108       # tail flit
+        first, last = send(TLCController(TLC_BASE), 100, BLOCK_BITS)
+        assert first == 101      # critical word
+        assert last == 108       # tail flit: 8 flits
 
     def test_flight_cycles_add_latency(self):
-        link = Link(width_bits=64, flight_cycles=3)
-        t = link.send(time=0, message_bits=64)
-        assert t.first_arrival == 3
+        """Every pair's request lands one flight after the controller
+        wire delay."""
+        controller = TLCController(TLC_BASE)
+        for pair in range(TLC_BASE.pairs):
+            first, _ = controller.send_request(pair, 0, 64)
+            assert first == controller.request_delay(pair) + FLIGHT_CYCLES
 
 
 class TestContention:
     def test_back_to_back_serializes(self):
-        link = Link(width_bits=64, flight_cycles=1)
-        first = link.send(0, BLOCK_BITS)   # occupies cycles 0..7
-        second = link.send(0, REQUEST_BITS)
-        assert second.start == 8
-        assert second.queued_cycles == 8
+        controller = TLCController(TLC_BASE)
+        send(controller, 0, BLOCK_BITS)   # occupies cycles 0..7
+        first, _ = send(controller, 0, REQUEST_BITS)
+        assert first == 8 + FLIGHT_CYCLES  # queued 8 cycles
 
     def test_gap_avoids_queueing(self):
-        link = Link(width_bits=64, flight_cycles=1)
-        link.send(0, BLOCK_BITS)
-        second = link.send(50, REQUEST_BITS)
-        assert second.queued_cycles == 0
+        controller = TLCController(TLC_BASE)
+        send(controller, 0, BLOCK_BITS)
+        first, _ = send(controller, 50, REQUEST_BITS)
+        assert first == 50 + FLIGHT_CYCLES
 
     def test_non_contending_send_does_not_reserve(self):
-        link = Link(width_bits=64, flight_cycles=1)
-        link.send(100, BLOCK_BITS, contend=False)
-        demand = link.send(100, REQUEST_BITS)
-        assert demand.queued_cycles == 0
+        controller = TLCController(TLC_BASE)
+        send(controller, 100, BLOCK_BITS, contend=False)
+        first, _ = send(controller, 100, REQUEST_BITS)
+        assert first == 100 + FLIGHT_CYCLES
 
     def test_non_contending_send_still_metered(self):
-        meter = UtilizationMeter(resources=1)
-        link = Link(width_bits=64, flight_cycles=1, meter=meter)
-        link.send(0, BLOCK_BITS, contend=False)
-        assert meter.busy_cycles == 8
-        assert link.bits_sent == BLOCK_BITS
-
-    def test_reset(self):
-        link = Link(width_bits=64)
-        link.send(0, BLOCK_BITS)
-        link.reset()
-        assert link.busy_until == 0
-        assert link.bits_sent == 0
-        assert link.transfers == 0
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            Link(width_bits=0)
-        with pytest.raises(ValueError):
-            Link(width_bits=8, flight_cycles=-1)
+        controller = TLCController(TLC_BASE)
+        registry = MetricsRegistry()
+        controller.register_metrics(registry.scope("link"))
+        send(controller, 0, BLOCK_BITS, contend=False)
+        assert controller.meter.busy_cycles == 8
+        snapshot = registry.snapshot()
+        assert snapshot[f"link.pair{PAIR:02d}.req.bits_sent"] == BLOCK_BITS
+        assert snapshot[f"link.pair{PAIR:02d}.req.transfers"] == 1
 
 
 @given(st.lists(st.tuples(st.integers(0, 1000), st.integers(1, 512)),
@@ -94,12 +96,14 @@ class TestContention:
 def test_fifo_invariants(messages):
     """Transfers never overlap on the link and never start before both
     their send time and the prior transfer's completion."""
-    link = Link(width_bits=64, flight_cycles=1)
+    controller = TLCController(TLC_BASE)
     messages = sorted(messages)  # arrival-ordered, as the designs guarantee
     prev_busy_end = 0
     for send_time, bits in messages:
-        t = link.send(send_time, bits)
-        assert t.start >= send_time
-        assert t.start >= prev_busy_end
-        prev_busy_end = t.start + t.flits
-        assert t.last_arrival - t.first_arrival == t.flits - 1
+        first, last = send(controller, send_time, bits)
+        start = first - FLIGHT_CYCLES
+        flits = flits_for_bits(bits, TLC_BASE.request_link_bits)
+        assert start >= send_time
+        assert start >= prev_busy_end
+        prev_busy_end = start + flits
+        assert last - first == flits - 1

@@ -14,6 +14,12 @@ def snuca_mesh():
     return MeshNetwork(columns=8, rows=4, flit_bits=128, hop_latency=2)
 
 
+def idle_arrival(column, position, bits):
+    """First-flit arrival of an outbound message sent at cycle 0 into an
+    idle DNUCA mesh; an arrival past it is queueing."""
+    return dnuca_mesh().send(column, position, 0, bits, outbound=True)[0]
+
+
 class TestGeometry:
     def test_horizontal_distance_symmetry(self):
         mesh = dnuca_mesh()
@@ -61,66 +67,69 @@ class TestPaperLatencyRanges:
 class TestRouting:
     def test_zero_hop_message(self):
         mesh = dnuca_mesh()
-        path = mesh.send(8, 0, time=10, message_bits=REQUEST_BITS, outbound=True)
-        assert path.hops == 0
-        assert path.first_arrival == 10
+        first, _ = mesh.send(8, 0, time=10, message_bits=REQUEST_BITS,
+                             outbound=True)
+        assert len(mesh.route(8, 0, outbound=True)) == 0
+        assert first == 10
 
     def test_head_latency_accumulates_per_hop(self):
         mesh = dnuca_mesh()
-        path = mesh.send(8, 3, time=0, message_bits=REQUEST_BITS, outbound=True)
-        assert path.hops == 3
-        assert path.first_arrival == 3  # 1 cycle per hop
+        first, _ = mesh.send(8, 3, time=0, message_bits=REQUEST_BITS,
+                             outbound=True)
+        assert len(mesh.route(8, 3, outbound=True)) == 3
+        assert first == 3  # 1 cycle per hop
 
     def test_hop_latency_parameter(self):
         mesh = snuca_mesh()
-        path = mesh.send(4, 1, time=0, message_bits=REQUEST_BITS, outbound=True)
-        assert path.hops == 1
-        assert path.first_arrival == 2
+        first, _ = mesh.send(4, 1, time=0, message_bits=REQUEST_BITS,
+                             outbound=True)
+        assert len(mesh.route(4, 1, outbound=True)) == 1
+        assert first == 2
 
     def test_left_and_right_routes_disjoint(self):
         mesh = dnuca_mesh()
-        left = mesh.send(0, 0, 0, REQUEST_BITS, outbound=True)
-        right = mesh.send(15, 0, 0, REQUEST_BITS, outbound=True)
-        assert not set(left.links) & set(right.links)
+        left = mesh.route(0, 0, outbound=True)
+        right = mesh.route(15, 0, outbound=True)
+        assert not set(left) & set(right)
 
     def test_inbound_uses_reverse_direction_links(self):
         mesh = dnuca_mesh()
-        out = mesh.send(12, 2, 0, REQUEST_BITS, outbound=True)
-        back = mesh.send(12, 2, 0, REQUEST_BITS, outbound=False)
-        assert len(out.links) == len(back.links)
-        assert not set(out.links) & set(back.links)
+        out = mesh.route(12, 2, outbound=True)
+        back = mesh.route(12, 2, outbound=False)
+        assert len(out) == len(back)
+        assert not set(out) & set(back)
 
     def test_wormhole_tail_follows_head(self):
         mesh = dnuca_mesh()
-        path = mesh.send(8, 2, 0, BLOCK_BITS, outbound=True)  # 4 flits
-        assert path.last_arrival == path.first_arrival + 3
+        first, last = mesh.send(8, 2, 0, BLOCK_BITS, outbound=True)  # 4 flits
+        assert last == first + 3
 
 
 class TestContention:
     def test_overlapping_paths_queue(self):
         mesh = dnuca_mesh()
-        first = mesh.send(15, 0, 0, BLOCK_BITS, outbound=True)
-        second = mesh.send(15, 0, 0, REQUEST_BITS, outbound=True)
-        assert second.queued_cycles > 0
+        mesh.send(15, 0, 0, BLOCK_BITS, outbound=True)
+        second, _ = mesh.send(15, 0, 0, REQUEST_BITS, outbound=True)
+        assert second - idle_arrival(15, 0, REQUEST_BITS) > 0
 
     def test_disjoint_paths_do_not_interact(self):
         mesh = dnuca_mesh()
         mesh.send(0, 15, 0, BLOCK_BITS, outbound=True)
-        other = mesh.send(15, 15, 0, BLOCK_BITS, outbound=True)
-        assert other.queued_cycles == 0
+        other, _ = mesh.send(15, 15, 0, BLOCK_BITS, outbound=True)
+        assert other - idle_arrival(15, 15, BLOCK_BITS) == 0
 
     def test_non_contending_transfer(self):
         mesh = dnuca_mesh()
         mesh.send(15, 0, 0, BLOCK_BITS, outbound=True, contend=False)
-        demand = mesh.send(15, 0, 0, REQUEST_BITS, outbound=True)
-        assert demand.queued_cycles == 0
+        demand, _ = mesh.send(15, 0, 0, REQUEST_BITS, outbound=True)
+        assert demand - idle_arrival(15, 0, REQUEST_BITS) == 0
 
     def test_transfer_between_adjacent_banks(self):
         mesh = dnuca_mesh()
-        path = mesh.transfer_between(5, 8, time=0, message_bits=BLOCK_BITS,
-                                     upward=True)
-        assert path.hops == 1
-        assert path.first_arrival == 1
+        first, _ = mesh.transfer_between(5, 8, time=0, message_bits=BLOCK_BITS,
+                                         upward=True)
+        assert mesh.switch_traversals == 1  # one hop
+        assert first == 1
 
     def test_transfer_between_validates_position(self):
         mesh = dnuca_mesh()
@@ -131,14 +140,15 @@ class TestContention:
 class TestAccounting:
     def test_bit_hops_accumulate(self):
         mesh = dnuca_mesh()
-        path = mesh.send(15, 5, 0, BLOCK_BITS, outbound=True)
-        assert mesh.bit_hops == BLOCK_BITS * path.hops
-        assert mesh.switch_traversals == path.hops
+        mesh.send(15, 5, 0, BLOCK_BITS, outbound=True)
+        hops = len(mesh.route(15, 5, outbound=True))
+        assert mesh.bit_hops == BLOCK_BITS * hops
+        assert mesh.switch_traversals == hops
 
     def test_utilization_counts_all_links(self):
         mesh = dnuca_mesh()
-        path = mesh.send(15, 0, 0, BLOCK_BITS, outbound=True)  # 7 hops, 4 flits
-        expected_busy = path.hops * 4
+        mesh.send(15, 0, 0, BLOCK_BITS, outbound=True)  # 7 hops, 4 flits
+        expected_busy = len(mesh.route(15, 0, outbound=True)) * 4
         assert mesh.meter.busy_cycles == expected_busy
         assert mesh.utilization(1000) == pytest.approx(
             expected_busy / (1000 * mesh.meter.resources))
