@@ -16,9 +16,10 @@ deterministic workload:
   controller pair link (the request link of pair 0) and on the
   switched mesh.
 * ``workload.generate`` — synthetic trace generation (numpy-backed).
-* ``system.refs_per_sec.tlc`` — the end-to-end ``run_system`` path the
-  experiment grids are built from; ``meta.refs_per_sec`` carries the
-  headline throughput number.
+* ``system.refs_per_sec.<design>`` — the end-to-end ``run_system``
+  path the experiment grids are built from (mcf, for each paper
+  design); ``meta.refs_per_sec`` carries the headline throughput
+  number.
 
 Every other workload is sized by a *scale* so ``--quick`` (CI) runs the
 same shapes smaller.  Builders construct their fixtures outside the
@@ -35,7 +36,7 @@ from repro.analysis.perf.harness import BenchResult, measure, pin_process
 
 BenchBuilder = Callable[[int], Tuple[Callable[[], Any], Dict[str, Any]]]
 
-#: designs whose lookup path is benchmarked individually.
+#: the paper designs benchmarked one by one (lookup, prewarm, whole system).
 LOOKUP_DESIGNS = ("TLC", "TLCopt500", "SNUCA2", "DNUCA")
 
 
@@ -149,15 +150,18 @@ def _build_workload_generate(scale: int) -> Tuple[Callable[[], Any], Dict[str, A
     return fn, {"inner_ops": n, "benchmark": "mcf"}
 
 
-def _build_system_refs(scale: int) -> Tuple[Callable[[], Any], Dict[str, Any]]:
-    from repro.sim.system import run_system
+def _build_system_refs(design: str) -> BenchBuilder:
+    def build(scale: int) -> Tuple[Callable[[], Any], Dict[str, Any]]:
+        from repro.sim.system import run_system
 
-    n = max(5_000, 20_000 // scale)
+        n = max(5_000, 20_000 // scale)
 
-    def fn() -> Any:
-        return run_system("TLC", "mcf", n_refs=n, seed=7)
+        def fn() -> Any:
+            return run_system(design, "mcf", n_refs=n, seed=7)
 
-    return fn, {"inner_ops": n, "design": "TLC", "benchmark": "mcf"}
+        return fn, {"inner_ops": n, "design": design, "benchmark": "mcf"}
+
+    return build
 
 
 #: name -> builder; names are stable identifiers BENCH documents key on.
@@ -166,11 +170,11 @@ SUITE: Dict[str, BenchBuilder] = {
     "link.transit": _build_link_transit,
     "mesh.transit": _build_mesh_transit,
     "workload.generate": _build_workload_generate,
-    "system.refs_per_sec.tlc": _build_system_refs,
 }
 for _design in LOOKUP_DESIGNS:
     SUITE[f"l2.lookup.{_design.lower()}"] = _build_l2_lookup(_design)
     SUITE[f"prewarm.{_design.lower()}"] = _build_prewarm(_design)
+    SUITE[f"system.refs_per_sec.{_design.lower()}"] = _build_system_refs(_design)
 
 
 def benchmark_names() -> Tuple[str, ...]:

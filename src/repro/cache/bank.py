@@ -14,15 +14,23 @@ overwritten — which is what :meth:`CacheBank.iter_sets` walks and the
 ``touched_sets`` gauge counts.  Every entry point checks its set and way
 indices, so a bad index raises ``IndexError`` instead of reaching
 another set's slots.
+
+Pre-warming fresh banks has a closed form (:func:`install_interleaved`,
+:func:`fill_fresh_banks`); :meth:`CacheBank.install_all` is the
+per-block loop that every other case runs and that tests compare the
+closed form against.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.cache.replacement import make_policy
+import numpy as np
+
+from repro.cache.address import AddressMap, group_order, ranks_within
+from repro.cache.replacement import LRUPolicy, make_policy
 
 
 @dataclasses.dataclass(frozen=True)
@@ -163,6 +171,32 @@ class CacheBank:
             insert(slot)
             touch(slot)
 
+    @property
+    def fresh_lru(self) -> bool:
+        """Empty, untouched and plain LRU: a bank :meth:`fill_fresh` may fill.
+
+        ``LIPPolicy`` subclasses ``LRUPolicy`` but inserts differently,
+        so the type must match exactly.
+        """
+        return (type(self.policy) is LRUPolicy and self.policy.fresh
+                and self._touched.count(0) == self.num_sets
+                and self._tags.count(None) == len(self._tags))
+
+    def fill_fresh(self, sets: np.ndarray, slots: np.ndarray,
+                   tags: np.ndarray, stamps: np.ndarray, clock: int) -> None:
+        """Write the state a run of clean writes leaves in a :attr:`fresh_lru` bank.
+
+        ``sets`` lists every set written; ``slots``, ``tags`` and
+        ``stamps`` give each surviving block's slot, tag and LRU stamp,
+        and ``clock`` the LRU clock.  Tags are stored as Python ints,
+        in the bank's own tag list; dirty bits stay 0.
+        """
+        np.frombuffer(self._touched, dtype=np.uint8)[sets] = 1
+        stored = self._tags
+        for slot, tag in zip(slots.tolist(), tags.tolist()):
+            stored[slot] = tag
+        self.policy.stamp_fresh(slots, stamps, clock)
+
     def invalidate(self, set_index: int, tag: int) -> Tuple[bool, bool]:
         """Remove ``tag`` if present.  Returns (was_present, was_dirty)."""
         way = self.probe(set_index, tag)
@@ -233,3 +267,69 @@ class CacheBank:
         """
         scope.gauge("occupancy", lambda: self.occupied_blocks)
         scope.gauge("touched_sets", lambda: self.touched_sets)
+
+
+def fill_fresh_banks(banks: Sequence[CacheBank], bank_of: np.ndarray,
+                     sets: np.ndarray, slots: np.ndarray, tags: np.ndarray,
+                     survives: np.ndarray, ticks: int) -> None:
+    """Write a closed-form pre-warm into :attr:`~CacheBank.fresh_lru` banks.
+
+    Each array has one entry per write, in install order: its bank (an
+    index into ``banks``), set, slot, tag, and whether it survives (no
+    later write replaces it).  Each write uses its slot for ``ticks``
+    LRU ticks, so a survivor's stamp is ``ticks`` times its index in
+    its bank's writes, plus one.  The work is done on whole arrays; a
+    bank receives slices, so no bank allocates arrays of its own.
+    """
+    order = group_order(bank_of)
+    writes = np.bincount(bank_of, minlength=len(banks))
+    firsts = np.cumsum(writes) - writes
+    kept = survives[order]
+    stamps = (np.arange(len(order)) - np.repeat(firsts, writes) + 1)[kept]
+    stamps *= ticks
+    survivors = order[kept]
+    del kept
+    kept_writes = np.bincount(bank_of[survivors], minlength=len(banks))
+    kept_firsts = np.cumsum(kept_writes) - kept_writes
+    sets, slots, tags = sets[order], slots[survivors], tags[survivors]
+    for bank, first, count, kept_first, kept_count in zip(
+            banks, firsts.tolist(), writes.tolist(), kept_firsts.tolist(),
+            kept_writes.tolist()):
+        if count:
+            kept_range = slice(kept_first, kept_first + kept_count)
+            bank.fill_fresh(sets[first:first + count], slots[kept_range],
+                            tags[kept_range], stamps[kept_range],
+                            count * ticks)
+
+
+def install_interleaved(banks: Sequence[CacheBank], addr_map: AddressMap,
+                        addrs: Iterable[int]) -> None:
+    """``bulk_install`` of a design whose blocks interleave over ``banks``.
+
+    TLC, the TLCopt groups and SNUCA2 pre-warm this way.  When ``addrs``
+    is an array of distinct blocks and every bank it reaches is
+    :attr:`~CacheBank.fresh_lru`, the banks are filled in closed form:
+    the j-th block into a set takes way ``j mod ways``, because LRU
+    always evicts the set's oldest install, so the last ``ways`` blocks
+    survive; each install ticks the clock twice (the insert, then the
+    touch).  Otherwise (``install()``, repeated blocks, another policy,
+    a bank already used, an address beyond int64) each bank runs the
+    per-block :meth:`~CacheBank.install_all`.
+    """
+    decomposed = addr_map.decompose_distinct(addrs)
+    if decomposed is not None:
+        bank_of, sets, tags = decomposed
+        reached = np.bincount(bank_of, minlength=len(banks)).tolist()
+        if all(bank.fresh_lru for bank, count in zip(banks, reached) if count):
+            ways = banks[0].ways
+            key = bank_of * banks[0].num_sets + sets
+            rank = ranks_within(key)
+            survives = rank >= np.bincount(key)[key] - ways
+            del key
+            fill_fresh_banks(banks, bank_of, sets, sets * ways + rank % ways,
+                             tags, survives, ticks=2)
+            return
+    if isinstance(addrs, np.ndarray):
+        addrs = addrs.tolist()
+    for bank, pairs in zip(banks, addr_map.by_bank(addrs)):
+        bank.install_all(pairs)

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 PARTIAL_TAG_BITS = 6
 PARTIAL_TAG_MASK = (1 << PARTIAL_TAG_BITS) - 1
 
@@ -119,6 +121,20 @@ class PartialTagArray:
         start = self._start(set_index)
         hit = self._slots.find(_EMPTY, start, start + self._row)
         return None if hit < 0 else divmod(hit - start, self.ways)
+
+    @property
+    def empty(self) -> bool:
+        """Whether no slot holds a partial tag."""
+        return self._slots.count(_EMPTY) == len(self._slots)
+
+    def fill_fresh(self, slots: np.ndarray, tags: np.ndarray) -> None:
+        """Record ``tags`` at flat ``slots`` of an :attr:`empty` array.
+
+        A slot is ``set_index * positions * ways + position * ways +
+        way``, the set-major layout of the array.
+        """
+        np.frombuffer(self._slots, dtype=np.uint8)[slots] = (
+            tags & PARTIAL_TAG_MASK)
 
     def storage_bits(self) -> int:
         """Total storage the array would occupy in hardware, in bits."""

@@ -19,6 +19,8 @@ import random
 from array import array
 from typing import Dict
 
+import numpy as np
+
 
 def _check_geometry(ways: int, num_sets: int) -> None:
     if ways <= 0 or num_sets <= 0:
@@ -51,6 +53,21 @@ class LRUPolicy:
 
     #: an insert is a use
     insert = touch
+
+    @property
+    def fresh(self) -> bool:
+        """Whether the clock has never ticked (so every stamp is 0)."""
+        return self._clock == 0
+
+    def stamp_fresh(self, slots: np.ndarray, stamps: np.ndarray,
+                    clock: int) -> None:
+        """Set the stamps and clock a run of uses leaves on a :attr:`fresh` policy.
+
+        ``slots[i]`` was last used at tick ``stamps[i]``, every other
+        slot keeps stamp 0, and the clock reads ``clock``.
+        """
+        np.frombuffer(self._stamps, dtype=np.int64)[slots] = stamps
+        self._clock = int(clock)
 
 
 class FrequencyPolicy:

@@ -105,7 +105,9 @@ class L2Design(abc.ABC):
         are silent (no writebacks, no statistics), and a block already
         present is left as it is.  The state left behind is exactly that
         of one :meth:`install` per address, duplicates and over-full
-        sets included.
+        sets included.  The paper designs place an array of distinct
+        blocks into a fresh cache in closed form, and run a per-block
+        loop for anything else.
         """
 
     def install(self, addr: int) -> None:

@@ -104,6 +104,19 @@ RUN_PARAMETER_SCHEMA = {
 }
 
 
+def warmup_fraction_error(value: Any) -> Optional[str]:
+    """Why ``value`` is no warm-up fraction, or None if it is one.
+
+    A warm-up fraction is a finite number in [0, 1): at 1 or above, or
+    below 0, the warm-up boundary is never reached and the whole trace
+    would be measured.
+    """
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not math.isfinite(value) or not 0.0 <= value < 1.0):
+        return f"warmup_fraction must be a finite number in [0, 1), got {value!r}"
+    return None
+
+
 def validate_run_parameters(payload: dict, document: str) -> Dict[str, Any]:
     """Validate the run parameters of a decoded JSON document.
 
@@ -136,10 +149,9 @@ def validate_run_parameters(payload: dict, document: str) -> Dict[str, Any]:
     if not _is_int(seed) or not 0 <= seed <= MAX_SEED:
         fail(f"seed must be an integer in [0, {MAX_SEED}], got {seed!r}")
     warmup = payload.get("warmup_fraction", 0.3)
-    if (not isinstance(warmup, (int, float)) or isinstance(warmup, bool)
-            or not math.isfinite(warmup) or not 0.0 <= warmup < 1.0):
-        fail(f"warmup_fraction must be a finite number in [0, 1), "
-             f"got {warmup!r}")
+    message = warmup_fraction_error(warmup)
+    if message is not None:
+        fail(message)
     sanitize = payload.get("sanitize", False)
     if not isinstance(sanitize, bool):
         fail(f"sanitize must be a boolean, got {sanitize!r}")

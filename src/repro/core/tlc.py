@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional
 
 from repro.cache.address import AddressMap
-from repro.cache.bank import CacheBank
+from repro.cache.bank import CacheBank, install_interleaved
 from repro.core.base import L2Design, L2Outcome
 from repro.core.config import DesignConfig, TLC_BASE
 from repro.core.controller import TLCController
@@ -142,8 +142,7 @@ class TransmissionLineCache(L2Design):
             self.stats.add("writebacks")
 
     def bulk_install(self, addrs: Iterable[int]) -> None:
-        for bank, pairs in zip(self.banks, self.addr_map.by_bank(addrs)):
-            bank.install_all(pairs)
+        install_interleaved(self.banks, self.addr_map, addrs)
 
     def _attach_sanitizer_extra(self, sanitizer) -> None:
         sanitizer.watch_banks(self.name, [

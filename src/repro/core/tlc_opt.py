@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Tuple
 
 from repro.cache.address import AddressMap
-from repro.cache.bank import CacheBank
+from repro.cache.bank import CacheBank, install_interleaved
 from repro.cache.partial_tags import partial_tag
 from repro.core.base import L2Design, L2Outcome
 from repro.core.config import DesignConfig, TLC_OPT_500
@@ -221,8 +221,7 @@ class OptimizedTLC(L2Design):
             self.stats.add("writebacks")
 
     def bulk_install(self, addrs: Iterable[int]) -> None:
-        for group, pairs in zip(self.groups, self.addr_map.by_bank(addrs)):
-            group.install_all(pairs)
+        install_interleaved(self.groups, self.addr_map, addrs)
 
     def _attach_sanitizer_extra(self, sanitizer) -> None:
         sanitizer.watch_banks(self.name, [

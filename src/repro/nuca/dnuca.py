@@ -32,8 +32,10 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Tuple
 
-from repro.cache.address import AddressMap
-from repro.cache.bank import CacheBank
+import numpy as np
+
+from repro.cache.address import AddressMap, group_order, ranks_within
+from repro.cache.bank import CacheBank, fill_fresh_banks
 from repro.cache.partial_tags import PartialTagArray, partial_tag
 from repro.core.base import L2Design, L2Outcome
 from repro.core.config import DesignConfig, DNUCA
@@ -331,7 +333,23 @@ class DynamicNUCA(L2Design):
         full, the tail bank's way 0 is silently replaced.  The central
         partial-tag array mirrors the banks, so it names both the banks
         that might already hold a block and the nearest empty slot.
+
+        An array of distinct blocks whose bank sets are all fresh (every
+        bank :attr:`~repro.cache.bank.CacheBank.fresh_lru`, the partial
+        tags empty) is placed in closed form; anything else runs the
+        per-block loop below.
         """
+        decomposed = self.addr_map.decompose_distinct(addrs)
+        if decomposed is not None:
+            reached = np.bincount(decomposed[0],
+                                  minlength=self.banksets).tolist()
+            if all(self.partial_tags[column].empty
+                   and all(bank.fresh_lru for bank in self.banks[column])
+                   for column, count in enumerate(reached) if count):
+                self._install_fresh(*decomposed)
+                return
+        if isinstance(addrs, np.ndarray):
+            addrs = addrs.tolist()
         tail = self.positions - 1
         for column, pairs in enumerate(self.addr_map.by_bank(addrs)):
             banks = self.banks[column]
@@ -344,6 +362,42 @@ class DynamicNUCA(L2Design):
                     position, way = pta.first_empty(set_index) or (tail, 0)
                     banks[position].replace_way(set_index, way, tag)
                     pta.update(position, set_index, way, tag)
+
+    def _install_fresh(self, column: np.ndarray, sets: np.ndarray,
+                       tags: np.ndarray) -> None:
+        """The loop of :meth:`bulk_install` in closed form, for fresh bank sets.
+
+        The j-th block into a set takes slot j of the set's row (nearest
+        position first, ways in order) while the row has room, and the
+        tail bank's way 0 after that, so the tail keeps the set's last
+        block.  Each placement is one ``replace_way``: one LRU tick.
+        """
+        ways = self.config.associativity
+        row_slots = self.positions * ways
+        tail = row_slots - ways
+        key = column * self.sets_per_bank + sets
+        rank = ranks_within(key)
+        arrivals = np.bincount(key)[key]
+        del key
+        row_slot = np.where(rank < row_slots, rank, tail)
+        # The tail's way 0 keeps the last block to reach it: the set's
+        # last block once the row overflowed, else block ``tail``.
+        last = np.where(arrivals > row_slots, arrivals - 1, tail)
+        survives = (row_slot != tail) | (rank == last)
+        del rank, arrivals, last
+        fill_fresh_banks(
+            [bank for bankset in self.banks for bank in bankset],
+            column * self.positions + row_slot // ways, sets,
+            sets * ways + row_slot % ways, tags, survives, ticks=1)
+        # The partial tags mirror the survivors, bank set by bank set.
+        kept = np.flatnonzero(survives)
+        kept = kept[group_order(column[kept])]
+        per_column = np.bincount(column[kept], minlength=self.banksets)
+        slots, tags = sets[kept] * row_slots + row_slot[kept], tags[kept]
+        start = 0
+        for pta, count in zip(self.partial_tags, per_column.tolist()):
+            pta.fill_fresh(slots[start:start + count], tags[start:start + count])
+            start += count
 
     # -- reporting -----------------------------------------------------------
     @property

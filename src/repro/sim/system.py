@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import dataclasses
 import time as _time
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
-from repro.core.config import build_design
+import numpy as np
+
+from repro.core.config import build_design, warmup_fraction_error
 from repro.sim.memory import MainMemory
 from repro.sim.processor import ExecutionResult, Processor, ProcessorConfig
 from repro.tech import Technology, TECH_45NM
@@ -66,7 +68,7 @@ class SystemResult:
         return 1000.0 * self.l2_misses / self.instructions
 
 
-def prewarm_l2(l2, resident: Sequence[int]) -> int:
+def prewarm_l2(l2, resident: Union[np.ndarray, Sequence[int]]) -> int:
     """Install a resident block population into ``l2``, returning the count.
 
     ``resident`` is least-popular-first (the order
@@ -74,10 +76,12 @@ def prewarm_l2(l2, resident: Sequence[int]) -> int:
     designs declare via ``install_order`` whether popular blocks should
     be installed last (SNUCA/TLC: most-recent wins placement) or first
     (DNUCA: first installs land in the closest banks).  The design gets
-    the whole install-ordered list in one ``bulk_install`` call.
+    the whole install-ordered population in one ``bulk_install`` call;
+    an array of distinct blocks into a fresh design is placed in closed
+    form there.
     """
     ordered = (resident if l2.install_order == "popular_last"
-               else reversed(resident))
+               else resident[::-1])
     l2.bulk_install(ordered)
     return len(resident)
 
@@ -167,11 +171,16 @@ def run_system(design_name: str, benchmark: str, n_refs: int = 50_000,
     ``warmup_refs`` overrides the ``warmup_fraction`` computation with
     an exact boundary — used by bundle replay, where the prefix must
     keep the original run's warmup point rather than a fraction of the
-    (shortened) trace.
+    (shortened) trace.  Without it, ``warmup_fraction`` must be a
+    finite number in [0, 1); anything else raises ``ValueError``.
     """
+    if warmup_refs is None:
+        message = warmup_fraction_error(warmup_fraction)
+        if message is not None:
+            raise ValueError(message)
     started = _time.perf_counter()
     external_trace = trace is not None
-    prewarm: Optional[List[int]] = None
+    prewarm: Optional[np.ndarray] = None
     if trace is None:
         profile = get_profile(benchmark)
         trace = generate_trace(profile.spec, n_refs, seed=seed)

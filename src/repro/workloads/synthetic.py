@@ -129,7 +129,7 @@ def _scatter_array(blocks: "np.ndarray") -> "np.ndarray":
 L2_CAPACITY_BLOCKS = 262_144
 
 
-def resident_block_addresses(spec: TraceSpec) -> List[int]:
+def resident_block_addresses(spec: TraceSpec) -> np.ndarray:
     """Byte addresses a long warm-up would leave resident, install-ordered.
 
     Two populations, least-deserving-of-retention first:
@@ -142,27 +142,27 @@ def resident_block_addresses(spec: TraceSpec) -> List[int]:
     * **hot set** — ordered least-popular-first so that installing in
       order leaves the popular blocks most-recently-used.
 
-    DNUCA installs with the order reversed (popular first, nearest the
-    controller; residue deepest) — see ``L2Design.install_order``.
+    The result is an int64 array.  No block appears twice: the regions
+    are disjoint and the scatter is a bijection.  DNUCA installs with
+    the order reversed (popular first, nearest the controller; residue
+    deepest) — see ``L2Design.install_order``.
     """
-    place = scatter_block if spec.scatter else (lambda block: block)
-    addresses: List[int] = []
+    regions = []
     if spec.stream_fraction > 0.0:
         residue = min(spec.stream_blocks, L2_CAPACITY_BLOCKS)
         lanes = spec.stream_interleave
         lane_size = spec.stream_blocks // lanes
         per_lane = min(lane_size, residue // lanes)
         # Oldest first, interleaved across lanes like the sweep itself.
-        for i in range(per_lane * lanes):
-            lane = i % lanes
-            position = (lane_size - per_lane + i // lanes) % lane_size
-            block = _STREAM_BASE_BLOCK + lane * lane_size + position
-            addresses.append(place(block) * BLOCK_BYTES)
-    addresses.extend(
-        place(_HOT_BASE_BLOCK + rank) * BLOCK_BYTES
-        for rank in range(spec.hot_blocks - 1, -1, -1)
-    )
-    return addresses
+        i = np.arange(per_lane * lanes, dtype=np.int64)
+        position = (lane_size - per_lane + i // lanes) % lane_size
+        regions.append(_STREAM_BASE_BLOCK + (i % lanes) * lane_size + position)
+    regions.append(_HOT_BASE_BLOCK
+                   + np.arange(spec.hot_blocks - 1, -1, -1, dtype=np.int64))
+    blocks = np.concatenate(regions)
+    if spec.scatter:
+        blocks = _scatter_array(blocks).astype(np.int64)
+    return blocks * BLOCK_BYTES
 
 
 def generate_trace(spec: TraceSpec, n_refs: int, seed: int = 0) -> List[Reference]:

@@ -60,6 +60,23 @@ class TestRunSystem:
         warm = run_system("TLC", "custom", trace=trace, prewarm_spec=spec)
         assert warm.l2_misses < cold.l2_misses
 
+    @pytest.mark.parametrize("fraction", [1.0, 1.5, -0.1, float("nan"),
+                                          float("inf")])
+    def test_out_of_range_warmup_fraction_rejected(self, fraction):
+        # At or beyond 1, or below 0, the warm-up boundary is never
+        # reached and the whole trace would be measured.
+        with pytest.raises(ValueError, match=r"warmup_fraction must be a "
+                           r"finite number in \[0, 1\)"):
+            run_system("TLC", "perl", n_refs=200, warmup_fraction=fraction)
+
+    def test_explicit_warmup_refs_ignores_fraction(self):
+        # Bundle replay passes an exact boundary; the fraction is unused.
+        result = run_system("TLC", "perl", n_refs=200, warmup_fraction=1.5,
+                            warmup_refs=60)
+        assert result == run_system("TLC", "perl", n_refs=200,
+                                    warmup_refs=60)
+        assert result.l2_requests == 140
+
     def test_derived_metrics(self):
         result = run_system("TLC", "swim", **SMALL)
         assert result.miss_ratio == pytest.approx(
