@@ -756,10 +756,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--crash-dir", metavar="DIR",
                      help="write a replayable crash bundle here on any "
                           "failure (see `repro replay`)")
-    run.add_argument("--inject-fault", metavar="KIND[:AT[:CHANNEL]]",
+    run.add_argument("--inject-fault", metavar="KIND[:AT]",
                      help="seed a deliberate fault to exercise the "
-                          "sanitizer, e.g. drop_transfer:40 or "
-                          "double_install:3 (implies --sanitize)")
+                          "sanitizer, e.g. double_install:40 or "
+                          "stall_retirement:100 (implies --sanitize)")
     run.add_argument("--trace-capacity", type=_at_least(1), default=None,
                      metavar="N",
                      help="keep only the newest N events (ring buffer); "

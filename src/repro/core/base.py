@@ -84,8 +84,7 @@ class L2Design(abc.ABC):
         self.metrics.register("memory", self.memory.stats)
         self.metrics.gauge("l2.network_energy_j", self.network_energy_j)
         #: the interconnect, set by the concrete design: it answers
-        #: utilization(elapsed), energy_j(), reset_counters() and
-        #: attach_sanitizer(sanitizer).
+        #: utilization(elapsed), energy_j() and reset_counters().
         self.network = None
         #: optional repro.sanitizer.Sanitizer; see attach_sanitizer.
         self.sanitizer = None
@@ -129,13 +128,12 @@ class L2Design(abc.ABC):
     def attach_sanitizer(self, sanitizer) -> None:
         """Wire a :class:`~repro.sanitizer.Sanitizer` into this design.
 
-        Sets the per-access hook on this object and wires the network,
-        then lets the concrete design watch its banks and register
-        design-specific invariants via :meth:`_attach_sanitizer_extra`.
-        Attaching a sanitizer never changes simulated behaviour.
+        Sets the per-access hook on this object, then lets the concrete
+        design watch its banks and register design-specific invariants
+        via :meth:`_attach_sanitizer_extra`.  Attaching a sanitizer never
+        changes simulated behaviour.
         """
         self.sanitizer = sanitizer
-        self.network.attach_sanitizer(sanitizer)
         self._attach_sanitizer_extra(sanitizer)
 
     def _attach_sanitizer_extra(self, sanitizer) -> None:

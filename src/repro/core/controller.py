@@ -65,9 +65,6 @@ class TLCController:
         self._busy = ([0] * pairs, [0] * pairs)
         self._bits_sent = ([0] * pairs, [0] * pairs)
         self._transfers = ([0] * pairs, [0] * pairs)
-        #: optional repro.sanitizer.Sanitizer receiving one on_transfer
-        #: per message for message-conservation accounting.
-        self.sanitizer = None
         self._energy_per_bit: List[float] = []
         self._energy_j = 0.0
         self._line_lengths = self._pair_line_lengths()
@@ -167,8 +164,6 @@ class TLCController:
         self._bits_sent[direction][pair] += bits
         self._transfers[direction][pair] += 1
         self.meter.busy(flits)
-        if self.sanitizer is not None:
-            self.sanitizer.on_transfer("link", time)
         self._energy_j += bits * self._energy_per_bit[pair]
         return start, flits
 
@@ -192,13 +187,6 @@ class TLCController:
                            self._bits_sent[d][p])
                 link.gauge("transfers", lambda d=direction, p=pair:
                            self._transfers[d][p])
-
-    def attach_sanitizer(self, sanitizer) -> None:
-        """Route every pair link's messages into ``sanitizer`` for
-        message-conservation accounting.  A link delivers a message when
-        it sends it, so the check fires only when the ``drop_transfer``
-        fault removes one."""
-        self.sanitizer = sanitizer
 
     def reset_counters(self) -> None:
         """Zero traffic accounting and energy in place, preserving link

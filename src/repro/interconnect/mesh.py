@@ -71,11 +71,6 @@ class MeshNetwork:
         self._touched: Set[int] = set()
         self.bit_hops = 0
         self.switch_traversals = 0
-        #: optional repro.sanitizer.Sanitizer; accounted per *message*
-        #: (not per hop) so multi-link routes count as one transfer.  The
-        #: send is also the delivery, so only a ``drop_transfer`` fault
-        #: unbalances it.
-        self.sanitizer = None
 
     # -- routing ---------------------------------------------------------
     def horizontal_distance(self, column: int) -> int:
@@ -185,8 +180,6 @@ class MeshNetwork:
         self.meter.busy(flits * hops)
         self.bit_hops += message_bits * hops
         self.switch_traversals += hops
-        if self.sanitizer is not None:
-            self.sanitizer.on_transfer("mesh", time)
         return head, head + flits - 1
 
     def utilization(self, elapsed_cycles: int) -> float:
@@ -195,10 +188,6 @@ class MeshNetwork:
     def energy_j(self) -> float:
         """Wire-plus-switch energy of the traffic since the last reset, joules."""
         return self.bit_hops * self._energy_per_bit_hop
-
-    def attach_sanitizer(self, sanitizer) -> None:
-        """Account every message in ``sanitizer`` (message conservation)."""
-        self.sanitizer = sanitizer
 
     def register_metrics(self, scope) -> None:
         """Mount the mesh's meters/gauges on a registry scope (``mesh``).

@@ -1,35 +1,28 @@
 """Runtime invariant checking for the simulator core.
 
 The sanitizer is an opt-in observation layer threaded through the
-interconnect, the cache banks, and the processor model.  It
-never changes simulated behaviour — with a sanitizer attached (and no
-fault injected) every design produces byte-identical results — it only
-*watches*, and raises a structured :class:`SanitizerViolation` the
-moment an invariant breaks:
+cache banks and the processor model.  It never changes simulated
+behaviour — with a sanitizer attached (and no fault injected) every
+design produces byte-identical results — it only *watches*, and raises
+a structured :class:`SanitizerViolation` the moment an invariant
+breaks:
 
-* **Message conservation** — every transfer injected into a
-  :class:`~repro.core.controller.TLCController` pair link or the
-  :class:`~repro.interconnect.mesh.MeshNetwork` must be delivered
-  exactly once (kinds ``link.conservation`` / ``mesh.conservation``).
-  Both networks keep busy-until cycles, so a message is delivered in
-  the same call that sends it, and :meth:`Sanitizer.on_transfer`
-  counts the delivery together with the send.  The check therefore
-  fires only when the ``drop_transfer`` fault removes a message; that
-  is how the CI flit-drop smoke exercises the violation -> bundle ->
-  replay path.
 * **Bank coherence** — a :class:`~repro.cache.bank.CacheBank` set may
-  never hold more blocks than its associativity nor the same tag twice
-  (``bank.occupancy`` / ``bank.duplicate_tag``); DNUCA's central
-  partial-tag array must mirror the banks exactly
+  never hold the same tag twice (``bank.duplicate_tag``); DNUCA's
+  central partial-tag array must mirror the banks exactly
   (``dnuca.partial_tag_incoherent``).
 * **Processor progress** — retirement must advance within
   ``watchdog_stall_cycles`` (``watchdog.no_retirement``) and the number
   of outstanding L2 requests may never exceed the configured MSHRs,
   checked per reference and at quiesce (``mshr.leak``).
 
-Checks that sweep state (bank coherence, conservation) run every
-``check_every`` L2 accesses and once more at quiesce; per-event checks
-(watchdog, MSHR) are a compare-and-branch each.
+The interconnect is not watched: the TLC controller and the NUCA mesh
+keep busy-until cycles, so a message arrives in the call that sends it
+and no message can be lost in flight.
+
+Checks that sweep state (bank coherence) run every ``check_every`` L2
+accesses and once more at quiesce; per-event checks (watchdog, MSHR)
+are a compare-and-branch each.
 
 :class:`SimFault` injects one seeded corruption — used by the test
 suite and the CI smoke to prove each invariant actually fires and that
@@ -41,14 +34,14 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-FAULT_KINDS = ("drop_transfer", "double_install", "stall_retirement")
+FAULT_KINDS = ("double_install", "stall_retirement")
 
 
 class SanitizerViolation(RuntimeError):
     """A broken simulator invariant, with enough structure to triage.
 
-    ``kind`` is a stable dotted identifier (``mesh.conservation``,
-    ``bank.duplicate_tag``, ``watchdog.no_retirement``, ...),
+    ``kind`` is a stable dotted identifier (``bank.duplicate_tag``,
+    ``watchdog.no_retirement``, ...),
     ``component`` names the stuck or corrupt part, ``cycle`` is the
     simulation time the check fired, and ``details`` carries the
     check-specific numbers.
@@ -73,15 +66,12 @@ class SanitizerViolation(RuntimeError):
 class SimFault:
     """A seeded corruption to inject into a sanitized run.
 
-    ``kind`` selects the corruption, ``at`` the 1-based ordinal of the
-    event to corrupt (the Nth eligible transfer / bank insert /
-    reference), and ``channel`` optionally restricts ``drop_transfer``
-    to ``"link"`` or ``"mesh"`` traffic.
+    ``kind`` selects the corruption and ``at`` the 1-based ordinal of
+    the event to corrupt (the Nth bank insert / reference).
     """
 
     kind: str
     at: int = 1
-    channel: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -89,27 +79,22 @@ class SimFault:
                 f"unknown fault kind {self.kind!r}; choose from {FAULT_KINDS}")
         if self.at < 1:
             raise ValueError("fault ordinal 'at' must be >= 1")
-        if self.channel is not None and self.channel not in ("link", "mesh"):
-            raise ValueError("fault channel must be 'link' or 'mesh'")
 
     def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "at": self.at, "channel": self.channel}
+        return {"kind": self.kind, "at": self.at}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SimFault":
-        return cls(kind=data["kind"], at=data["at"],
-                   channel=data.get("channel"))
+        return cls(kind=data["kind"], at=data["at"])
 
     @classmethod
     def parse(cls, spec: str) -> "SimFault":
-        """Parse a CLI fault spec: ``KIND[:AT[:CHANNEL]]``."""
+        """Parse a CLI fault spec: ``KIND[:AT]``."""
         parts = spec.split(":")
-        if len(parts) > 3:
-            raise ValueError(f"bad fault spec {spec!r}; want KIND[:AT[:CHANNEL]]")
-        kind = parts[0]
+        if len(parts) > 2:
+            raise ValueError(f"bad fault spec {spec!r}; want KIND[:AT]")
         at = int(parts[1]) if len(parts) > 1 else 1
-        channel = parts[2] if len(parts) > 2 else None
-        return cls(kind=kind, at=at, channel=channel)
+        return cls(kind=parts[0], at=at)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -154,11 +139,6 @@ class Sanitizer:
         self.fault = fault
         #: (name, check(cycle)) pairs swept at intervals and quiesce.
         self._invariants: List[Tuple[str, Callable[[int], None]]] = []
-        # Message conservation, per channel kind ("link" / "mesh").
-        self._sent: Dict[str, int] = {}
-        self._delivered: Dict[str, int] = {}
-        self._fault_transfer_seq = 0
-        self._dropped: List[Dict[str, Any]] = []
         # Bank insert ordinal (double_install fault targeting).
         self._insert_seq = 0
         # Interval sweep trigger.
@@ -188,7 +168,7 @@ class Sanitizer:
         self._invariants.append((name, check))
 
     def watch_banks(self, component: str, labeled_banks) -> None:
-        """Watch ``(label, CacheBank)`` pairs for occupancy/tag coherence.
+        """Watch ``(label, CacheBank)`` pairs for duplicate tags.
 
         Sets each bank's ``sanitizer`` attribute (enabling the insert
         hook that carries the ``double_install`` fault) and registers
@@ -204,11 +184,6 @@ class Sanitizer:
             for label, bank in banks:
                 for set_index, tags, _dirty in bank.iter_sets():
                     present = [t for t in tags if t is not None]
-                    if len(tags) != bank.ways or len(present) > bank.ways:
-                        raise SanitizerViolation(
-                            "bank.occupancy", label, cycle,
-                            {"set": set_index, "occupied": len(present),
-                             "ways": bank.ways})
                     if len(set(present)) != len(present):
                         seen = set()
                         dup = next(t for t in present
@@ -220,20 +195,6 @@ class Sanitizer:
         self.register_invariant(f"{component}.banks", check)
 
     # -- runtime hooks -----------------------------------------------------
-    def on_transfer(self, channel: str, cycle: int) -> None:
-        """Account one message injected into ``channel`` ("link"/"mesh")."""
-        self._sent[channel] = self._sent.get(channel, 0) + 1
-        fault = self.fault
-        if (fault is not None and fault.kind == "drop_transfer"
-                and (fault.channel is None or fault.channel == channel)):
-            self._fault_transfer_seq += 1
-            if self._fault_transfer_seq == fault.at:
-                # Model the flit vanishing in flight: injected but never
-                # delivered, so the books stop balancing.
-                self._dropped.append({"channel": channel, "cycle": cycle})
-                return
-        self._delivered[channel] = self._delivered.get(channel, 0) + 1
-
     def on_bank_insert(self, bank, set_index: int, way: int) -> None:
         """Account one block installed into a watched bank."""
         self._insert_seq += 1
@@ -288,15 +249,8 @@ class Sanitizer:
 
     # -- sweeps ------------------------------------------------------------
     def run_checks(self, cycle: int) -> None:
-        """Run message conservation plus every registered invariant."""
+        """Run every registered invariant."""
         self._checks_run += 1
-        for channel, sent in self._sent.items():
-            delivered = self._delivered.get(channel, 0)
-            if delivered != sent:
-                raise SanitizerViolation(
-                    f"{channel}.conservation", channel, cycle,
-                    {"sent": sent, "delivered": delivered,
-                     "lost": sent - delivered})
         for _name, check in self._invariants:
             check(cycle)
 
@@ -308,10 +262,7 @@ class Sanitizer:
             "refs": self._refs,
             "checks_run": self._checks_run,
             "last_cycle": self._last_cycle,
-            "transfers": {"sent": dict(self._sent),
-                          "delivered": dict(self._delivered)},
             "bank_inserts": self._insert_seq,
-            "dropped_transfers": list(self._dropped),
             "invariants": [name for name, _ in self._invariants],
             "config": self.config.to_dict(),
             "fault": None if self.fault is None else self.fault.to_dict(),

@@ -16,11 +16,6 @@ from repro.tline.geometry import (
 from repro.tline.extraction import LineParameters, extract
 from repro.tline.wave import PulseResult, propagate_pulse, trapezoid_pulse
 from repro.tline.signaling import SignalingReport, evaluate_link
-from repro.tline.noise import (
-    CrosstalkReport,
-    analyze_crosstalk,
-    shielding_improvement,
-)
 from repro.tline.power import (
     conventional_dynamic_power,
     conventional_energy_per_bit,
@@ -41,9 +36,6 @@ __all__ = [
     "trapezoid_pulse",
     "SignalingReport",
     "evaluate_link",
-    "CrosstalkReport",
-    "analyze_crosstalk",
-    "shielding_improvement",
     "conventional_dynamic_power",
     "conventional_energy_per_bit",
     "transmission_line_dynamic_power",

@@ -75,6 +75,18 @@ class TraceSpec:
                 raise ValueError(f"{name} must be positive")
         if self.stream_interleave > self.stream_blocks:
             raise ValueError("stream_interleave cannot exceed stream_blocks")
+        # Each region must end before the next one's base block, and the
+        # last inside the range its address mapping is one-to-one on:
+        # the scatter permutes 40-bit block numbers, and unscattered
+        # byte addresses are int64.
+        limit = (1 << _SCATTER_BITS if self.scatter
+                 else (1 << 63) // BLOCK_BYTES)
+        for name, base, end in (
+                ("hot_blocks", _HOT_BASE_BLOCK, _STREAM_BASE_BLOCK),
+                ("stream_blocks", _STREAM_BASE_BLOCK, _COLD_BASE_BLOCK),
+                ("cold_blocks", _COLD_BASE_BLOCK, limit)):
+            if base + getattr(self, name) > end:
+                raise ValueError(f"{name} must be at most {end - base}")
         for name in ("write_fraction", "dependent_fraction"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be a probability")

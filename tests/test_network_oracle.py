@@ -9,8 +9,8 @@ lazily created links, and its per-pair controller links — in the way
 ``test_prewarm.py`` keeps the per-block install.
 
 Hypothesis message sequences must give the oracle's arrival cycles
-after every message, and its meter, energy, gauge and sanitizer
-accounting at the end; and every design must simulate identically with
+after every message, and its meter, energy and gauge accounting at the
+end; and every design must simulate identically with
 the oracle patched in.
 """
 
@@ -38,7 +38,6 @@ class OracleLink:
         self.busy_until = 0
         self.bits_sent = 0
         self.transfers = 0
-        self.sanitizer = None
 
     def send(self, time, message_bits, contend=True):
         flits = flits_for_bits(message_bits, self.width_bits)
@@ -50,8 +49,6 @@ class OracleLink:
         self.bits_sent += message_bits
         self.transfers += 1
         self.meter.busy(flits)
-        if self.sanitizer is not None:
-            self.sanitizer.on_transfer("link", time)
         return (start, start + self.flight_cycles,
                 start + flits - 1 + self.flight_cycles)
 
@@ -102,8 +99,6 @@ class OracleMesh(MeshNetwork):
             head = link.send(head, message_bits, contend)[1]
         self.bit_hops += message_bits * len(links)
         self.switch_traversals += len(links)
-        if self.sanitizer is not None:
-            self.sanitizer.on_transfer("mesh", time)
         return head, head + flits - 1
 
     def transfer_between(self, column, upper_position, time, message_bits,
@@ -112,8 +107,6 @@ class OracleMesh(MeshNetwork):
         _start, first, last = self._link(key).send(time, message_bits)
         self.bit_hops += message_bits
         self.switch_traversals += 1
-        if self.sanitizer is not None:
-            self.sanitizer.on_transfer("mesh", time)
         return first, last
 
     def register_metrics(self, scope):
@@ -157,26 +150,12 @@ class OracleController(TLCController):
                 link_scope.gauge("bits_sent", lambda link=link: link.bits_sent)
                 link_scope.gauge("transfers", lambda link=link: link.transfers)
 
-    def attach_sanitizer(self, sanitizer):
-        for link in self.request_links + self.response_links:
-            link.sanitizer = sanitizer
-
     def reset_counters(self):
         self.meter.reset()
         self._energy_j = 0.0
         for link in self.request_links + self.response_links:
             link.bits_sent = 0
             link.transfers = 0
-
-
-class TransferLog:
-    """A sanitizer stand-in recording every ``on_transfer`` call."""
-
-    def __init__(self):
-        self.calls = []
-
-    def on_transfer(self, channel, cycle):
-        self.calls.append((channel, cycle))
 
 
 def accounting(network):
@@ -214,9 +193,6 @@ controller_messages = st.lists(
 def test_mesh_matches_per_hop_oracle(columns, rows, hop_latency, messages):
     mesh = MeshNetwork(columns, rows, flit_bits=128, hop_latency=hop_latency)
     oracle = OracleMesh(columns, rows, flit_bits=128, hop_latency=hop_latency)
-    mesh_log, oracle_log = TransferLog(), TransferLog()
-    mesh.attach_sanitizer(mesh_log)
-    oracle.attach_sanitizer(oracle_log)
     time = 0
     for (step, kind, column, position, bits, outbound, contend,
          reset) in messages:
@@ -237,7 +213,6 @@ def test_mesh_matches_per_hop_oracle(columns, rows, hop_latency, messages):
             mesh.reset_counters()
             oracle.reset_counters()
     assert accounting(mesh) == accounting(oracle)
-    assert mesh_log.calls == oracle_log.calls
 
 
 @pytest.mark.parametrize("config", [TLC_BASE, TLC_OPT_350],
@@ -247,9 +222,6 @@ def test_mesh_matches_per_hop_oracle(columns, rows, hop_latency, messages):
 def test_controller_matches_per_link_oracle(config, messages):
     controller = TLCController(config)
     oracle = OracleController(config)
-    controller_log, oracle_log = TransferLog(), TransferLog()
-    controller.attach_sanitizer(controller_log)
-    oracle.attach_sanitizer(oracle_log)
     time = 0
     for step, request, pair, bits, contend, reset in messages:
         time += step
@@ -265,7 +237,6 @@ def test_controller_matches_per_link_oracle(config, messages):
             controller.reset_counters()
             oracle.reset_counters()
     assert accounting(controller) == accounting(oracle)
-    assert controller_log.calls == oracle_log.calls
 
 
 def observed_run(design, workload):

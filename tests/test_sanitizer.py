@@ -1,15 +1,16 @@
 """Simulator-core sanitizer: invariants, faults, bundles, and replay.
 
-Three layers of coverage:
+Four layers of coverage:
 
 * **transparency** — a clean sanitized run returns a byte-identical
   result for every design (the sanitizer observes, never participates);
-* **detection** — each seeded fault kind (dropped transfer, double
-  bank install, stalled retirement) is caught with the right violation
-  kind and component;
+* **detection** — every invariant kind fires: the seeded faults (double
+  bank install, stalled retirement) with the right violation kind and
+  component, and the MSHR and partial-tag checks on state corrupted by
+  hand;
 * **reproduction** — a violation captured to a crash bundle replays to
-  the same violation, and ``minimize`` bisects it to a smaller prefix
-  that still reproduces;
+  the same violation for every fault kind, and ``minimize`` bisects it
+  to a smaller prefix that still reproduces;
 * **fuzz** — Hypothesis-generated cells over non-default processor
   configs (where the MSHR-leak and retirement watchdogs actually bind)
   run clean and digest-identical under the sanitizer; a diverging cell
@@ -29,6 +30,7 @@ from repro.analysis.runner import CellSpec, run_cell
 from repro.analysis.storage import integrity_digest, result_to_dict
 from repro.core.config import design_names
 from repro.sanitizer import (
+    FAULT_KINDS,
     Sanitizer,
     SanitizerConfig,
     SanitizerViolation,
@@ -42,6 +44,11 @@ from repro.sim.system import run_system
 from repro.workloads.synthetic import TraceSpec, generate_trace
 
 ALL_DESIGNS = ("TLC", "TLCopt500", "SNUCA2", "DNUCA")
+
+#: swim misses constantly, so the insert path that carries the
+#: ``double_install`` fault runs early: the 40th insert corrupts bank 24.
+DOUBLE_INSTALL = dict(design_name="SNUCA2", benchmark="swim", n_refs=2000,
+                      seed=7)
 
 
 def run_pair(design, benchmark="mcf", n_refs=2000, **kwargs):
@@ -86,24 +93,6 @@ class TestTransparency:
 class TestFaultDetection:
     """Each seeded fault kind trips its own invariant."""
 
-    def test_dropped_mesh_transfer_breaks_conservation(self):
-        with pytest.raises(SanitizerViolation) as exc:
-            run_system("SNUCA2", "mcf", n_refs=2000, seed=7,
-                       sanitizer=Sanitizer(fault=SimFault("drop_transfer",
-                                                          at=40)))
-        violation = exc.value
-        assert violation.kind == "mesh.conservation"
-        assert violation.details["lost"] == 1
-        assert violation.details["sent"] == violation.details["delivered"] + 1
-
-    def test_dropped_link_transfer_breaks_conservation(self):
-        with pytest.raises(SanitizerViolation) as exc:
-            run_system("TLC", "mcf", n_refs=2000, seed=7,
-                       sanitizer=Sanitizer(fault=SimFault("drop_transfer",
-                                                          at=40,
-                                                          channel="link")))
-        assert exc.value.kind == "link.conservation"
-
     def test_double_install_caught_as_duplicate_tag(self):
         # swim misses constantly, so the insert path (where the fault
         # lives) is actually exercised.
@@ -127,10 +116,10 @@ class TestFaultDetection:
         assert violation.details["stalled_cycles"] > 2000
 
     def test_violation_as_dict_is_json_ready(self):
-        violation = SanitizerViolation("bank.occupancy", "TLC.bank03", 42,
-                                       {"set": 1, "occupied": 3, "ways": 2})
+        violation = SanitizerViolation("bank.duplicate_tag", "TLC.bank03",
+                                       42, {"set": 1, "tag": 7})
         payload = json.loads(json.dumps(violation.as_dict()))
-        assert payload["kind"] == "bank.occupancy"
+        assert payload["kind"] == "bank.duplicate_tag"
         assert payload["component"] == "TLC.bank03"
         assert payload["cycle"] == 42
 
@@ -158,14 +147,34 @@ class TestUnitChecks:
         assert exc.value.details["at_quiesce"] is True
 
     def test_sim_fault_parse(self):
-        assert SimFault.parse("drop_transfer") == SimFault("drop_transfer")
-        assert SimFault.parse("drop_transfer:40") == SimFault(
-            "drop_transfer", at=40)
-        assert SimFault.parse("drop_transfer:40:mesh") == SimFault(
-            "drop_transfer", at=40, channel="mesh")
-        for bad in ("explode", "drop_transfer:0", "drop_transfer:x"):
+        assert SimFault.parse("double_install") == SimFault("double_install")
+        assert SimFault.parse("double_install:40") == SimFault(
+            "double_install", at=40)
+        for bad in ("explode", "double_install:0", "double_install:x",
+                    "double_install:40:mesh", "drop_transfer:40"):
             with pytest.raises(ValueError):
                 SimFault.parse(bad)
+
+    def test_incoherent_partial_tag_detected(self):
+        from repro.core.config import build_design
+        from repro.sim.system import prewarm_l2
+        from repro.workloads.profiles import get_profile
+        from repro.workloads.synthetic import resident_block_addresses
+
+        dnuca = build_design("DNUCA")
+        prewarm_l2(dnuca, resident_block_addresses(get_profile("perl").spec))
+        sanitizer = Sanitizer()
+        dnuca.attach_sanitizer(sanitizer)
+        sanitizer.run_checks(0)  # the pre-warmed state is coherent
+        set_index, tag = next((set_index, tags[0]) for set_index, tags, _
+                              in dnuca.banks[0][0].iter_sets()
+                              if tags[0] is not None)
+        dnuca.partial_tags[0].update(0, set_index, 0, tag + 1)
+        with pytest.raises(SanitizerViolation) as exc:
+            sanitizer.run_checks(0)
+        assert exc.value.kind == "dnuca.partial_tag_incoherent"
+        assert exc.value.component == "DNUCA.bankset00.pos00"
+        assert exc.value.details["set"] == set_index
 
     def test_fault_round_trips_through_dict(self):
         fault = SimFault("double_install", at=3)
@@ -186,16 +195,16 @@ class TestCrashBundles:
 
     def test_bundle_contents(self, tmp_path):
         violation, bundle = self.capture(
-            tmp_path, design_name="SNUCA2", benchmark="mcf", n_refs=2000,
-            seed=7, sanitizer=Sanitizer(fault=SimFault("drop_transfer",
-                                                       at=40)))
+            tmp_path, **DOUBLE_INSTALL,
+            sanitizer=Sanitizer(fault=SimFault("double_install", at=40)))
         assert bundle.design == "SNUCA2"
-        assert bundle.benchmark == "mcf"
+        assert bundle.benchmark == "swim"
         assert bundle.seed == 7
         assert bundle.error["type"] == "SanitizerViolation"
-        assert bundle.error["kind"] == "mesh.conservation"
-        assert bundle.sanitizer["fault"] == {"kind": "drop_transfer",
-                                             "at": 40, "channel": None}
+        assert bundle.error["kind"] == "bank.duplicate_tag"
+        assert bundle.error["component"] == "SNUCA2.bank24"
+        assert bundle.sanitizer["fault"] == {"kind": "double_install",
+                                             "at": 40}
         # The trace prefix covers the failure point but not the whole run.
         assert 0 < len(bundle.trace) < 2000
         assert os.path.exists(os.path.join(bundle.path, "bundle.json"))
@@ -204,36 +213,38 @@ class TestCrashBundles:
     def test_bundle_dir_names_are_deterministic(self, tmp_path):
         for index in range(2):
             with pytest.raises(SanitizerViolation) as exc:
-                run_system("SNUCA2", "mcf", n_refs=2000, seed=7,
-                           crash_dir=str(tmp_path),
+                run_system(**DOUBLE_INSTALL, crash_dir=str(tmp_path),
                            sanitizer=Sanitizer(
-                               fault=SimFault("drop_transfer", at=40)))
+                               fault=SimFault("double_install", at=40)))
             assert os.path.basename(exc.value.crash_bundle) \
-                == f"SNUCA2-mcf-s7-{index:03d}"
+                == f"SNUCA2-swim-s7-{index:03d}"
+
+    #: one run per fault kind that trips it: (run_system arguments,
+    #: sanitizer config, fault ordinal).
+    REPLAY_CASES = {
+        "double_install": (DOUBLE_INSTALL, SanitizerConfig(), 40),
+        "stall_retirement": (
+            dict(design_name="TLC", benchmark="mcf", n_refs=4000, seed=7),
+            SanitizerConfig(watchdog_stall_cycles=2000), 100),
+    }
 
     def test_replay_reproduces_each_fault_kind(self, tmp_path):
-        cases = [
-            dict(design_name="SNUCA2", benchmark="mcf", n_refs=2000, seed=7,
-                 sanitizer=Sanitizer(fault=SimFault("drop_transfer", at=40))),
-            dict(design_name="TLC", benchmark="swim", n_refs=2000, seed=7,
-                 sanitizer=Sanitizer(fault=SimFault("double_install", at=3))),
-            dict(design_name="TLC", benchmark="mcf", n_refs=4000, seed=7,
-                 sanitizer=Sanitizer(
-                     config=SanitizerConfig(watchdog_stall_cycles=2000),
-                     fault=SimFault("stall_retirement", at=100))),
-        ]
-        for case in cases:
-            violation, bundle = self.capture(tmp_path, **case)
+        for kind in FAULT_KINDS:
+            assert kind in self.REPLAY_CASES, f"no replay case for {kind!r}"
+            run, config, at = self.REPLAY_CASES[kind]
+            violation, bundle = self.capture(
+                tmp_path, **run,
+                sanitizer=Sanitizer(config=config,
+                                    fault=SimFault(kind, at=at)))
             outcome = replay_bundle(bundle)
-            assert outcome.reproduced, (case, outcome.outcome)
+            assert outcome.reproduced, (kind, outcome.outcome)
             assert outcome.violation.kind == violation.kind
             assert outcome.violation.component == violation.component
 
     def test_minimize_shrinks_and_still_reproduces(self, tmp_path):
         _, bundle = self.capture(
-            tmp_path, design_name="SNUCA2", benchmark="mcf", n_refs=2000,
-            seed=7, sanitizer=Sanitizer(fault=SimFault("drop_transfer",
-                                                       at=40)))
+            tmp_path, **DOUBLE_INSTALL,
+            sanitizer=Sanitizer(fault=SimFault("double_install", at=40)))
         minimal, min_path = minimize_bundle(
             bundle, out_dir=str(tmp_path / "min"))
         assert 0 < minimal < len(bundle.trace)
@@ -255,8 +266,8 @@ class TestCrashBundles:
 
     def test_no_bundle_without_crash_dir(self):
         with pytest.raises(SanitizerViolation) as exc:
-            run_system("SNUCA2", "mcf", n_refs=2000, seed=7,
-                       sanitizer=Sanitizer(fault=SimFault("drop_transfer",
+            run_system(**DOUBLE_INSTALL,
+                       sanitizer=Sanitizer(fault=SimFault("double_install",
                                                           at=40)))
         assert not hasattr(exc.value, "crash_bundle")
 
@@ -427,23 +438,23 @@ class TestCLI:
     def test_injected_fault_exits_three_with_bundle(self, tmp_path, capsys):
         from repro.cli import main
 
-        code = main(["run", "SNUCA2", "mcf", "--refs", "2000",
-                     "--inject-fault", "drop_transfer:40",
+        code = main(["run", "SNUCA2", "swim", "--refs", "2000",
+                     "--inject-fault", "double_install:40",
                      "--crash-dir", str(tmp_path)])
         assert code == 3
         err = capsys.readouterr().err
-        assert "mesh.conservation" in err
+        assert "[bank.duplicate_tag] SNUCA2.bank24" in err
         assert "crash bundle written to" in err
 
     def test_replay_command_round_trip(self, tmp_path, capsys):
         from repro.cli import main
 
-        assert main(["run", "SNUCA2", "mcf", "--refs", "2000",
-                     "--inject-fault", "drop_transfer:40",
+        assert main(["run", "SNUCA2", "swim", "--refs", "2000",
+                     "--inject-fault", "double_install:40",
                      "--crash-dir", str(tmp_path)]) == 3
         capsys.readouterr()
         bundles = sorted(os.listdir(tmp_path))
-        assert bundles == ["SNUCA2-mcf-s7-000"]
+        assert bundles == ["SNUCA2-swim-s7-000"]
         assert main(["replay", str(tmp_path / bundles[0])]) == 0
         assert "reproduced" in capsys.readouterr().out
 
@@ -454,14 +465,28 @@ class TestCLI:
         assert "cannot load bundle" in capsys.readouterr().err
 
     @pytest.fixture(scope="class")
-    def drop_bundle(self, tmp_path_factory):
-        """A pristine ``drop_transfer:40`` crash bundle to tamper with."""
+    def fault_bundle(self, tmp_path_factory):
+        """A pristine ``double_install:40`` crash bundle to tamper with."""
         with pytest.raises(SanitizerViolation) as exc:
-            run_system("SNUCA2", "mcf", n_refs=2000, seed=7,
+            run_system(**DOUBLE_INSTALL,
                        crash_dir=str(tmp_path_factory.mktemp("crashes")),
-                       sanitizer=Sanitizer(fault=SimFault("drop_transfer",
+                       sanitizer=Sanitizer(fault=SimFault("double_install",
                                                           at=40)))
         return exc.value.crash_bundle
+
+    @staticmethod
+    def tampered_copy(source, directory, tamper):
+        """Copy bundle ``source`` into ``directory`` and apply ``tamper``
+        to its ``bundle.json`` document; returns the copy's path."""
+        bundle = str(directory / "bundle")
+        shutil.copytree(source, bundle)
+        document_path = os.path.join(bundle, "bundle.json")
+        with open(document_path, encoding="utf-8") as handle:
+            document = json.load(handle)
+        tamper(document)
+        with open(document_path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        return bundle
 
     @pytest.mark.parametrize("tamper, reason", [
         (lambda doc: doc["sanitizer"]["config"].update(retired_knob=1),
@@ -472,24 +497,34 @@ class TestCLI:
          "unexpected keyword argument 'fetch_width'"),
         (lambda doc: doc.update(format_version=1),
          "unsupported bundle format 1"),
+        (lambda doc: doc["sanitizer"].update(
+            fault={"kind": "drop_transfer", "at": 40, "channel": None}),
+         "cannot decode its run parameters (ValueError: unknown fault "
+         "kind 'drop_transfer'"),
     ], ids=["unknown-sanitizer-key", "fault-without-kind",
-            "unknown-processor-key", "format-1"])
-    def test_replay_undecodable_bundle_exits_two(self, drop_bundle, tmp_path,
-                                                 capsys, tamper, reason):
+            "unknown-processor-key", "format-1", "retired-fault-kind"])
+    def test_replay_undecodable_bundle_exits_two(self, fault_bundle,
+                                                 tmp_path, capsys, tamper,
+                                                 reason):
         # A bundle this build cannot decode is "not replayable" (exit
         # 2), never a different failure of the run it recorded (exit 1).
         from repro.cli import main
 
-        bundle = str(tmp_path / "bundle")
-        shutil.copytree(drop_bundle, bundle)
-        document_path = os.path.join(bundle, "bundle.json")
-        with open(document_path, encoding="utf-8") as handle:
-            document = json.load(handle)
-        tamper(document)
-        with open(document_path, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
+        bundle = self.tampered_copy(fault_bundle, tmp_path, tamper)
         assert main(["replay", bundle]) == 2
         assert reason in capsys.readouterr().err
+
+    def test_replay_ignores_a_recorded_fault_channel(self, fault_bundle,
+                                                     tmp_path, capsys):
+        # Format-2 bundles written before the fault lost its channel
+        # selector record ``"channel": null``; they still replay.
+        from repro.cli import main
+
+        bundle = self.tampered_copy(
+            fault_bundle, tmp_path,
+            lambda doc: doc["sanitizer"]["fault"].update(channel=None))
+        assert main(["replay", bundle]) == 0
+        assert "reproduced" in capsys.readouterr().out
 
     def test_bad_fault_spec_exits_two(self, capsys):
         from repro.cli import main

@@ -38,6 +38,38 @@ class TestTraceSpecValidation:
         spec = TraceSpec(mean_gap=10, stream_fraction=0.3, cold_fraction=0.2)
         assert spec.hot_fraction == pytest.approx(0.5)
 
+    def test_region_beyond_int64_addresses_rejected(self):
+        # 2**58 blocks of 64 bytes would take byte addresses past int64.
+        with pytest.raises(ValueError, match="stream_blocks"):
+            TraceSpec(mean_gap=10.0, stream_fraction=0.5,
+                      stream_blocks=2**58, scatter=False)
+
+    @pytest.mark.parametrize("name", ["hot_blocks", "stream_blocks"])
+    def test_region_must_end_before_the_next_base(self, name):
+        TraceSpec(mean_gap=10.0, **{name: 2**26})
+        with pytest.raises(ValueError, match=name):
+            TraceSpec(mean_gap=10.0, **{name: 2**26 + 1})
+
+    @pytest.mark.parametrize("scatter, limit", [(True, 2**40),
+                                                (False, 2**57)])
+    def test_cold_region_stays_one_to_one(self, scatter, limit):
+        # The scatter permutes 40-bit block numbers; plain byte
+        # addresses must fit int64.
+        largest = limit - 2**27
+        TraceSpec(mean_gap=10.0, cold_blocks=largest, scatter=scatter)
+        with pytest.raises(ValueError, match="cold_blocks"):
+            TraceSpec(mean_gap=10.0, cold_blocks=largest + 1,
+                      scatter=scatter)
+
+    def test_largest_regions_map_to_real_addresses(self):
+        stream = TraceSpec(mean_gap=10.0, stream_fraction=0.5,
+                           stream_blocks=2**26, scatter=False)
+        assert resident_block_addresses(stream).max() == (2**27 - 1) * 64
+        cold = TraceSpec(mean_gap=10.0, cold_fraction=1.0,
+                         cold_blocks=2**57 - 2**27, scatter=False)
+        addrs = [ref.addr for ref in generate_trace(cold, 500, seed=3)]
+        assert all(2**33 <= addr < 2**63 for addr in addrs)
+
 
 class TestScatter:
     def test_bijective_on_large_range(self):
