@@ -7,12 +7,18 @@ close-hit rate within 30 points) — evidence that the Figures 5-8
 comparisons run on workloads that behave like the paper's.
 """
 
+from conftest import bench_policy, bench_workers
+
+from repro.analysis.calibration import grade_grid
+from repro.analysis.experiments import run_design_grid
 from repro.analysis.tables import format_table
-from repro.workloads.calibration import grade_all
 
 
-def test_calibration_against_table6(benchmark):
-    grades = benchmark.pedantic(lambda: grade_all(n_refs=10_000),
+def test_calibration_against_table6(grid_cache, benchmark):
+    grid = run_design_grid(designs=("TLC", "DNUCA"), n_refs=10_000,
+                           workers=bench_workers(), cache=grid_cache,
+                           policy=bench_policy())
+    grades = benchmark.pedantic(lambda: grade_grid(grid),
                                 rounds=1, iterations=1)
 
     rows = []

@@ -1,6 +1,6 @@
 #!/usr/bin/env python
 """Simulation-as-a-service tour: submit a grid job, poll it, fetch
-artifacts (see docs/SERVICE.md).
+its result (see docs/SERVICE.md).
 
 Talks to a running ``repro serve`` endpoint — or, with no endpoint
 given, boots an in-process server on a free port first, so the example
@@ -10,10 +10,9 @@ is self-contained::
     python examples/service_client.py http://127.0.0.1:8765   # external
     python examples/service_client.py --result-out result.json
 
-The script submits one small SNUCA2-vs-TLC grid, waits for it, prints
-the normalized-execution-time table the result document carries, and
-re-fetches the ``grid.normalized`` derived artifact by content key.
-The final ``cells simulated: N`` line is the dedupe contract the CI
+The script submits one small SNUCA2-vs-TLC grid, waits for it, and
+prints the normalized-execution-time table the result document
+carries.  The final ``cells simulated: N`` line is the dedupe contract the CI
 smoke job asserts on: run the script twice against one ``--cache-dir``
 (or one external server) and the second run prints ``cells
 simulated: 0``.
@@ -38,12 +37,7 @@ def self_hosted_server(cache_dir):
     (base_url, shutdown callable)."""
     from repro.service import JobStore, make_server
 
-    derived_dir = None
-    if cache_dir:
-        import os
-
-        derived_dir = os.path.join(cache_dir, "derived")
-    store = JobStore(cache=cache_dir, derived=derived_dir, workers=2)
+    store = JobStore(cache=cache_dir, workers=2)
     server = make_server(store)
     threading.Thread(target=server.serve_forever, daemon=True).start()
 
@@ -96,16 +90,6 @@ def main(argv=None) -> int:
         result_bytes = client.result_bytes(submitted["id"])
         result = json.loads(result_bytes)
         print("\n" + result["normalized_time"]["rendered"])
-
-        key = result["artifacts"]["grid.normalized"]
-        artifact = client.artifact(key)
-        print(f"artifact {key[:16]}… served from the "
-              f"{artifact['lane']} lane")
-
-        warm = [name for name, entry in result["sections"].items()
-                if entry["warm"]]
-        print(f"report sections this grid can answer: "
-              f"{sorted(result['sections'])} (warm: {warm or 'none'})")
 
         if args.result_out:
             with open(args.result_out, "wb") as handle:

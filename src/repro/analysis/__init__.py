@@ -12,7 +12,6 @@ from repro.analysis.tables import (
     PAPER_TABLE7,
     PAPER_TABLE8,
     PAPER_TABLE9,
-    PAPER_FIG5_SHAPE,
     format_table,
 )
 from repro.analysis.figures import (
@@ -46,7 +45,6 @@ __all__ = [
     "PAPER_TABLE7",
     "PAPER_TABLE8",
     "PAPER_TABLE9",
-    "PAPER_FIG5_SHAPE",
     "format_table",
     "grouped_bar_chart",
     "horizontal_bar",

@@ -2,10 +2,9 @@
 
 The synthetic profiles were tuned so that simulating them reproduces
 the workload characteristics the paper reports.  This module closes the
-loop programmatically: it renders a profile, replays it on the TLC and
-DNUCA designs, and grades the measured characteristics against the
-published Table 6 row — producing the evidence EXPERIMENTS.md cites and
-letting future re-tuning detect regressions.
+loop programmatically: it grades a grid's TLC and DNUCA cells against
+the published Table 6 rows — producing the evidence EXPERIMENTS.md
+cites and letting future re-tuning detect regressions.
 """
 
 from __future__ import annotations
@@ -14,10 +13,9 @@ import dataclasses
 import math
 from typing import Dict, Optional
 
+from repro.analysis.experiments import ExperimentGrid, run_design_grid
 from repro.analysis.tables import PAPER_TABLE6
-from repro.sim.system import run_system
 from repro.workloads.profiles import get_profile
-from repro.workloads.synthetic import generate_trace
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,27 +56,29 @@ class CalibrationGrade:
                 and self.close_hit_error <= close_hit_points)
 
 
+def grade_grid(grid: ExperimentGrid) -> Dict[str, CalibrationGrade]:
+    """Grade every benchmark of a grid that holds TLC and DNUCA cells."""
+    grades = {}
+    for benchmark in grid.benchmarks:
+        paper = PAPER_TABLE6[benchmark]
+        tlc = grid.result("TLC", benchmark)
+        dnuca = grid.result("DNUCA", benchmark)
+        close = dnuca.stats.get("close_hits", 0) / max(1, dnuca.l2_requests)
+        grades[benchmark] = CalibrationGrade(
+            benchmark=benchmark,
+            measured_tlc_mpki=tlc.misses_per_kinstr,
+            paper_tlc_mpki=paper["tlc_mpki"],
+            measured_close_hit=close,
+            paper_close_hit=paper["close_hit"],
+            measured_request_rate=get_profile(benchmark).l2_requests_per_kinstr,
+            paper_equivalent_rate=None,
+        )
+    return grades
+
+
 def grade_benchmark(benchmark: str, n_refs: int = 15_000,
                     seed: int = 7) -> CalibrationGrade:
     """Measure one benchmark's characteristics and grade them."""
-    paper = PAPER_TABLE6[benchmark]
-    profile = get_profile(benchmark)
-    trace = generate_trace(profile.spec, n_refs, seed=seed)
-    tlc = run_system("TLC", benchmark, trace=trace)
-    dnuca = run_system("DNUCA", benchmark, trace=trace)
-    close = dnuca.stats.get("close_hits", 0) / max(1, dnuca.l2_requests)
-    return CalibrationGrade(
-        benchmark=benchmark,
-        measured_tlc_mpki=tlc.misses_per_kinstr,
-        paper_tlc_mpki=paper["tlc_mpki"],
-        measured_close_hit=close,
-        paper_close_hit=paper["close_hit"],
-        measured_request_rate=profile.l2_requests_per_kinstr,
-        paper_equivalent_rate=None,
-    )
-
-
-def grade_all(n_refs: int = 15_000, seed: int = 7) -> Dict[str, CalibrationGrade]:
-    """Grade every profile.  Expensive: runs TLC+DNUCA on each."""
-    return {name: grade_benchmark(name, n_refs, seed)
-            for name in PAPER_TABLE6}
+    grid = run_design_grid(designs=("TLC", "DNUCA"), benchmarks=(benchmark,),
+                           n_refs=n_refs, seed=seed)
+    return grade_grid(grid)[benchmark]

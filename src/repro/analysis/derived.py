@@ -1,33 +1,31 @@
-"""Optimization-only cache lane for derived analysis artifacts.
+"""Optimization-only cache lane for the rendered report.
 
 :mod:`repro.analysis.runner` caches *raw* grid cells (the authoritative
 lane: simulation results, content-addressed by every simulation input).
-This module adds the second lane ROADMAP item 4 calls for: **derived**
-artifacts — table row data, figure datasets, rendered report sections,
-sweep outputs — fingerprinted by
+This module adds the second, **derived** lane.  It holds one kind of
+artifact, the rendered ``repro report`` document
+(:func:`repro.analysis.report.build_report`), fingerprinted by
 
 * the **result-cache keys of every contributing cell** (which already
   embed the code-version stamp and every simulation input),
 * the explicit :data:`ANALYSIS_VERSION` constant (bumped by hand when
   analysis/rendering logic changes in a way the code stamp alone should
   not be trusted to describe),
-* the package :func:`~repro.obs.manifest.code_version_stamp` (so purely
-  analytic artifacts with *no* contributing cells — Table 7's area
-  model, the signal-integrity table — still invalidate on any edit),
+* the package :func:`~repro.obs.manifest.code_version_stamp` (so the
+  report's static sections — Table 7's area model, the
+  signal-integrity table — still invalidate on any edit),
 * the artifact ``kind`` and its renderer ``params``.
 
-Lane semantics follow the derived-cache plan this design is modeled on:
-the lane is **never authoritative**.  Losing it costs recomputation,
+The lane is **never authoritative**: losing it costs recomputation,
 never correctness.  Storage is the same
 :class:`~repro.analysis.storage.ContentStore` the result lane uses
 (``<root>/<key[:2]>/<key>.json``, integrity digest, quarantine), holding
 JSON artifacts as they are; a corrupt entry is quarantined and the
 artifact recomputed from its inputs.
 
-:class:`DerivedLane` is the high-level interface the report builder,
-the grid CLI, and the sweeps use: ``lane.get_or_compute(kind, keys,
-params, compute)`` answers warm artifacts without calling ``compute``
-and records ``analysis.derived.*`` counters that can be mounted on a
+``lane.get_or_compute(kind, keys, params, compute)`` answers a warm
+artifact without calling ``compute`` and records ``analysis.derived.*``
+counters that can be mounted on a
 :class:`~repro.obs.registry.MetricsRegistry` and embedded in a
 :class:`~repro.obs.manifest.RunManifest` (its ``derived`` field).
 """
@@ -64,9 +62,8 @@ def derived_key(kind: str, cell_keys: Iterable[str],
     ``cell_keys`` are the result-cache keys (or content fingerprints —
     see :meth:`~repro.analysis.experiments.ExperimentGrid.cell_keys`)
     of every cell the artifact was derived from, order-insensitive.
-    ``params`` captures renderer parameters (widths, baselines,
-    ``n_refs`` preambles) that change the artifact without changing its
-    inputs.  If *any* component changes, the key changes and the stale
+    ``params`` captures renderer parameters (the report's ``n_refs``
+    preamble) that change the artifact without changing its inputs.  If *any* component changes, the key changes and the stale
     entry is simply never seen again.
     """
     payload = {
@@ -83,7 +80,7 @@ def derived_key(kind: str, cell_keys: Iterable[str],
 
 
 class DerivedLane:
-    """The routing layer between analyses and a derived-artifact store.
+    """The routing layer between the report and a derived-artifact store.
 
     ``cache`` is a :class:`~repro.analysis.storage.ContentStore` of
     :data:`DERIVED_FORMAT_VERSION` entries.  ``cache=None`` disables

@@ -43,28 +43,23 @@ class ExperimentGrid:
     cell_meta: Optional[Dict[Tuple[str, str], dict]] = dataclasses.field(
         default=None, compare=False)
 
-    def cell_keys(self, designs: Optional[Sequence[str]] = None,
-                  benchmarks: Optional[Sequence[str]] = None,
-                  ) -> Tuple[str, ...]:
-        """Provenance keys of the cells in a (designs x benchmarks) slice.
+    def cell_keys(self) -> Tuple[str, ...]:
+        """Provenance keys of every cell in the grid, sorted.
 
-        The sorted per-cell fingerprints the derived-artifact lane
-        (:mod:`repro.analysis.derived`) keys figures/tables/report
-        sections by.  Grids produced by the runner carry each cell's
-        result-cache key in :attr:`cell_meta` (it embeds every
-        simulation input plus the code-version stamp); grids loaded
-        from disk or built by hand have no runner provenance, so their
-        cells fall back to a ``content:``-prefixed digest of the result
-        payload itself — a different namespace, but equally a pure
-        function of what the cell holds, so derived artifacts stay
-        correct either way (a warm entry can only be reused when the
-        contributing data is identical).
+        The per-cell fingerprints the derived-artifact lane
+        (:mod:`repro.analysis.derived`) keys the rendered report by.
+        Grids produced by the runner carry each cell's result-cache key
+        in :attr:`cell_meta` (it embeds every simulation input plus the
+        code-version stamp); grids loaded from disk or built by hand
+        have no runner provenance, so their cells fall back to a
+        ``content:``-prefixed digest of the result payload itself — a
+        different namespace, but equally a pure function of what the
+        cell holds, so a cached report can only be reused when the
+        contributing data is identical.
         """
-        designs = self.designs if designs is None else tuple(designs)
-        benchmarks = self.benchmarks if benchmarks is None else tuple(benchmarks)
         keys = []
-        for design in designs:
-            for benchmark in benchmarks:
+        for design in self.designs:
+            for benchmark in self.benchmarks:
                 meta = (self.cell_meta or {}).get((design, benchmark))
                 if meta is not None and meta.get("cache_key"):
                     keys.append(meta["cache_key"])

@@ -8,12 +8,9 @@ no plotting dependencies.
 
 The ``figure*_dataset`` builders extract each figure's rows from an
 :class:`~repro.analysis.experiments.ExperimentGrid` (duck-typed; only
-``result`` / ``benchmarks`` are used) as JSON-able lists of lists
-(Figures 5 and 8 use :func:`~repro.analysis.tables.normalized_time_rows`).
-They are the ``(grid slice) -> dataset`` half of the report pipeline:
-datasets round-trip through the derived-artifact cache lane
-(:mod:`repro.analysis.derived`), so they must contain only JSON scalars
-and lists — renderers receive exactly what JSON gives back.
+``result`` / ``benchmarks`` are used) as lists of lists (Figures 5
+and 8 use :func:`~repro.analysis.tables.normalized_time_rows`).  They
+are the ``grid -> dataset`` half of the report pipeline.
 """
 
 from __future__ import annotations

@@ -55,6 +55,7 @@ hardware.
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import sys
@@ -262,8 +263,8 @@ def compare_benchmarks(
     ``fail_above_pct`` percent.  The calibration benchmark itself is
     never flagged: it *is* the machine-speed probe.
     """
-    if fail_above_pct < 0:
-        raise ValueError("fail_above_pct must be non-negative")
+    if not 0 <= fail_above_pct < math.inf:
+        raise ValueError("fail_above_pct must be a finite number >= 0")
     scale = 1.0
     if normalize:
         scale = _calibration_scale(current, baseline)

@@ -5,23 +5,22 @@ static models and renders one markdown document — the machinery behind
 ``EXPERIMENTS.md`` and the CLI's ``report`` subcommand.
 
 The report is a sequence of :class:`ReportSection` entries, each a pure
-``(grid slice) -> dataset -> rendering`` pipeline: the dataset builders
+``grids -> dataset -> rendering`` pipeline: the dataset functions
 live in :mod:`repro.analysis.tables` / :mod:`repro.analysis.figures`
-and return JSON-able rows; the renderer turns rows into markdown and
-never reads a grid.  That split is what lets every section route
-through the derived-artifact cache lane (:mod:`repro.analysis.derived`):
-a section is fingerprinted by the result-cache keys of exactly the
-cells its slice reads (static sections — signal integrity, the area
-tables — by the code version alone), so a warm lane re-renders without
-recomputing any section, and a one-cell change re-derives only the
-sections whose slice contains that cell.
+and return rows; the renderer turns rows into markdown and never reads a
+grid.
+
+The rendered document is the one artifact of the derived-artifact
+cache lane (:mod:`repro.analysis.derived`), keyed by both grids' cell
+keys plus ``n_refs`` (:func:`report_lane_key`), so a warm lane answers
+the whole report with one read.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import io
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.experiments import (
     ExperimentGrid,
@@ -65,35 +64,16 @@ def _section_text(heading: str, headers: Sequence[str], rows) -> str:
 class ReportSection:
     """One report section as a pure dataset -> rendering pipeline.
 
-    ``slices`` names the grid cells the dataset reads: a tuple of
-    ``(grid name, designs)`` pairs where ``grid name`` is ``"main"`` or
-    ``"family"`` and ``designs`` narrows to a design subset (``None``
-    means the whole grid, including normalization baselines).  An empty
-    tuple marks a static section derived from code alone.  The derived
-    lane keys each section by exactly these cells, so invalidation has
-    section granularity, not report granularity.
-
-    ``dataset`` maps the named grids to JSON-able rows; ``render`` maps
-    those rows (or their JSON round trip — it must not care which) to
-    the section's markdown text.
+    ``dataset`` maps the named grids (``"main"``, ``"family"``) to
+    rows; ``render`` maps those rows to the section's markdown text.
     """
 
-    name: str
-    slices: Tuple[Tuple[str, Optional[Tuple[str, ...]]], ...]
     dataset: Callable[[Dict[str, ExperimentGrid]], list]
     render: Callable[[list], str]
-
-    def cell_keys(self, grids: Dict[str, ExperimentGrid]) -> List[str]:
-        keys: List[str] = []
-        for grid_name, designs in self.slices:
-            keys.extend(grids[grid_name].cell_keys(designs=designs))
-        return keys
 
 
 REPORT_SECTIONS: Tuple[ReportSection, ...] = (
     ReportSection(
-        name="signal_integrity",
-        slices=(),
         dataset=lambda grids: signal_integrity_rows(),
         render=lambda rows: _section_text(
             "Signal integrity (Section 5 criteria)",
@@ -101,8 +81,6 @@ REPORT_SECTIONS: Tuple[ReportSection, ...] = (
             rows),
     ),
     ReportSection(
-        name="table2",
-        slices=(),
         dataset=lambda grids: table2_rows(),
         render=lambda rows: _section_text(
             "Table 2: design parameters",
@@ -111,8 +89,6 @@ REPORT_SECTIONS: Tuple[ReportSection, ...] = (
             rows),
     ),
     ReportSection(
-        name="fig5",
-        slices=(("main", None),),
         dataset=lambda grids: normalized_time_rows(
             grids["main"], ("DNUCA", "TLC"), "SNUCA2"),
         render=lambda rows: _section_text(
@@ -120,16 +96,12 @@ REPORT_SECTIONS: Tuple[ReportSection, ...] = (
             ["benchmark", "DNUCA", "TLC"], rows),
     ),
     ReportSection(
-        name="fig6",
-        slices=(("main", ("DNUCA", "TLC")),),
         dataset=lambda grids: figure6_dataset(grids["main"]),
         render=lambda rows: _section_text(
             "Figure 6: mean cache lookup latency (cycles)",
             ["benchmark", "DNUCA", "TLC"], rows),
     ),
     ReportSection(
-        name="table6",
-        slices=(("main", ("DNUCA", "TLC")),),
         dataset=lambda grids: table6_rows(grids["main"]),
         render=lambda rows: _section_text(
             "Table 6: benchmark characteristics",
@@ -138,8 +110,6 @@ REPORT_SECTIONS: Tuple[ReportSection, ...] = (
             rows),
     ),
     ReportSection(
-        name="table7",
-        slices=(),
         dataset=lambda grids: table7_rows(),
         render=lambda rows: _section_text(
             "Table 7: substrate area (mm^2)",
@@ -148,16 +118,12 @@ REPORT_SECTIONS: Tuple[ReportSection, ...] = (
             rows),
     ),
     ReportSection(
-        name="table8",
-        slices=(),
         dataset=lambda grids: table8_rows(),
         render=lambda rows: _section_text(
             "Table 8: network transistors",
             ["design", "transistors (ours/paper)", "gate width"], rows),
     ),
     ReportSection(
-        name="table9",
-        slices=(("main", ("DNUCA", "TLC")),),
         dataset=lambda grids: table9_rows(grids["main"]),
         render=lambda rows: _section_text(
             "Table 9: dynamic components",
@@ -166,8 +132,6 @@ REPORT_SECTIONS: Tuple[ReportSection, ...] = (
             rows),
     ),
     ReportSection(
-        name="fig7",
-        slices=(("family", TLC_FAMILY),),
         dataset=lambda grids: figure7_dataset(grids["family"], TLC_FAMILY),
         render=lambda rows: _section_text(
             "Figure 7: TLC family link utilization",
@@ -175,8 +139,6 @@ REPORT_SECTIONS: Tuple[ReportSection, ...] = (
             [[row[0]] + [f"{v:.1%}" for v in row[1:]] for row in rows]),
     ),
     ReportSection(
-        name="fig8",
-        slices=(("family", None),),
         dataset=lambda grids: normalized_time_rows(
             grids["family"], TLC_FAMILY, "SNUCA2"),
         render=lambda rows: _section_text(
@@ -186,12 +148,24 @@ REPORT_SECTIONS: Tuple[ReportSection, ...] = (
 )
 
 
-def report_preamble(n_refs: int) -> str:
-    """The fixed document header above the cached sections."""
-    return ("# Reproduction report: TLC: Transmission Line Caches\n\n"
-            f"Grids measured at {n_refs} L2 references per benchmark "
-            "(post-warmup); every value regenerable via "
-            "`pytest benchmarks/ --benchmark-only -s`.\n\n")
+#: The derived-lane kind of the rendered report, the lane's one artifact.
+REPORT_KIND = "report"
+
+
+def report_lane_key(main_keys: Iterable[str], family_keys: Iterable[str],
+                    n_refs: int) -> Tuple[List[str], Dict[str, int]]:
+    """``(cell_keys, params)`` the rendered report is cached under.
+
+    Each grid's cell keys carry its grid's name, so a cell both grids
+    hold (SNUCA2 and TLC) counts once per grid and swapping the grids
+    changes the key.  :func:`build_report` passes its grids'
+    :meth:`~repro.analysis.experiments.ExperimentGrid.cell_keys`;
+    ``repro report`` passes the cache keys of the cell specs before it
+    runs anything, so the two answer each other.
+    """
+    cell_keys = ([f"main:{key}" for key in main_keys]
+                 + [f"family:{key}" for key in family_keys])
+    return cell_keys, {"n_refs": n_refs}
 
 
 def build_report(main_grid: Optional[ExperimentGrid] = None,
@@ -200,15 +174,15 @@ def build_report(main_grid: Optional[ExperimentGrid] = None,
                  derived=None) -> str:
     """Render the complete measured-vs-paper report as markdown.
 
-    ``derived`` routes every section through a derived-artifact lane —
-    a :class:`~repro.analysis.derived.DerivedLane`,
+    ``derived`` caches the rendered document in a derived-artifact lane
+    under :func:`report_lane_key` — a
+    :class:`~repro.analysis.derived.DerivedLane`,
     :class:`~repro.analysis.storage.ContentStore`, or cache directory
     path (``None`` disables caching).  The lane is optimization-only:
     warm, cold, and disabled lanes all render byte-identical documents.
     """
     from repro.analysis.derived import as_lane
 
-    lane = as_lane(derived)
     if main_grid is None:
         main_grid = run_design_grid(designs=MAIN_DESIGNS, n_refs=n_refs)
     if family_grid is None:
@@ -216,30 +190,17 @@ def build_report(main_grid: Optional[ExperimentGrid] = None,
                                       n_refs=n_refs)
     grids = {"main": main_grid, "family": family_grid}
 
-    out = io.StringIO()
-    out.write(report_preamble(n_refs))
-    for section in REPORT_SECTIONS:
-        out.write(render_section(section, grids, lane))
-    return out.getvalue()
+    def render() -> dict:
+        out = io.StringIO()
+        out.write("# Reproduction report: TLC: Transmission Line Caches\n\n"
+                  f"Grids measured at {n_refs} L2 references per benchmark "
+                  "(post-warmup); every value regenerable via "
+                  "`pytest benchmarks/ --benchmark-only -s`.\n\n")
+        for section in REPORT_SECTIONS:
+            out.write(section.render(section.dataset(grids)))
+        return {"rendered": out.getvalue()}
 
-
-def render_section(section: ReportSection,
-                   grids: Dict[str, ExperimentGrid], lane) -> str:
-    """One section's markdown, answered from ``lane`` when warm.
-
-    The cached artifact carries both the dataset (rows) and the
-    rendered text, so a warm section costs one cache read — no grid
-    access, no row building, no formatting.
-    """
-    artifact = lane.get_or_compute(
-        kind=f"report.{section.name}",
-        cell_keys=section.cell_keys(grids),
-        params=None,
-        compute=lambda: _compute_section(section, grids))
-    return artifact["rendered"]
-
-
-def _compute_section(section: ReportSection,
-                     grids: Dict[str, ExperimentGrid]) -> dict:
-    rows = section.dataset(grids)
-    return {"dataset": rows, "rendered": section.render(rows)}
+    cell_keys, params = report_lane_key(main_grid.cell_keys(),
+                                        family_grid.cell_keys(), n_refs)
+    return as_lane(derived).get_or_compute(REPORT_KIND, cell_keys, params,
+                                           render)["rendered"]

@@ -7,7 +7,8 @@ without re-simulating, and results can be diffed across code versions.
 
 It also holds :class:`ContentStore`, the one on-disk store behind both
 cache lanes: the result lane (:class:`~repro.analysis.runner.ResultCache`)
-and the derived-artifact lane (:class:`~repro.analysis.derived.DerivedLane`).
+and the derived-artifact lane that caches the rendered report
+(:mod:`repro.analysis.derived`).
 """
 
 from __future__ import annotations

@@ -15,10 +15,7 @@ parameters a skeptical reader would poke at:
 
 The simulating sweeps (memory latency, dependence) route their cells
 through :mod:`repro.analysis.runner`, so they accept the same
-``workers`` / ``cache`` knobs as the grid helpers, plus a
-``derived_cache`` lane (:mod:`repro.analysis.derived`) that memoizes
-the finished sweep table keyed by the cells' result-cache keys — a
-warm lane answers without touching the runner at all.  The frequency
+``workers`` / ``cache`` knobs as the grid helpers.  The frequency
 sweep is purely analytic (no simulation) and runs inline.
 
 Each sweep returns plain lists of (parameter, metric) pairs so callers
@@ -44,38 +41,23 @@ def memory_latency_sweep(benchmark: str = "gcc",
                          warmup_fraction: float = 0.3,
                          workers: int = 1,
                          cache=None,
-                         derived_cache=None,
                          ) -> List[Tuple[int, Dict[str, float]]]:
     """Execution cycles per design at several DRAM latencies.
 
     Returns ``[(latency, {design: cycles}), ...]``.
     """
-    from repro.analysis.derived import as_lane
-    from repro.analysis.runner import CellSpec, cache_key, execute_cells
+    from repro.analysis.runner import CellSpec, execute_cells
 
     cells = [CellSpec(design=design, benchmark=benchmark, n_refs=n_refs,
                       seed=seed, warmup_fraction=warmup_fraction,
                       memory_latency_cycles=latency)
              for latency in latencies for design in designs]
-
-    def compute() -> list:
-        results = execute_cells(cells, workers=workers, cache=cache)
-        by_cell = {(cell.memory_latency_cycles, cell.design): result
-                   for cell, result in zip(cells, results)}
-        return [[latency, {design: by_cell[(latency, design)].cycles
-                           for design in designs}]
-                for latency in latencies]
-
-    lane = as_lane(derived_cache)
-    rows = lane.get_or_compute(
-        kind="sweep.memory_latency",
-        cell_keys=[cache_key(cell) for cell in cells],
-        # The key's cell set is sorted, so the row/column order must be
-        # pinned separately.
-        params={"benchmark": benchmark, "latencies": list(latencies),
-                "designs": list(designs)},
-        compute=compute)
-    return [(latency, by_design) for latency, by_design in rows]
+    results = execute_cells(cells, workers=workers, cache=cache)
+    by_cell = {(cell.memory_latency_cycles, cell.design): result
+               for cell, result in zip(cells, results)}
+    return [(latency, {design: by_cell[(latency, design)].cycles
+                       for design in designs})
+            for latency in latencies]
 
 
 def frequency_sweep(frequencies_ghz: Sequence[float] = (5.0, 10.0, 20.0),
@@ -101,16 +83,14 @@ def dependence_sweep(fractions: Sequence[float] = (0.0, 0.3, 0.6, 0.9),
                      warmup_fraction: float = 0.3,
                      processor_config: Optional[ProcessorConfig] = None,
                      workers: int = 1,
-                     cache=None,
-                     derived_cache=None):
+                     cache=None):
     """Design sensitivity to workload dependence chains.
 
     Returns ``[(fraction, {design: cycles}), ...]``; the gap between
     designs should widen as dependence rises (nothing hides L2 latency
     in a pointer chase).
     """
-    from repro.analysis.derived import as_lane
-    from repro.analysis.runner import CellSpec, cache_key, execute_cells
+    from repro.analysis.runner import CellSpec, execute_cells
 
     specs = {fraction: TraceSpec(mean_gap=12.0, hot_blocks=100_000,
                                  hot_skew=1.5, dependent_fraction=fraction,
@@ -123,19 +103,9 @@ def dependence_sweep(fractions: Sequence[float] = (0.0, 0.3, 0.6, 0.9),
                       processor_config=processor_config)
              for fraction in fractions for design in designs]
 
-    def compute() -> list:
-        results = execute_cells(cells, workers=workers, cache=cache)
-        by_cell = {(cell.benchmark, cell.design): result
-                   for cell, result in zip(cells, results)}
-        return [[fraction,
-                 {design: by_cell[(f"dep-{fraction}", design)].cycles
-                  for design in designs}]
-                for fraction in fractions]
-
-    lane = as_lane(derived_cache)
-    rows = lane.get_or_compute(
-        kind="sweep.dependence",
-        cell_keys=[cache_key(cell) for cell in cells],
-        params={"fractions": list(fractions), "designs": list(designs)},
-        compute=compute)
-    return [(fraction, by_design) for fraction, by_design in rows]
+    results = execute_cells(cells, workers=workers, cache=cache)
+    by_cell = {(cell.benchmark, cell.design): result
+               for cell, result in zip(cells, results)}
+    return [(fraction, {design: by_cell[(f"dep-{fraction}", design)].cycles
+                        for design in designs})
+            for fraction in fractions]

@@ -8,11 +8,9 @@ paper rows and the tests can assert that the reproduced *shapes* hold
 matches — our substrate is a synthetic simulator, the authors' was
 Simics on commercial workloads.
 
-The ``*_rows`` builders are the ``(grid slice) -> dataset`` half of
-each report table: JSON-able lists of lists that round-trip through
-the derived-artifact cache lane (:mod:`repro.analysis.derived`)
-unchanged, so a cached dataset renders byte-identically to a freshly
-computed one.
+The ``*_rows`` functions are the ``grid -> dataset`` half of each
+report table: lists of lists that :mod:`repro.analysis.report`
+renders as markdown.
 """
 
 from __future__ import annotations
@@ -95,20 +93,6 @@ PAPER_TABLE9: Dict[str, Dict[str, float]] = {
     "zeus": {"dnuca_banks": 2.4, "dnuca_mw": 170, "tlc_mw": 53},
     "sjbb": {"dnuca_banks": 2.4, "dnuca_mw": 130, "tlc_mw": 43},
     "oltp": {"dnuca_banks": 2.1, "dnuca_mw": 220, "tlc_mw": 90},
-}
-
-#: Figure 5 qualitative shape: which benchmarks each design should
-#: clearly improve over SNUCA2 (normalized execution time well below 1)
-#: and which it should not (close to 1).
-PAPER_FIG5_SHAPE: Dict[str, Dict[str, Sequence[str]]] = {
-    "TLC": {
-        "improves": ("gcc", "mcf"),
-        "neutral": ("swim", "applu", "lucas"),
-    },
-    "DNUCA": {
-        "improves": ("gcc", "equake"),
-        "neutral": ("swim", "applu", "lucas"),
-    },
 }
 
 
@@ -256,28 +240,15 @@ def normalized_time_rows(grid, designs: Sequence[str],
     ] for bench in grid.benchmarks]
 
 
-def normalized_time_artifact(grid, lane) -> dict:
-    """The ``grid.normalized`` derived artifact for ``grid``, via ``lane``.
+def normalized_time_artifact(grid) -> dict:
+    """``{"dataset": rows, "rendered": ascii table}`` for ``grid``.
 
-    ``{"dataset": rows, "rendered": ascii table}`` routed through the
-    derived-artifact lane under one well-known key space — the CLI
-    ``grid`` command and the job service both call this, so a lane
-    warmed by either answers the other.  The baseline is always the
-    grid's first design, so the rows (and the derived-lane key built
-    from them) are a pure function of the grid.
+    The ``repro grid`` summary and the service's job-result document.
+    The baseline is always the grid's first design, so both are a pure
+    function of the grid.
     """
-    def compute() -> dict:
-        rows = normalized_time_rows(grid, grid.designs, grid.designs[0])
-        rendered = format_table(
-            ["benchmark"] + list(grid.designs), rows,
-            title=f"Normalized execution time ({grid.designs[0]} = 1.0)")
-        return {"dataset": rows, "rendered": rendered}
-
-    return lane.get_or_compute(
-        kind="grid.normalized",
-        cell_keys=list(grid.cell_keys()),
-        # cell_keys is a sorted set; the table's row/column order (and
-        # the baseline, always column 0) is pinned here.
-        params={"designs": list(grid.designs),
-                "benchmarks": list(grid.benchmarks)},
-        compute=compute)
+    rows = normalized_time_rows(grid, grid.designs, grid.designs[0])
+    rendered = format_table(
+        ["benchmark"] + list(grid.designs), rows,
+        title=f"Normalized execution time ({grid.designs[0]} = 1.0)")
+    return {"dataset": rows, "rendered": rendered}

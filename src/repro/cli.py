@@ -22,6 +22,7 @@ work (see :func:`repro.core.config.resolve_design_name`).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -346,20 +347,20 @@ def _grid_cache(args):
 
 
 def _derived_lane(args):
-    """The derived-artifact lane the grid/report commands route through.
+    """The derived-artifact lane ``repro report`` caches its document in.
 
     ``--derived-cache-dir`` names the lane directory explicitly;
-    without it, a ``--cache-dir`` run keeps derived artifacts beside
-    the results it fingerprints (``<cache-dir>/derived``).
+    without it, a ``--cache-dir`` run keeps the report beside the
+    results it fingerprints (``<cache-dir>/derived``).
     ``--no-derived-cache`` — or neither flag — yields a disabled lane
     (same rendering, nothing persisted).
     """
     from repro.analysis.derived import as_lane
 
-    if getattr(args, "no_derived_cache", False):
+    if args.no_derived_cache:
         return as_lane(None)
-    root = getattr(args, "derived_cache_dir", None)
-    if not root and getattr(args, "cache_dir", None):
+    root = args.derived_cache_dir
+    if not root and args.cache_dir:
         import os
 
         root = os.path.join(args.cache_dir, "derived")
@@ -403,11 +404,7 @@ def _cmd_grid(args) -> int:
 
     from repro.analysis.tables import normalized_time_artifact
 
-    lane = _derived_lane(args)
-    artifact = normalized_time_artifact(grid, lane)
-    print(artifact["rendered"])
-    if lane.enabled:
-        print(lane.summary())
+    print(normalized_time_artifact(grid)["rendered"])
     return 0
 
 
@@ -441,7 +438,7 @@ def _cmd_report(args) -> int:
         TLC_FAMILY,
         run_design_grid,
     )
-    from repro.analysis.report import build_report
+    from repro.analysis.report import REPORT_KIND, build_report, report_lane_key
     from repro.analysis.runner import cache_key, grid_cell_specs
 
     started = _time.perf_counter()
@@ -450,14 +447,16 @@ def _cmd_report(args) -> int:
     policy, telemetry = _grid_resilience(args)
 
     # Every cell either grid would run, fingerprinted without running
-    # anything — this keys the whole rendered document, so a warm lane
-    # serves the report with zero simulation and zero section work.
+    # anything: this is the key build_report caches the document under,
+    # so a warm lane serves the report with zero simulation.
     family_designs = ("SNUCA2",) + TLC_FAMILY
     main_cells, benchmarks = grid_cell_specs(designs=MAIN_DESIGNS,
                                              n_refs=args.refs)
     family_cells, _ = grid_cell_specs(designs=family_designs,
                                       n_refs=args.refs)
-    document_keys = [cache_key(cell) for cell in main_cells + family_cells]
+    cell_keys, params = report_lane_key(
+        [cache_key(cell) for cell in main_cells],
+        [cache_key(cell) for cell in family_cells], args.refs)
 
     grids = {}
 
@@ -468,16 +467,12 @@ def _cmd_report(args) -> int:
         grids["family"] = run_design_grid(
             designs=family_designs, n_refs=args.refs, workers=args.workers,
             cache=cache, policy=policy, telemetry=telemetry)
-        text = build_report(main_grid=grids["main"],
-                            family_grid=grids["family"],
-                            n_refs=args.refs, derived=lane)
-        return {"rendered": text}
+        return {"rendered": build_report(main_grid=grids["main"],
+                                         family_grid=grids["family"],
+                                         n_refs=args.refs)}
 
-    artifact = lane.get_or_compute(
-        kind="report.document",
-        cell_keys=document_keys,
-        params={"n_refs": args.refs},
-        compute=compute_document)
+    artifact = lane.get_or_compute(REPORT_KIND, cell_keys, params,
+                                   compute_document)
     text = artifact["rendered"]
 
     if args.out:
@@ -556,7 +551,6 @@ def _cmd_explore(args) -> int:
         return 2
 
     cache = _grid_cache(args)
-    lane = _derived_lane(args)
     policy, telemetry = _grid_resilience(args)
     registry = MetricsRegistry()
     try:
@@ -569,8 +563,7 @@ def _cmd_explore(args) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    artifact = leaderboard_artifact(result, lane, top_k=args.top_k)
-    text = artifact["rendered"]
+    text = leaderboard_artifact(result, top_k=args.top_k)["rendered"]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
@@ -593,13 +586,10 @@ def _cmd_explore(args) -> int:
     if cache is not None:
         print(f"cache: {cache.hits} hit(s), {cache.stores} cell(s) "
               f"simulated and stored under {args.cache_dir}")
-    if lane.enabled:
-        print(lane.summary())
     print(f"resilience: {telemetry.summary()}")
     if args.metrics_out:
         from repro.obs import save_manifest
 
-        lane.register(registry)
         telemetry.register(registry)
         manifest = build_search_manifest(
             result, wall_time_s=_time.perf_counter() - started,
@@ -823,7 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "sharing the directory) are reused, so "
                            "rerunning an interrupted grid resumes it")
     _add_resilience_flags(grid)
-    _add_derived_flags(grid)
     grid.set_defaults(func=_cmd_grid)
 
     report = sub.add_parser("report", help="full measured-vs-paper report")
@@ -840,7 +829,14 @@ def build_parser() -> argparse.ArgumentParser:
                              "numbers, wall times, cache hits, resilience "
                              "counters) as JSON")
     _add_resilience_flags(report)
-    _add_derived_flags(report)
+    report.add_argument("--derived-cache-dir", metavar="DIR",
+                        help="cache the rendered report here, keyed by "
+                             "the result cells it was computed from; a "
+                             "warm report re-renders with zero simulation")
+    report.add_argument("--no-derived-cache", action="store_true",
+                        help="never read or write the cached report, even "
+                             "when --cache-dir implies a lane at "
+                             "<cache-dir>/derived")
     report.set_defaults(func=_cmd_report)
 
     explore = sub.add_parser(
@@ -877,7 +873,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(explore.* counters, wall time, cache "
                               "provenance) as JSON")
     _add_resilience_flags(explore)
-    _add_derived_flags(explore)
     explore.set_defaults(func=_cmd_explore)
 
     perf = sub.add_parser(
@@ -897,8 +892,9 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--compare", metavar="BASELINE",
                       help="compare against a BENCH baseline document; "
                            "exits 1 on regression")
-    perf.add_argument("--fail-above", type=float, default=40.0,
-                      metavar="PCT",
+    perf.add_argument("--fail-above", default=40.0, metavar="PCT",
+                      type=_bounded(float, lambda pct: 0 <= pct < math.inf,
+                                    "a finite number >= 0"),
                       help="regression threshold in percent slowdown "
                            "(default: 40)")
     perf.add_argument("--normalize", action="store_true",
@@ -956,7 +952,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="on SIGTERM/SIGINT, stop admitting (503) and "
                             "wait up to this long for in-flight jobs "
                             "before exiting (default: 30)")
-    _add_derived_flags(serve)
     serve.set_defaults(func=_cmd_serve)
 
     return parser
@@ -970,7 +965,7 @@ def _cmd_serve(args) -> int:
     from repro.service.journal import as_job_journal, describe_recovery
 
     policy, _ = _grid_resilience(args)
-    store = JobStore(cache=_grid_cache(args), derived=_derived_lane(args),
+    store = JobStore(cache=_grid_cache(args),
                      workers=args.workers, policy=policy,
                      journal=as_job_journal(args.journal_dir),
                      max_active_jobs=args.max_active_jobs,
@@ -984,7 +979,6 @@ def _cmd_serve(args) -> int:
     print(f"repro service on http://{host}:{port} "
           f"({args.workers} worker(s), "
           f"cache={'on' if args.cache_dir else 'off'}, "
-          f"derived={'on' if store.lane.enabled else 'off'}, "
           f"journal={'on' if args.journal_dir else 'off'})",
           flush=True)
 
@@ -1024,19 +1018,6 @@ def _cmd_perf_dispatch(args) -> int:
     if args.list_only:
         return _cmd_perf_list(args)
     return _cmd_perf(args)
-
-
-def _add_derived_flags(parser: argparse.ArgumentParser) -> None:
-    """The derived-artifact lane flags shared by ``grid`` and ``report``."""
-    parser.add_argument("--derived-cache-dir", metavar="DIR",
-                        help="cache derived artifacts (report sections, "
-                             "rendered tables) here, keyed by the result "
-                             "cells they were computed from; a warm "
-                             "report re-renders with zero simulation")
-    parser.add_argument("--no-derived-cache", action="store_true",
-                        help="never read or write derived artifacts, even "
-                             "when --cache-dir implies a lane at "
-                             "<cache-dir>/derived")
 
 
 def _bounded(convert, accept, requirement: str):

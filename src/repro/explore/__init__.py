@@ -5,9 +5,9 @@ as a declarative :class:`~repro.explore.space.SpaceSpec` document, a
 search driver (``grid`` / ``random`` / ``halving``) evaluates its
 variants through :func:`~repro.analysis.runner.run_grid` — result
 cache and resilient executor included — and the outcome is a
-deterministic trajectory plus a Fig-5-style leaderboard routed through
-the derived-artifact lane.  ``repro explore`` is the CLI
-face; docs/EXPLORATION.md is the reference.
+deterministic trajectory plus a Fig-5-style leaderboard.
+``repro explore`` is the CLI face; docs/EXPLORATION.md is the
+reference.
 """
 
 from repro.explore.drivers import (

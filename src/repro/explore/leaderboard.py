@@ -1,13 +1,8 @@
 """The leaderboard: top-k variants vs the paper's designs, Fig-5 style.
 
-A pure dataset -> render pipeline, routed through the derived-artifact
-lane under its own ``explore.leaderboard`` kind (the same discipline as
-``grid.normalized``): the dataset is a pure function of the final
-round's cells plus the search ranking, the rendered text is a pure
-function of the dataset, and the lane entry is keyed by the
-contributing cells' cache fingerprints plus the ranking itself — so a
-warm lane can only ever answer with bytes the cold path would have
-produced.
+A pure dataset -> render pipeline: the dataset is a pure function of
+the final round's cells plus the search ranking, and the rendered text
+is a pure function of the dataset.
 
 Nothing time-dependent enters the dataset or the rendering; two runs of
 one search emit byte-identical leaderboards (the property CI's explore
@@ -105,32 +100,8 @@ def render_leaderboard(dataset: dict) -> str:
     return "\n\n".join([table, chart, summary])
 
 
-def leaderboard_artifact(result: SearchResult, lane,
+def leaderboard_artifact(result: SearchResult,
                          top_k: int = DEFAULT_TOP_K) -> dict:
-    """``{"dataset", "rendered"}`` via the derived lane.
-
-    Keyed by the final round's cell fingerprints (references + every
-    final-round variant) plus the full ranking and the renderer
-    parameters — the ranking matters because ``halving`` orders final
-    survivors using scores the final cells alone don't determine.
-    """
-    def compute() -> dict:
-        dataset = leaderboard_dataset(result, top_k)
-        return {"dataset": dataset,
-                "rendered": render_leaderboard(dataset)}
-
-    return lane.get_or_compute(
-        kind="explore.leaderboard",
-        cell_keys=list(result.final_grid.cell_keys()),
-        params={"space": result.spec.name,
-                "driver": result.driver,
-                "search_seed": result.search_seed,
-                "budget": result.budget,
-                "top_k": top_k,
-                "baseline": result.spec.baseline,
-                "references": list(result.spec.references),
-                "benchmarks": list(result.spec.benchmarks),
-                "ranking": [[entry["variant"], entry["score"],
-                             entry["final"]]
-                            for entry in result.ranking]},
-        compute=compute)
+    """``{"dataset", "rendered"}``: the leaderboard and its text."""
+    dataset = leaderboard_dataset(result, top_k)
+    return {"dataset": dataset, "rendered": render_leaderboard(dataset)}

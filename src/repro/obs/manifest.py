@@ -100,12 +100,11 @@ class RunManifest:
     #: runs of the same cell measure the same thing, so this is
     #: excluded from :func:`diff_manifests`.
     sanitizer: Optional[Dict[str, Any]] = None
-    #: :meth:`~repro.analysis.derived.DerivedLane.as_dict` — the
-    #: derived-artifact cache lane's hit/miss/store/quarantine counts
-    #: and ``ANALYSIS_VERSION`` — when a report or grid command routed
-    #: its analysis through the lane.  Execution provenance (the lane
-    #: is optimization-only; warm and cold runs measure the same
-    #: thing), so excluded from :func:`diff_manifests`.
+    #: The derived-artifact cache lane's hit/miss/store/quarantine
+    #: counts and ``ANALYSIS_VERSION`` (:mod:`repro.analysis.derived`)
+    #: on ``report`` manifests.  Execution provenance (the lane is
+    #: optimization-only; warm and cold runs measure the same thing),
+    #: so excluded from :func:`diff_manifests`.
     derived: Optional[Dict[str, Any]] = None
     #: :meth:`~repro.service.jobs.JobStore.lifecycle_as_dict` — the
     #: service durability layer's ``service.lifecycle.*`` counts

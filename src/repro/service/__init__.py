@@ -3,9 +3,8 @@
 The service wraps the whole prior stack — designs
 (:mod:`repro.core.config`), the resilient grid executor and
 content-addressed result cache (:mod:`repro.analysis.runner`,
-:mod:`repro.analysis.resilience`), the derived-artifact lane
-(:mod:`repro.analysis.derived`), and observability
-(:mod:`repro.obs`) — behind five endpoints so many concurrent clients
+:mod:`repro.analysis.resilience`), and observability
+(:mod:`repro.obs`) — behind four endpoints so many concurrent clients
 share one result store.  Stdlib only; see ``docs/SERVICE.md``.
 """
 
@@ -36,7 +35,7 @@ from repro.service.schema import (
     JobSpec,
     validate_job_spec,
 )
-from repro.service.server import ServiceHandler, make_server, serve
+from repro.service.server import ServiceHandler, make_server
 
 __all__ = [
     "ENDPOINTS",
@@ -59,6 +58,5 @@ __all__ = [
     "job_key",
     "make_server",
     "poll_schedule",
-    "serve",
     "validate_job_spec",
 ]

@@ -194,9 +194,6 @@ class ServiceClient:
     def result(self, job_id: str) -> Dict[str, Any]:
         return json.loads(self.result_bytes(job_id))
 
-    def artifact(self, key: str) -> Dict[str, Any]:
-        return self._json("GET", f"/v1/artifacts/{key}")[1]
-
     def healthz(self) -> Dict[str, Any]:
         return self._json("GET", "/v1/healthz")[1]
 

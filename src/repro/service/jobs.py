@@ -50,9 +50,8 @@ The store is also the service's *lifecycle-durability* layer:
 Progress and health are observable: the store's ``service.*`` counter,
 the lifecycle layer's ``service.lifecycle.*`` counter, and a store-wide
 :class:`~repro.analysis.resilience.RunnerTelemetry`
-(``runner.*``) mount on one :class:`~repro.obs.registry.MetricsRegistry`
-alongside the derived lane's ``analysis.derived.*`` counts, and every
-finished job embeds a :class:`~repro.obs.manifest.RunManifest` whose
+(``runner.*``) mount on one :class:`~repro.obs.registry.MetricsRegistry`,
+and every finished job embeds a :class:`~repro.obs.manifest.RunManifest` whose
 ``lifecycle`` field snapshots the durability counters.
 """
 
@@ -65,12 +64,7 @@ import threading
 import time as _time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.analysis.derived import DerivedLane, as_lane, derived_key
-from repro.analysis.experiments import (
-    ExperimentGrid,
-    MAIN_DESIGNS,
-    TLC_FAMILY,
-)
+from repro.analysis.experiments import ExperimentGrid
 from repro.analysis.runner import (
     CellSpec,
     as_cache,
@@ -100,7 +94,7 @@ JOB_STATES = ("queued", "running", "done", "failed")
 SERVICE_COUNTS = (
     "jobs_submitted", "jobs_deduplicated", "jobs_completed", "jobs_failed",
     "cells_simulated", "cells_from_cache", "cells_failed",
-    "requests", "errors", "artifacts_served", "close.stragglers",
+    "requests", "errors", "close.stragglers",
 )
 
 #: The ``service.lifecycle.*`` counts: every durability-layer state
@@ -130,14 +124,6 @@ class AdmissionError(RuntimeError):
 
 class DrainingError(AdmissionError):
     """A submit rejected because the store is draining (HTTP 503)."""
-
-#: Which design sets satisfy a report section's named grid slice when
-#: the slice declares "the whole grid" (designs=None) — the canonical
-#: grids ``repro report`` runs.
-_CANONICAL_SLICE_DESIGNS = {
-    "main": frozenset(MAIN_DESIGNS),
-    "family": frozenset(("SNUCA2",) + TLC_FAMILY),
-}
 
 
 def job_key(spec: JobSpec) -> str:
@@ -226,7 +212,7 @@ class Job:
 
 
 class JobStore:
-    """Owns jobs, the worker pool, and the two cache lanes.
+    """Owns jobs, the worker pool, and the result cache.
 
     ``workers`` threads drain one shared cell queue, so a large job's
     cells interleave with a small job's (no head-of-line blocking) and
@@ -236,7 +222,7 @@ class JobStore:
     deadline (default: one attempt, no deadline).
     """
 
-    def __init__(self, cache=None, derived=None, workers: int = 2,
+    def __init__(self, cache=None, workers: int = 2,
                  policy=None,
                  registry: Optional[MetricsRegistry] = None,
                  journal=None,
@@ -248,7 +234,6 @@ class JobStore:
         from repro.analysis.resilience import RunnerTelemetry
 
         self.cache = as_cache(cache)
-        self.lane: DerivedLane = as_lane(derived)
         self.policy = policy
         self.workers = max(1, int(workers))
         self.journal = as_job_journal(journal)
@@ -268,7 +253,6 @@ class JobStore:
         self.registry.register("service", self.counter)
         self.registry.register("service.lifecycle", self.lifecycle)
         self.telemetry.register(self.registry)
-        self.lane.register(self.registry)
 
         self._lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
@@ -645,21 +629,9 @@ class JobStore:
 
     # -- result rendering --------------------------------------------------
     def _grid_for(self, job: Job) -> ExperimentGrid:
-        results = {}
-        cell_meta = {}
-        for cell, outcome in zip(job.cells, job.outcomes):
-            coordinate = (cell.design, cell.benchmark)
-            results[coordinate] = outcome.result
-            cell_meta[coordinate] = {
-                "wall_time_s": outcome.wall_time_s,
-                "from_cache": outcome.from_cache,
-                "attempts": outcome.attempts,
-                "l2_hits": outcome.result.l2_hits,
-                "l2_misses": outcome.result.l2_misses,
-                "cache_key": outcome.key,
-            }
-        return ExperimentGrid(job.spec.designs, job.spec.benchmarks,
-                              results, cell_meta=cell_meta)
+        results = {(cell.design, cell.benchmark): outcome.result
+                   for cell, outcome in zip(job.cells, job.outcomes)}
+        return ExperimentGrid(job.spec.designs, job.spec.benchmarks, results)
 
     def _render_result(self, job: Job) -> bytes:
         """The frozen, deterministic result document for a finished job.
@@ -695,7 +667,6 @@ class JobStore:
                     "link_utilization": result.link_utilization,
                     "network_power_w": result.network_power_w,
                 }
-        normalized = normalized_time_artifact(grid, self.lane)
         document = {
             "schema": SERVICE_SCHEMA_VERSION,
             "job_id": job.id,
@@ -703,49 +674,10 @@ class JobStore:
             "designs": list(grid.designs),
             "benchmarks": list(grid.benchmarks),
             "cells": cells,
-            "normalized_time": normalized,
-            "artifacts": {
-                "grid.normalized": derived_key(
-                    "grid.normalized", grid.cell_keys(),
-                    {"designs": list(grid.designs),
-                     "benchmarks": list(grid.benchmarks)}),
-            },
-            "sections": self._section_availability(grid),
+            "normalized_time": normalized_time_artifact(grid),
         }
         return json.dumps(document, sort_keys=True,
                           separators=(",", ":")).encode()
-
-    def _section_availability(self, grid: ExperimentGrid) -> Dict[str, Any]:
-        """Warm report sections this grid's cells can answer.
-
-        For every :data:`~repro.analysis.report.REPORT_SECTIONS` entry
-        whose grid slice the job's designs cover, report the derived
-        key — and, when the lane already holds the artifact (typically
-        warmed by a ``repro report`` run over the same cache), serve it
-        inline.  Sections are never *computed* here: a job result must
-        not grow the job's work, only surface what is already paid for.
-        """
-        from repro.analysis.report import REPORT_SECTIONS
-
-        grids = {"main": grid, "family": grid}
-        available: Dict[str, Any] = {}
-        job_designs = set(grid.designs)
-        for section in REPORT_SECTIONS:
-            needed = set()
-            for grid_name, designs in section.slices:
-                needed |= (set(designs) if designs is not None
-                           else _CANONICAL_SLICE_DESIGNS[grid_name])
-            if not needed <= job_designs:
-                continue
-            key = derived_key(f"report.{section.name}",
-                              section.cell_keys(grids), None)
-            entry: Dict[str, Any] = {"key": key, "warm": False}
-            if self.lane.cache is not None:
-                artifact = self.lane.cache.get(key)
-                if artifact is not None:
-                    entry.update(warm=True, artifact=artifact)
-            available[section.name] = entry
-        return available
 
     def lifecycle_as_dict(self) -> Dict[str, int]:
         """The ``service.lifecycle.*`` counts, JSON-ready, stable zeros."""
@@ -760,30 +692,6 @@ class JobStore:
             wall_time_s=job.wall_time_s or 0.0,
             seed=job.spec.seed,
             resilience=self.telemetry.as_dict(),
-            derived=self.lane.as_dict(),
             lifecycle=self.lifecycle_as_dict(),
         )
         return manifest_to_dict(manifest)
-
-    # -- artifact lookup ---------------------------------------------------
-    def lookup_artifact(self, key: str) -> Optional[Dict[str, Any]]:
-        """One cached artifact by content key, from either lane.
-
-        The derived lane is checked first (its keys are what job
-        results advertise), then the result lane (a cell's result-cache
-        key, as listed in ``cell_status`` / ``RunManifest`` documents).
-        """
-        if self.lane.cache is not None:
-            artifact = self.lane.cache.get(key)
-            if artifact is not None:
-                self.counter.add("artifacts_served")
-                return {"key": key, "lane": "derived", "artifact": artifact}
-        if self.cache is not None:
-            result = self.cache.get(key)
-            if result is not None:
-                from repro.analysis.storage import result_to_dict
-
-                self.counter.add("artifacts_served")
-                return {"key": key, "lane": "result",
-                        "result": result_to_dict(result)}
-        return None

@@ -32,7 +32,7 @@ from repro.core.config import (
 )
 
 #: Bump when a response document's layout changes incompatibly.
-SERVICE_SCHEMA_VERSION = 1
+SERVICE_SCHEMA_VERSION = 2
 
 #: Service-side guard rail: a long-running shared service must bound
 #: the work one request can demand (per-cell bounds are in
@@ -81,11 +81,9 @@ ENDPOINTS = (
     ("GET", "/v1/jobs/{id}",
      "job status: state, per-cell progress, runner telemetry"),
     ("GET", "/v1/jobs/{id}/result",
-     "finished job's grid stats + derived-lane artifacts"),
-    ("GET", "/v1/artifacts/{key}",
-     "one cached artifact by content key (derived or result lane)"),
+     "finished job's grid stats + normalized execution time"),
     ("GET", "/v1/healthz",
-     "liveness + service.* / runner.* / analysis.derived.* metrics"),
+     "liveness + service.* / runner.* metrics"),
 )
 
 #: Machine-readable error codes the JSON error envelope uses.
@@ -94,8 +92,6 @@ ERROR_CODES = {
     "invalid_spec": "job spec failed validation (ConfigError detail)",
     "unknown_job": "no job with that id",
     "job_failed": "the job finished with a permanent cell failure",
-    "unknown_artifact": "no cached artifact under that key",
-    "invalid_key": "artifact key is not a 64-hex-digit content key",
     "not_found": "no such route",
     "method_not_allowed": "route exists but not for this HTTP method",
     "payload_too_large": "request body exceeds the service limit",

@@ -1,6 +1,6 @@
 """Stdlib HTTP front end over the :class:`~repro.service.jobs.JobStore`.
 
-One :class:`http.server.ThreadingHTTPServer` answers the five routes
+One :class:`http.server.ThreadingHTTPServer` answers the four routes
 :data:`~repro.service.schema.ENDPOINTS` declares.  Handlers are thin:
 parse -> :class:`JobStore` call -> JSON.  All failures use one error
 envelope::
@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import re
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro.core.config import ConfigError
 from repro.service.jobs import AdmissionError, DrainingError, JobStore
@@ -45,12 +45,8 @@ from repro.service.schema import (
 #: guards the shared server against accidental multi-megabyte POSTs).
 MAX_BODY_BYTES = 64 * 1024
 
-#: Artifact keys are SHA-256 content keys — nothing else touches disk.
-_KEY_RE = re.compile(r"^[0-9a-f]{64}$")
-
 _JOB_ROUTE = re.compile(r"^/v1/jobs/([A-Za-z0-9_.-]+)$")
 _RESULT_ROUTE = re.compile(r"^/v1/jobs/([A-Za-z0-9_.-]+)/result$")
-_ARTIFACT_ROUTE = re.compile(r"^/v1/artifacts/([^/]+)$")
 
 #: Envelope codes for the HTTP statuses the *stdlib* error machinery
 #: can emit on its own (malformed request line, oversized headers,
@@ -196,8 +192,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if self.path == "/v1/jobs":
             self._post_job()
         elif (self.path == "/v1/healthz" or _JOB_ROUTE.match(self.path)
-              or _RESULT_ROUTE.match(self.path)
-              or _ARTIFACT_ROUTE.match(self.path)):
+              or _RESULT_ROUTE.match(self.path)):
             self._error(405, "method_not_allowed")
         else:
             self._error(404, "not_found")
@@ -214,10 +209,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
         match = _JOB_ROUTE.match(self.path)
         if match:
             self._get_job(match.group(1))
-            return
-        match = _ARTIFACT_ROUTE.match(self.path)
-        if match:
-            self._get_artifact(match.group(1))
             return
         if self.path == "/v1/jobs":
             self._error(405, "method_not_allowed")
@@ -285,16 +276,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
         else:
             self._send(202, document)
 
-    def _get_artifact(self, key: str) -> None:
-        if not _KEY_RE.match(key):
-            self._error(400, "invalid_key", detail=key)
-            return
-        found = self.store.lookup_artifact(key)
-        if found is None:
-            self._error(404, "unknown_artifact", detail=key)
-            return
-        self._send(200, found)
-
     def _get_healthz(self) -> None:
         self._send(200, {
             "ok": True,
@@ -324,18 +305,3 @@ def make_server(store: JobStore, host: str = "127.0.0.1", port: int = 0,
     store.start()
     return server
 
-
-def serve(store: JobStore, host: str = "127.0.0.1", port: int = 8765,
-          quiet: bool = False) -> Tuple[str, int]:
-    """Run the service until interrupted (the ``repro serve`` loop)."""
-    server = make_server(store, host=host, port=port, quiet=quiet)
-    bound = server.server_address[:2]
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()
-        server.server_close()
-        store.close()
-    return str(bound[0]), int(bound[1])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.workloads.calibration import CalibrationGrade, grade_benchmark
+from repro.analysis.calibration import CalibrationGrade, grade_benchmark
 
 
 class TestGradeMath:

@@ -55,6 +55,22 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", [
         ["grid"],
+        ["explore", "--space", "space.json"],
+        ["serve"],
+    ])
+    @pytest.mark.parametrize("flag", [
+        "--derived-cache-dir somewhere", "--no-derived-cache"])
+    def test_derived_lane_options_are_rejected(self, argv, flag, capsys):
+        """Only ``report`` caches a derived artifact; the other commands
+        have no lane and no lane flags."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv + flag.split())
+        assert exit_info.value.code == 2
+        assert (f"unrecognized arguments: {flag}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [
+        ["grid"],
         ["report"],
         ["explore", "--space", "space.json"],
         ["serve"],
@@ -97,6 +113,9 @@ class TestParser:
         (["serve"], "--job-ttl", "0"),
         (["serve"], "--drain-timeout", "-1"),
         (["grid"], "--refs", "many"),
+        (["perf"], "--fail-above", "-1"),
+        (["perf"], "--fail-above", "nan"),
+        (["perf"], "--fail-above", "inf"),
     ])
     def test_bad_numeric_values_are_usage_errors(self, argv, flag, value,
                                                  capsys):

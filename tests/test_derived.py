@@ -2,12 +2,14 @@
 
 The lane is optimization-only, so almost every test here is some form
 of "warm and cold agree, and the lane did/did not do work": key
-determinism and invalidation, warm-vs-cold byte-identical reports,
-section-granular re-derivation, sweep and CLI routing, and the
-``analysis.derived.*`` observability surface.  The store under the lane
-is the result lane's; its corruption catalog runs against both lanes in
-``tests/test_runner.py::TestCacheIntegrity``.
+determinism and invalidation, warm-vs-cold byte-identical reports, the
+one report key ``repro report`` and ``build_report`` share, CLI
+routing, and the ``analysis.derived.*`` observability surface.  The
+store under the lane is the result lane's; its corruption catalog runs
+against both lanes in ``tests/test_runner.py::TestCacheIntegrity``.
 """
+
+import pytest
 
 from repro.analysis.derived import (
     ANALYSIS_VERSION,
@@ -17,7 +19,7 @@ from repro.analysis.derived import (
     derived_key,
 )
 from repro.analysis.experiments import ExperimentGrid, MAIN_DESIGNS, TLC_FAMILY
-from repro.analysis.report import REPORT_SECTIONS, build_report
+from repro.analysis.report import REPORT_KIND, build_report, report_lane_key
 from repro.sim.system import SystemResult
 
 BENCHMARKS = ("gcc", "mcf")
@@ -44,12 +46,8 @@ def make_result(design: str, benchmark: str, index: int) -> SystemResult:
     )
 
 
-def make_grid(designs, mutate=None) -> ExperimentGrid:
-    """A hand-built grid (no runner provenance -> content fingerprints).
-
-    ``mutate`` maps ``(design, benchmark)`` to a replacement result, for
-    the single-cell invalidation tests.
-    """
+def make_grid(designs) -> ExperimentGrid:
+    """A hand-built grid (no runner provenance -> content fingerprints)."""
     results = {}
     index = 0
     for benchmark in BENCHMARKS:
@@ -57,8 +55,6 @@ def make_grid(designs, mutate=None) -> ExperimentGrid:
             results[(design, benchmark)] = make_result(design, benchmark,
                                                        index)
             index += 1
-    if mutate:
-        results.update(mutate)
     return ExperimentGrid(tuple(designs), BENCHMARKS, results)
 
 
@@ -164,9 +160,8 @@ class TestDerivedLane:
 
 
 class TestReportThroughLane:
-    def grids(self, mutate=None):
-        return (make_grid(MAIN_DESIGNS),
-                make_grid(("SNUCA2",) + TLC_FAMILY, mutate=mutate))
+    def grids(self):
+        return (make_grid(MAIN_DESIGNS), make_grid(("SNUCA2",) + TLC_FAMILY))
 
     def test_warm_report_byte_identical_and_recomputes_nothing(self,
                                                                tmp_path):
@@ -174,14 +169,14 @@ class TestReportThroughLane:
         cold_lane = as_lane(tmp_path)
         cold = build_report(main_grid=main_grid, family_grid=family_grid,
                             n_refs=1_234, derived=cold_lane)
-        assert cold_lane.counter.as_dict()["stores"] == len(REPORT_SECTIONS)
+        assert cold_lane.counter.as_dict()["stores"] == 1
 
         warm_lane = as_lane(tmp_path)
         warm = build_report(main_grid=main_grid, family_grid=family_grid,
                             n_refs=1_234, derived=warm_lane)
         assert warm == cold
         counts = warm_lane.counter.as_dict()
-        assert counts["hits"] == len(REPORT_SECTIONS)
+        assert counts["hits"] == 1
         assert counts["misses"] == 0 and counts["computed"] == 0
 
     def test_lane_never_changes_rendering(self, tmp_path):
@@ -192,74 +187,74 @@ class TestReportThroughLane:
                               n_refs=1_234, derived=as_lane(tmp_path))
         assert routed == plain
 
-    def test_single_cell_invalidation_is_section_granular(self, tmp_path):
-        """Changing one family-grid SNUCA2 cell re-derives only Figure 8.
+    def test_key_separates_the_grids_and_n_refs(self):
+        main_keys = make_grid(MAIN_DESIGNS).cell_keys()
+        family_keys = make_grid(("SNUCA2",) + TLC_FAMILY).cell_keys()
 
-        Figure 8 is the one section whose slice covers the family
-        baseline; Figure 7 reads only the TLC family designs, and every
-        main-grid and static section is untouched.
-        """
-        main_grid, family_grid = self.grids()
-        build_report(main_grid=main_grid, family_grid=family_grid,
-                     n_refs=1_234, derived=as_lane(tmp_path))
+        def key(main, family, n_refs):
+            return derived_key(REPORT_KIND,
+                               *report_lane_key(main, family, n_refs))
 
-        changed = make_result("SNUCA2", "gcc", index=40)
-        _, poked_family = self.grids(mutate={("SNUCA2", "gcc"): changed})
-        lane = as_lane(tmp_path)
-        build_report(main_grid=main_grid, family_grid=poked_family,
-                     n_refs=1_234, derived=lane)
+        base = key(main_keys, family_keys, 1_234)
+        assert key(main_keys, family_keys, 1_234) == base
+        assert key(family_keys, main_keys, 1_234) != base
+        assert key(main_keys, family_keys, 1_235) != base
+
+
+class TestCliAndBuildReportShareOneKey:
+    """``repro report`` keys the document from cell specs before running
+    anything; ``build_report`` keys it from its grids.  Both must land on
+    the one entry, whichever runs first."""
+
+    N_REFS = 300
+
+    @pytest.fixture(scope="class")
+    def cold_cli(self, tmp_path_factory):
+        from repro.cli import main
+
+        root = tmp_path_factory.mktemp("report-cli")
+        out = root / "report.md"
+        assert main(["report", "--refs", str(self.N_REFS), "--workers", "2",
+                     "--cache-dir", str(root / "cache"),
+                     "--out", str(out)]) == 0
+        return root, out.read_text(encoding="utf-8")
+
+    def grids(self, cache):
+        from repro.analysis.experiments import run_design_grid
+
+        return [run_design_grid(designs=designs, n_refs=self.N_REFS,
+                                workers=2, cache=cache)
+                for designs in (MAIN_DESIGNS, ("SNUCA2",) + TLC_FAMILY)]
+
+    def test_cli_report_answers_build_report(self, cold_cli):
+        root, text = cold_cli
+        assert len(list((root / "cache" / "derived").rglob("*.json"))) == 1
+        main_grid, family_grid = self.grids(root / "cache")
+        lane = as_lane(root / "cache" / "derived")
+        assert build_report(main_grid=main_grid, family_grid=family_grid,
+                            n_refs=self.N_REFS, derived=lane) == text
         counts = lane.counter.as_dict()
-        assert counts["misses"] == 1
-        assert counts["hits"] == len(REPORT_SECTIONS) - 1
+        assert (counts["hits"], counts["misses"], counts["computed"]) == (
+            1, 0, 0)
 
-    def test_main_grid_cell_change_spares_family_sections(self, tmp_path):
-        main_grid, family_grid = self.grids()
-        build_report(main_grid=main_grid, family_grid=family_grid,
-                     n_refs=1_234, derived=as_lane(tmp_path))
+    def test_build_report_answers_cli_report(self, cold_cli, capsys):
+        from repro.cli import main
 
-        changed = make_result("TLC", "mcf", index=41)
-        results = dict(main_grid.results)
-        results[("TLC", "mcf")] = changed
-        poked_main = ExperimentGrid(main_grid.designs, main_grid.benchmarks,
-                                    results)
-        lane = as_lane(tmp_path)
-        build_report(main_grid=poked_main, family_grid=family_grid,
-                     n_refs=1_234, derived=lane)
-        counts = lane.counter.as_dict()
-        # fig5, fig6, table6, table9 read the poked TLC cell; the four
-        # static sections and the two family figures stay warm.
-        assert counts["misses"] == 4
-        assert counts["hits"] == len(REPORT_SECTIONS) - 4
-
-
-class TestSweepsThroughLane:
-    def test_memory_sweep_warm_lane_skips_execution(self, tmp_path):
-        from repro.analysis.runner import ResultCache
-        from repro.analysis.sweeps import memory_latency_sweep
-
-        kwargs = dict(benchmark="gcc", latencies=(150, 600),
-                      designs=("TLC",), n_refs=1_500)
-        cold = memory_latency_sweep(derived_cache=as_lane(tmp_path), **kwargs)
-
-        probe = ResultCache(tmp_path / "results")
-        warm_lane = as_lane(tmp_path)
-        warm = memory_latency_sweep(cache=probe, derived_cache=warm_lane,
-                                    **kwargs)
-        assert warm == cold
-        assert warm_lane.counter.as_dict()["hits"] == 1
-        # The runner was never consulted: the probe cache saw no traffic.
-        assert probe.hits == 0 and probe.misses == 0 and probe.stores == 0
-
-    def test_dependence_sweep_round_trips_types(self, tmp_path):
-        from repro.analysis.sweeps import dependence_sweep
-
-        kwargs = dict(fractions=(0.0, 0.8), designs=("TLC",), n_refs=1_500)
-        cold = dependence_sweep(derived_cache=as_lane(tmp_path), **kwargs)
-        warm = dependence_sweep(derived_cache=as_lane(tmp_path), **kwargs)
-        assert warm == cold
-        assert [fraction for fraction, _ in warm] == [0.0, 0.8]
-        for _, by_design in warm:
-            assert isinstance(by_design["TLC"], int)
+        root, text = cold_cli
+        derived = root / "bench-derived"
+        main_grid, family_grid = self.grids(root / "cache")
+        assert build_report(main_grid=main_grid, family_grid=family_grid,
+                            n_refs=self.N_REFS, derived=derived) == text
+        capsys.readouterr()
+        out = root / "warm.md"
+        assert main(["report", "--refs", str(self.N_REFS),
+                     "--cache-dir", str(root / "cache"),
+                     "--derived-cache-dir", str(derived),
+                     "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "rendered from derived cache (0 cells simulated)" in printed
+        assert "derived cache: 1 hit(s), 0 miss(es), 0 store(s)" in printed
+        assert out.read_text(encoding="utf-8") == text
 
 
 class TestCliLaneWiring:
@@ -270,7 +265,7 @@ class TestCliLaneWiring:
         args = parser.parse_args(["report", "--derived-cache-dir", "d"])
         assert args.derived_cache_dir == "d"
         assert not args.no_derived_cache
-        args = parser.parse_args(["grid", "--no-derived-cache"])
+        args = parser.parse_args(["report", "--no-derived-cache"])
         assert args.no_derived_cache
 
     def test_lane_resolution(self, tmp_path):

@@ -18,7 +18,6 @@ from repro.explore import (
     MAX_VARIANTS,
     build_search_manifest,
     expand,
-    leaderboard_artifact,
     leaderboard_dataset,
     render_leaderboard,
     run_search,
@@ -371,17 +370,6 @@ class TestLeaderboard:
         dataset = leaderboard_dataset(result, top_k=2)
         assert render_leaderboard(dataset) == render_leaderboard(dataset)
         assert "SNUCA2" in render_leaderboard(dataset)
-
-    def test_artifact_round_trips_through_the_lane(self, result, tmp_path):
-        from repro.analysis.derived import as_lane
-
-        lane = as_lane(tmp_path / "derived")
-        cold = leaderboard_artifact(result, lane, top_k=3)
-        warm = leaderboard_artifact(result, lane, top_k=3)
-        assert warm == cold
-        assert lane.cache.hits == 1 and lane.cache.stores == 1
-        # JSON round trip (what the lane persists) is lossless.
-        assert json.loads(json.dumps(cold)) == cold
 
 
 class TestExploreCLI:

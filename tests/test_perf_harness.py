@@ -188,6 +188,14 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare_benchmarks(document, document, fail_above_pct=-1)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+    def test_non_finite_threshold_rejected(self, threshold):
+        """A NaN or infinite threshold would make every ratio compare
+        below it, so nothing could ever regress."""
+        document = make_document()
+        with pytest.raises(ValueError):
+            compare_benchmarks(document, document, fail_above_pct=threshold)
+
 
 class TestSuite:
     def test_registry_covers_every_layer(self):

@@ -11,7 +11,7 @@ Suites:
 * ``TestServiceLifecycle`` — a real ``ThreadingHTTPServer`` on an
   ephemeral port: submit/poll/result, in-process dedupe with
   byte-identical results, restart dedupe through a shared result cache,
-  concurrent clients, warm derived-artifact serving, error envelopes.
+  concurrent clients, error envelopes.
 * ``TestClientBackoff`` — the client's capped-exponential poll schedule
   and 429/503 retry backoff, deterministically (injected sleep/RNG, no
   wall clock).
@@ -55,9 +55,8 @@ SMALL_SPEC = {"designs": ["SNUCA2", "TLC"], "benchmarks": ["gcc"],
 
 @pytest.fixture()
 def service(tmp_path):
-    """A live server over fresh cache lanes; yields (client, store)."""
-    store = JobStore(cache=tmp_path / "results",
-                     derived=tmp_path / "derived", workers=2)
+    """A live server over a fresh result cache; yields (client, store)."""
+    store = JobStore(cache=tmp_path / "results", workers=2)
     server = make_server(store)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -181,8 +180,12 @@ class TestServiceLifecycle:
         assert status["cells"]["from_cache"] == 0
         assert {cell["state"] for cell in status["cell_status"]} == {"done"}
         assert status["manifest"]["kind"] == "service.job"
+        assert status["manifest"]["derived"] is None
 
         result = client.result(submitted["id"])
+        assert result["schema"] == 2
+        assert set(result) == {"schema", "job_id", "spec", "designs",
+                               "benchmarks", "cells", "normalized_time"}
         assert result["designs"] == ["SNUCA2", "TLC"]
         assert result["cells"]["TLC"]["gcc"]["l2_requests"] > 0
         assert result["normalized_time"]["dataset"][0][0] == "gcc"
@@ -206,8 +209,7 @@ class TestServiceLifecycle:
         payloads = []
         simulated = []
         for _ in range(2):
-            store = JobStore(cache=tmp_path / "results",
-                            derived=tmp_path / "derived", workers=2)
+            store = JobStore(cache=tmp_path / "results", workers=2)
             server = make_server(store)
             threading.Thread(target=server.serve_forever,
                              daemon=True).start()
@@ -298,37 +300,12 @@ class TestServiceLifecycle:
             client.status("job-doesnotexist00")
         assert (excinfo.value.status, excinfo.value.code) == (
             404, "unknown_job")
-        with pytest.raises(ServiceError) as excinfo:
-            client.artifact("not-a-key")
-        assert (excinfo.value.status, excinfo.value.code) == (
-            400, "invalid_key")
-        with pytest.raises(ServiceError) as excinfo:
-            client.artifact("0" * 64)
-        assert (excinfo.value.status, excinfo.value.code) == (
-            404, "unknown_artifact")
-
-    def test_warm_derived_artifact_served_by_key(self, service):
-        client, store = service
-        result = client.run(SMALL_SPEC, timeout_s=120)
-        key = result["artifacts"]["grid.normalized"]
-        served = client.artifact(key)
-        assert served["lane"] == "derived"
-        assert served["artifact"]["dataset"] == \
-            result["normalized_time"]["dataset"]
-
-    def test_result_cache_key_served_as_result_lane_artifact(self, service):
-        client, store = service
-        submitted = client.submit(SMALL_SPEC)
-        status = client.wait(submitted["id"], timeout_s=120)
-        # Every cell's provenance key resolves through the artifact
-        # endpoint to the raw result document.
-        manifest_metrics = status["manifest"]["metrics"]
-        assert manifest_metrics["service.jobs_submitted"] >= 1
-        result = client.result(submitted["id"])
-        cell_key = store.get(submitted["id"]).outcomes[0].key
-        served = client.artifact(cell_key)
-        assert served["lane"] == "result"
-        assert served["result"]["design"] == "SNUCA2"
+        # There is no artifact route: any key is an unknown path.
+        for key in ("not-a-key", "0" * 64):
+            status, raw, _headers = client._request(
+                "GET", f"/v1/artifacts/{key}")
+            assert status == 404
+            assert json.loads(raw)["error"]["code"] == "not_found"
 
     def test_healthz_exposes_all_metric_families(self, service):
         client, _ = service
@@ -338,7 +315,6 @@ class TestServiceLifecycle:
         names = set(health["metrics"])
         assert any(name.startswith("service.") for name in names)
         assert any(name.startswith("runner.") for name in names)
-        assert any(name.startswith("analysis.derived.") for name in names)
         assert health["jobs"]["done"] == 1
 
     def test_route_table_matches_handlers(self, service):
@@ -346,10 +322,9 @@ class TestServiceLifecycle:
         client, _ = service
         submitted = client.submit(SMALL_SPEC)
         client.wait(submitted["id"], timeout_s=120)
-        substitutions = {"{id}": submitted["id"], "{key}": "0" * 64}
+        assert len(ENDPOINTS) == 4
         for method, path, _summary in ENDPOINTS:
-            for template, value in substitutions.items():
-                path = path.replace(template, value)
+            path = path.replace("{id}", submitted["id"])
             status, raw, _headers = client._request(method, path,
                                                     body=SMALL_SPEC
                                                     if method == "POST"
@@ -361,7 +336,7 @@ class TestServiceLifecycle:
 
     def test_error_codes_documented(self):
         for code in ("invalid_json", "invalid_spec", "unknown_job",
-                     "unknown_artifact", "invalid_key", "not_found",
+                     "not_found",
                      "method_not_allowed", "job_failed", "bad_request",
                      "over_capacity", "draining", "gone", "internal",
                      "not_implemented"):

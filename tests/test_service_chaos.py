@@ -55,7 +55,6 @@ SPEC = {"designs": ["SNUCA2", "TLC"], "benchmarks": ["gcc", "mcf"],
 
 def _store(tmp_path, **kwargs):
     kwargs.setdefault("cache", tmp_path / "results")
-    kwargs.setdefault("derived", tmp_path / "derived")
     kwargs.setdefault("journal", tmp_path / "journal")
     kwargs.setdefault("workers", 2)
     return JobStore(**kwargs)
@@ -367,7 +366,6 @@ class TestKillNineRestart:
             [sys.executable, "-m", "repro", "serve", "--port", "0",
              "--workers", "1",
              "--cache-dir", str(tmp_path / "results"),
-             "--derived-cache-dir", str(tmp_path / "derived"),
              "--journal-dir", str(tmp_path / "journal"), *extra],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
             env=dict(os.environ,
@@ -394,8 +392,7 @@ class TestKillNineRestart:
 
         # Control: what the result bytes should be, from a pristine
         # in-process run over separate dirs.
-        control = JobStore(cache=tmp_path / "control-results",
-                           derived=tmp_path / "control-derived", workers=2)
+        control = JobStore(cache=tmp_path / "control-results", workers=2)
         control.start()
         control_job, _ = control.submit(validate_job_spec(spec))
         deadline = time.monotonic() + 180
