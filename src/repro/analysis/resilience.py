@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import time
 from collections import deque
@@ -118,8 +119,10 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.cell_timeout_s is not None and self.cell_timeout_s <= 0:
-            raise ValueError("cell_timeout_s must be positive (or None)")
+        if (self.cell_timeout_s is not None
+                and not 0 < self.cell_timeout_s < math.inf):
+            raise ValueError(
+                "cell_timeout_s must be a finite number > 0 (or None)")
 
     @property
     def max_attempts(self) -> int:
@@ -493,6 +496,12 @@ def run_misses(misses: Sequence[Tuple[int, object, str]], outcomes: List,
             kill(state)
 
 
+#: The longest one pipe wait blocks.  ``multiprocessing.connection.wait``
+#: overflows at 2**31 ms (about 25 days), so a later deadline is reached
+#: over several waits: the loop rechecks every deadline when it wakes.
+_MAX_WAIT_S = 3600.0
+
+
 def _wait_timeout(running: Dict, pending: deque, now: float,
                   ) -> Optional[float]:
     """How long the pipe wait may block before a deadline/backoff fires."""
@@ -501,7 +510,7 @@ def _wait_timeout(running: Dict, pending: deque, now: float,
     horizons += [task.not_before for task in pending if task.not_before > now]
     if not horizons:
         return None  # a pipe will signal (result, error, or EOF on death)
-    return max(0.01, min(horizons) - now)
+    return min(_MAX_WAIT_S, max(0.01, min(horizons) - now))
 
 
 def _drain_in_process(pending: deque, policy, fault_plan, telemetry,

@@ -6,9 +6,10 @@ document so analyses (tables, figures, the report) can be re-rendered
 without re-simulating, and results can be diffed across code versions.
 
 It also holds :class:`ContentStore`, the one on-disk store behind both
-cache lanes: the result lane (:class:`~repro.analysis.runner.ResultCache`)
+cache lanes — the result lane (:class:`~repro.analysis.runner.ResultCache`)
 and the derived-artifact lane that caches the rendered report
-(:mod:`repro.analysis.derived`).
+(:mod:`repro.analysis.derived`) — and behind the service's job entries
+(:class:`~repro.service.jobs.JobStore`'s ``journal``).
 """
 
 from __future__ import annotations
@@ -174,11 +175,11 @@ RESULT_CODEC = Codec(result_to_dict, result_from_dict)
 class ContentStore:
     """Content-addressed on-disk store of JSON entries.
 
-    The storage discipline both cache lanes share; what differs between
-    them — the key, the root, the codec, the format constant and
-    whether a miss is an error or only lost work — is the lane's
-    business.  Layout: ``<root>/<key[:2]>/<key>.json``.  Each entry is
-    an envelope::
+    The storage discipline both cache lanes and the service's job
+    entries share; what differs between them — the key, the root, the
+    codec, the format constant and whether a miss is an error or only
+    lost work — is the caller's business.  Layout:
+    ``<root>/<key[:2]>/<key>.json``.  Each entry is an envelope::
 
         {"format": ..., "code_version": ..., "meta": {...},
          "integrity": ..., "payload": ...}
@@ -210,6 +211,10 @@ class ContentStore:
 
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
+
+    def keys(self) -> List[str]:
+        """Every stored key, sorted; temp files and quarantine excluded."""
+        return sorted(path.stem for path in self.root.glob("??/*.json"))
 
     @property
     def quarantine_dir(self) -> Path:

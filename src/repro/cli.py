@@ -921,10 +921,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "dedupe only spans this process's lifetime")
     _add_resilience_flags(serve)
     serve.add_argument("--journal-dir", metavar="DIR",
-                       help="durable job journal under DIR "
-                            "(journal.jsonl); on restart, unfinished jobs "
-                            "are re-enqueued under their original ids and "
-                            "finished jobs replay from the result cache")
+                       help="keep one durable entry per job under DIR; on "
+                            "restart, submitted jobs are resubmitted under "
+                            "their original ids and their cached cells "
+                            "replay from the result cache")
     serve.add_argument("--max-active-jobs", type=_at_least(0),
                        default=DEFAULT_MAX_ACTIVE_JOBS, metavar="N",
                        help="admission cap on concurrently active "
@@ -961,17 +961,16 @@ def _cmd_serve(args) -> int:
     import signal
     import threading
 
-    from repro.service import JobStore, make_server
-    from repro.service.journal import as_job_journal, describe_recovery
+    from repro.service import JobStore, describe_recovery, make_server
 
     policy, _ = _grid_resilience(args)
     store = JobStore(cache=_grid_cache(args),
                      workers=args.workers, policy=policy,
-                     journal=as_job_journal(args.journal_dir),
+                     journal=args.journal_dir,
                      max_active_jobs=args.max_active_jobs,
                      max_queued_cells=args.max_queued_cells,
                      job_ttl_s=args.job_ttl)
-    # make_server replays the journal before workers start.
+    # make_server recovers the journal's jobs before workers start.
     server = make_server(store, host=args.host, port=args.port, quiet=False)
     host, port = server.server_address[:2]
     if args.journal_dir:
@@ -1003,7 +1002,7 @@ def _cmd_serve(args) -> int:
         server.serve_forever()
     except KeyboardInterrupt:
         # Ctrl-C: stop serving immediately, but still drain in-flight
-        # jobs and journal the shutdown marker via store.shutdown().
+        # jobs via store.shutdown().
         pass
     finally:
         server.shutdown()
@@ -1049,8 +1048,8 @@ def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
                         help="retry a failed, crashed, or timed-out cell "
                              "up to N times (exponential backoff)")
     parser.add_argument("--cell-timeout", default=None, metavar="SECONDS",
-                        type=_bounded(float, lambda s: s > 0,
-                                      "a number of seconds > 0"),
+                        type=_bounded(float, lambda s: 0 < s < math.inf,
+                                      "a finite number of seconds > 0"),
                         help="kill and reschedule any cell attempt running "
                              "longer than this")
 

@@ -108,7 +108,7 @@ class RunManifest:
     derived: Optional[Dict[str, Any]] = None
     #: :meth:`~repro.service.jobs.JobStore.lifecycle_as_dict` — the
     #: service durability layer's ``service.lifecycle.*`` counts
-    #: (journal replays, admission rejects, evictions, drains) for
+    #: (journal recovery, admission rejects, evictions, drains) for
     #: ``kind="service.job"`` manifests.  Execution provenance like
     #: ``resilience``: a resumed job and an uninterrupted one measure
     #: the same thing, so excluded from :func:`diff_manifests`.

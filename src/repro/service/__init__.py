@@ -20,12 +20,8 @@ from repro.service.jobs import (
     DrainingError,
     Job,
     JobStore,
-    job_key,
-)
-from repro.service.journal import (
-    JobJournal,
-    as_job_journal,
     describe_recovery,
+    job_key,
 )
 from repro.service.schema import (
     ENDPOINTS,
@@ -46,13 +42,11 @@ __all__ = [
     "AdmissionError",
     "DrainingError",
     "Job",
-    "JobJournal",
     "JobSpec",
     "JobStore",
     "ServiceClient",
     "ServiceError",
     "ServiceHandler",
-    "as_job_journal",
     "backoff_delay",
     "describe_recovery",
     "job_key",

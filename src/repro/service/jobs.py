@@ -25,13 +25,16 @@ each job's cells across the existing execution stack:
 
 The store is also the service's *lifecycle-durability* layer:
 
-* a :class:`~repro.service.journal.JobJournal` (``repro serve
-  --journal-dir``) records every submit / finish / evict transition;
-  the result cache already holds every finished cell, so
-  :meth:`JobStore.recover` on a restarted server re-enqueues
-  unfinished jobs under their original deterministic ``job-<key16>``
-  ids (their finished cells answer from the cache) and replays
-  finished jobs byte-identically with zero cells simulated;
+* with ``journal=DIR`` (``repro serve --journal-dir``) the store keeps
+  one :class:`~repro.analysis.storage.ContentStore` entry per job under
+  ``DIR``, keyed by its job key: ``{"spec": ..., "state":
+  "submitted"}`` at submit, overwritten with ``"evicted"`` at TTL
+  eviction.  Nothing is written when a job finishes: the result cache
+  holds every finished cell and is the authority on what finished, so
+  :meth:`JobStore.recover` on a restarted server resubmits every
+  submitted job under its original deterministic ``job-<key16>`` id
+  (cached cells answer from the cache; a job whose cells are all cached
+  replays byte-identically with zero cells simulated);
 * admission control bounds what one store accepts — at most
   ``max_active_jobs`` unfinished jobs and ``max_queued_cells`` queued
   cells; over-capacity submits raise :class:`AdmissionError` (HTTP 429
@@ -42,10 +45,10 @@ The store is also the service's *lifecycle-durability* layer:
   dedupe path (resubmit the spec: zero cells simulate), while evicted
   ids answer 410 ``gone`` via a tombstone;
 * :meth:`JobStore.shutdown` drains gracefully: admission stops, in-
-  flight cells finish (or the drain times out), a clean-shutdown marker
-  is journaled, and :meth:`JobStore.close` joins the workers —
-  idempotently, counting any worker that fails to join in the
-  ``service.close.stragglers`` metric.
+  flight cells finish (or the drain times out), and
+  :meth:`JobStore.close` joins the workers — idempotently, counting
+  any worker that fails to join in the ``service.close.stragglers``
+  metric.
 
 Progress and health are observable: the store's ``service.*`` counter,
 the lifecycle layer's ``service.lifecycle.*`` counter, and a store-wide
@@ -72,9 +75,9 @@ from repro.analysis.runner import (
     execute_cells_detailed,
     grid_cell_specs,
 )
+from repro.analysis.storage import JSON_CODEC, Codec, ContentStore
 from repro.obs.manifest import build_manifest, manifest_to_dict
 from repro.obs.registry import MetricsRegistry
-from repro.service.journal import as_job_journal
 from repro.service.schema import (
     DEFAULT_MAX_ACTIVE_JOBS,
     DEFAULT_MAX_QUEUED_CELLS,
@@ -100,12 +103,30 @@ SERVICE_COUNTS = (
 #: The ``service.lifecycle.*`` counts: every durability-layer state
 #: transition, with stable zeros so manifest diffs stay meaningful.
 LIFECYCLE_COUNTS = (
-    "journal_events", "journal_skipped_lines",
+    "journal_entries", "journal_quarantined",
     "recovered_jobs", "resumed_jobs", "replayed_finished_jobs",
     "invalid_recovered_jobs", "evicted_tombstones",
     "admission_rejected", "drain_rejected", "jobs_evicted",
     "drains", "drain_clean", "drain_timeouts",
 )
+
+#: Job-entry layout version (bump on incompatible change).
+JOB_ENTRY_FORMAT_VERSION = 1
+
+
+def _job_entry(payload: Any) -> Dict[str, Any]:
+    """Validate one job entry: ``{"spec": {...}, "state": ...}``."""
+    if (not isinstance(payload, dict) or set(payload) != {"spec", "state"}
+            or not isinstance(payload["spec"], dict)
+            or payload["state"] not in ("submitted", "evicted")):
+        raise ValueError('a job entry is {"spec": {...}, "state": '
+                         '"submitted"|"evicted"}')
+    return payload
+
+
+#: The journal's codec: entries are JSON already, and decoding rejects
+#: anything but a job entry (so it is quarantined).
+JOB_ENTRY_CODEC = Codec(JSON_CODEC.encode, _job_entry)
 
 
 class AdmissionError(RuntimeError):
@@ -126,6 +147,14 @@ class DrainingError(AdmissionError):
     """A submit rejected because the store is draining (HTTP 503)."""
 
 
+def _grid_cells(spec: JobSpec) -> Tuple[List[CellSpec], Tuple[str, ...]]:
+    """The cells of ``spec``'s grid and its resolved benchmark names."""
+    return grid_cell_specs(
+        designs=spec.designs, benchmarks=spec.benchmarks, n_refs=spec.n_refs,
+        seed=spec.seed, warmup_fraction=spec.warmup_fraction,
+        sanitize=spec.sanitize)
+
+
 def job_key(spec: JobSpec) -> str:
     """Content key of one job: a digest over its cells' result-cache keys.
 
@@ -135,10 +164,7 @@ def job_key(spec: JobSpec) -> str:
     the dedupe contract.  Designs/benchmarks are included in request
     order because the result document's tables are ordered.
     """
-    cells, benchmarks = grid_cell_specs(
-        designs=spec.designs, benchmarks=spec.benchmarks, n_refs=spec.n_refs,
-        seed=spec.seed, warmup_fraction=spec.warmup_fraction,
-        sanitize=spec.sanitize)
+    cells, benchmarks = _grid_cells(spec)
     payload = {
         "schema": SERVICE_SCHEMA_VERSION,
         "designs": list(spec.designs),
@@ -147,6 +173,16 @@ def job_key(spec: JobSpec) -> str:
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def describe_recovery(stats: Dict[str, int]) -> str:
+    """One human line for the CLI after :meth:`JobStore.recover`."""
+    return (f"journal: recovered {stats.get('recovered_jobs', 0)} job(s) — "
+            f"{stats.get('resumed_jobs', 0)} resumed, "
+            f"{stats.get('replayed_finished_jobs', 0)} already finished, "
+            f"{stats.get('evicted_tombstones', 0)} evicted tombstone(s), "
+            f"{stats.get('invalid_jobs', 0)} invalid, "
+            f"{stats.get('quarantined_entries', 0)} quarantined")
 
 
 class Job:
@@ -219,7 +255,9 @@ class JobStore:
     cells of one job run concurrently.  Each thread runs its computed
     cell in a child process, so ``workers`` cells simulate in parallel
     on separate CPUs.  ``policy`` sets retries and the per-attempt
-    deadline (default: one attempt, no deadline).
+    deadline (default: one attempt, no deadline).  ``journal`` is the
+    directory of the per-job entries :meth:`recover` reads (default:
+    none, so jobs do not outlive the process).
     """
 
     def __init__(self, cache=None, workers: int = 2,
@@ -236,7 +274,8 @@ class JobStore:
         self.cache = as_cache(cache)
         self.policy = policy
         self.workers = max(1, int(workers))
-        self.journal = as_job_journal(journal)
+        self.journal = (None if journal is None else ContentStore(
+            journal, JOB_ENTRY_FORMAT_VERSION, JOB_ENTRY_CODEC))
         self.max_active_jobs = max_active_jobs or None
         self.max_queued_cells = max_queued_cells or None
         self.job_ttl_s = job_ttl_s
@@ -267,8 +306,8 @@ class JobStore:
         self._draining = False
         self._recovered = False
         self._shutdown_clean: Optional[bool] = None
-        #: Stats of the (single) journal replay this store performed —
-        #: what ``repro serve`` prints via ``describe_recovery``.
+        #: Stats of the (single) recovery this store performed — what
+        #: ``repro serve`` prints via :func:`describe_recovery`.
         self.recovery_stats: Dict[str, int] = {}
 
     # -- lifecycle ---------------------------------------------------------
@@ -321,8 +360,6 @@ class JobStore:
         reaper, self._reaper = self._reaper, None
         if reaper is not None:
             reaper.join(timeout=5.0)
-        if self.journal is not None:
-            self.journal.close()
         return stragglers
 
     # -- graceful drain ----------------------------------------------------
@@ -355,12 +392,11 @@ class JobStore:
 
     def shutdown(self, drain_timeout_s: float = 30.0) -> bool:
         """Graceful drain: stop admission, finish in-flight cells,
-        journal a clean-shutdown marker, close the pool.
+        close the pool.
 
         Returns True when the drain completed cleanly (no in-flight
         work abandoned).  Idempotent: later calls return the first
-        call's verdict.  On timeout the journal still gets a marker
-        (``clean=false``) and unfinished jobs resume on the next
+        call's verdict.  On timeout unfinished jobs resume on the next
         ``recover()`` — partial cell progress is already durable in the
         result cache.
         """
@@ -374,8 +410,6 @@ class JobStore:
                 return self._shutdown_clean
             self._shutdown_clean = clean
         self.lifecycle.add("drain_clean" if clean else "drain_timeouts")
-        if self.journal is not None:
-            self.journal.record_shutdown(clean=clean)
         self.close(timeout_s=30.0 if clean else 1.0)
         return clean
 
@@ -390,8 +424,8 @@ class JobStore:
         bypass admission control (they enqueue nothing); new work is
         subject to it and raises :class:`DrainingError` during a drain
         or :class:`AdmissionError` over capacity.  ``_replay=True`` is
-        the journal-recovery path: admission is waived (the work was
-        admitted in a previous life) and the submit is not re-journaled.
+        the recovery path: admission is waived (the work was admitted
+        in a previous life) and the job's entry is not rewritten.
         """
         key = job_key(spec)
         with self._lock:
@@ -399,10 +433,7 @@ class JobStore:
             if existing is not None:
                 self.counter.add("jobs_deduplicated")
                 return self._jobs[existing], False
-            cells, benchmarks = grid_cell_specs(
-                designs=spec.designs, benchmarks=spec.benchmarks,
-                n_refs=spec.n_refs, seed=spec.seed,
-                warmup_fraction=spec.warmup_fraction, sanitize=spec.sanitize)
+            cells, benchmarks = _grid_cells(spec)
             if not _replay:
                 self._admit(len(cells))
             spec = JobSpec(designs=spec.designs, benchmarks=benchmarks,
@@ -417,7 +448,7 @@ class JobStore:
             self._evicted.pop(job.id, None)
             self.counter.add("jobs_submitted")
             if self.journal is not None and not _replay:
-                self.journal.record_submit(job.id, key, spec.as_dict())
+                self._write_entry(job, "submitted")
         self.start()
         for index in range(len(cells)):
             self._queue.put((job, index))
@@ -452,21 +483,20 @@ class JobStore:
 
     # -- restart recovery --------------------------------------------------
     def recover(self) -> Dict[str, int]:
-        """Replay the job journal into this (fresh) store.
+        """Resubmit the journal's jobs into this (fresh) store.
 
-        Unfinished jobs re-enqueue their cells under their original
-        deterministic ids — completed cells answer from the result
-        cache, so only genuinely unfinished work simulates.  Jobs that
-        had already finished replay entirely from the cache (zero cells
-        simulated, byte-identical result bytes).  Evicted ids become
-        tombstones again.  Idempotent per store; a no-op without a
-        journal.  Returns the recovery stats
-        (:func:`~repro.service.journal.describe_recovery` renders them).
+        Every ``submitted`` entry is re-validated and resubmitted under
+        its original deterministic id; cached cells answer from the
+        result cache, so only unfinished work simulates.  A job counts
+        as already finished when every one of its cells is in the
+        cache (without a cache, as resumed).  ``evicted`` entries
+        become tombstones again; corrupt entries are quarantined.
+        Idempotent per store; a no-op without a journal.  Returns the
+        recovery stats (:func:`describe_recovery` renders them).
         """
         stats = {"recovered_jobs": 0, "resumed_jobs": 0,
                  "replayed_finished_jobs": 0, "invalid_jobs": 0,
-                 "evicted_tombstones": 0, "skipped_lines": 0,
-                 "clean_shutdown": 0}
+                 "evicted_tombstones": 0, "quarantined_entries": 0}
         if self.journal is None:
             return stats
         with self._lock:
@@ -476,36 +506,43 @@ class JobStore:
         from repro.core.config import ConfigError
         from repro.service.schema import validate_job_spec
 
-        state = self.journal.load()
-        stats["skipped_lines"] = state.skipped_lines
-        stats["clean_shutdown"] = int(state.clean_shutdown)
-        self.lifecycle.add("journal_events", state.events)
-        self.lifecycle.add("journal_skipped_lines", state.skipped_lines)
-        now = _time.time()
-        with self._lock:
-            for job_id in state.evicted:
-                self._evicted[job_id] = now
-        stats["evicted_tombstones"] = len(state.evicted)
-        self.lifecycle.add("evicted_tombstones", len(state.evicted))
-        for record in state.jobs.values():
+        keys = self.journal.keys()
+        for key in keys:
+            entry = self.journal.get(key)
+            if entry is None:
+                continue  # corrupt: quarantined
+            if entry["state"] == "evicted":
+                with self._lock:
+                    self._evicted[f"job-{key[:16]}"] = _time.time()
+                stats["evicted_tombstones"] += 1
+                continue
             try:
-                # Re-validate through the front door: a journal from an
+                # Re-validate through the front door: an entry from an
                 # older code version may name designs or bounds that no
                 # longer exist, and recovery must degrade, not crash.
-                spec = validate_job_spec(record.spec)
+                spec = validate_job_spec(entry["spec"])
             except ConfigError:
                 stats["invalid_jobs"] += 1
-                self.lifecycle.add("invalid_recovered_jobs")
                 continue
-            self.submit(spec, _replay=True)
+            # Ask the cache before submitting: the workers may start
+            # filling it as soon as the job is enqueued.
+            finished = self.cache is not None and all(
+                self.cache.path_for(cache_key(cell)).is_file()
+                for cell in _grid_cells(spec)[0])
+            _job, created = self.submit(spec, _replay=True)
+            if not created:
+                continue  # a second entry for an already recovered job
             stats["recovered_jobs"] += 1
-            self.lifecycle.add("recovered_jobs")
-            if record.state in ("done", "failed"):
-                stats["replayed_finished_jobs"] += 1
-                self.lifecycle.add("replayed_finished_jobs")
-            else:
-                stats["resumed_jobs"] += 1
-                self.lifecycle.add("resumed_jobs")
+            stats["replayed_finished_jobs" if finished
+                  else "resumed_jobs"] += 1
+        stats["quarantined_entries"] = self.journal.quarantined
+        self.lifecycle.add("journal_entries", len(keys))
+        self.lifecycle.add("journal_quarantined",
+                           stats["quarantined_entries"])
+        self.lifecycle.add("invalid_recovered_jobs", stats["invalid_jobs"])
+        for name in ("recovered_jobs", "resumed_jobs",
+                     "replayed_finished_jobs", "evicted_tombstones"):
+            self.lifecycle.add(name, stats[name])
         self.recovery_stats = stats
         return stats
 
@@ -543,8 +580,13 @@ class JobStore:
             for job in evicted:
                 self.lifecycle.add("jobs_evicted")
                 if self.journal is not None:
-                    self.journal.record_evict(job.id)
+                    self._write_entry(job, "evicted")
         return len(evicted)
+
+    def _write_entry(self, job: Job, state: str) -> None:
+        """Overwrite ``job``'s one journal entry (call under the lock)."""
+        self.journal.put(job.key, {"spec": job.spec.as_dict(),
+                                   "state": state}, job_id=job.id)
 
     def evicted_at(self, job_id: str) -> Optional[float]:
         """When ``job_id`` was TTL-evicted, or ``None`` if it wasn't."""
@@ -624,8 +666,6 @@ class JobStore:
                 job.error = f"result rendering failed: {error}"
                 self.counter.add("jobs_failed")
         job.manifest = self._job_manifest(job)
-        if self.journal is not None:
-            self.journal.record_finish(job.id, job.state, job.error)
 
     # -- result rendering --------------------------------------------------
     def _grid_for(self, job: Job) -> ExperimentGrid:

@@ -299,8 +299,8 @@ def make_server(store: JobStore, host: str = "127.0.0.1", port: int = 0,
     server.store = store  # type: ignore[attr-defined]
     server.quiet = quiet  # type: ignore[attr-defined]
     server.daemon_threads = True
-    # Replay the journal (if any) before workers start: recovered jobs
-    # must be registered before the first request can race them.
+    # Recover the journal's jobs (if any) before serving: recovered
+    # jobs must be registered before the first request can race them.
     store.recover()
     store.start()
     return server

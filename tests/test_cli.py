@@ -116,6 +116,7 @@ class TestParser:
         (["perf"], "--fail-above", "-1"),
         (["perf"], "--fail-above", "nan"),
         (["perf"], "--fail-above", "inf"),
+        (["grid"], "--cell-timeout", "inf"),
     ])
     def test_bad_numeric_values_are_usage_errors(self, argv, flag, value,
                                                  capsys):

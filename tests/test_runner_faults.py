@@ -100,6 +100,18 @@ class TestTimeout:
         assert telemetry["timeouts"] == 1
         assert telemetry["retries"] == 1
 
+    @pytest.mark.parametrize("timeout_s", [float("nan"), float("inf")])
+    def test_timeout_must_be_finite(self, timeout_s):
+        with pytest.raises(ValueError, match="finite"):
+            RetryPolicy(cell_timeout_s=timeout_s)
+
+    def test_long_finite_timeout_completes(self, cells, baseline):
+        """A deadline past the pipe wait's 2**31 ms limit still runs:
+        each wait is capped and the deadline rechecked on waking."""
+        outcomes = execute_cells_detailed(
+            cells[:1], policy=RetryPolicy(cell_timeout_s=1e7))
+        assert results_of(outcomes) == baseline[:1]
+
     def test_timeout_exhaustion_is_fatal(self, cells):
         plan = FaultPlan([FaultSpec(design="TLC", benchmark="perl",
                                     action="hang", attempts=(1,), hang_s=60)])

@@ -9,16 +9,16 @@ contract:
   uninterrupted run's, and the second life simulates strictly fewer
   cells (completed cells replay from the result cache).
 * ``TestJournalRecovery`` — deterministic in-process replays: a
-  hand-written journal plus a pre-warmed cache resumes exactly the
-  unfinished cells; a cleanly-finished job replays with zero cells
-  simulated and byte-identical results; garbage journal lines degrade
+  hand-written job entry plus a pre-warmed cache resumes exactly the
+  unfinished cells; a finished job replays with zero cells simulated
+  and byte-identical results; each job keeps one entry however often
+  it is evicted and resubmitted; corrupt entries are quarantined
   (counted, never fatal).
 * ``TestAdmissionControl`` — flooding past ``max_active_jobs`` answers
   429 ``over_capacity`` with a ``Retry-After`` header, and the
   backoff-retrying client still completes.
 * ``TestGracefulDrain`` — submits during a drain answer 503
-  ``draining``, in-flight jobs finish, the journal gets a clean
-  shutdown marker.
+  ``draining``, in-flight jobs finish, the drain counts as clean.
 * ``TestTtlEviction`` — an expired job's status answers 410 ``gone``;
   resubmitting the spec resurrects the same deterministic id from the
   cache with zero simulation and identical bytes.
@@ -27,7 +27,6 @@ The subprocess test is the only wall-clock-dependent one; everything
 else injects time (``reap(now=...)``) or uses tiny grids.
 """
 
-import json
 import os
 import re
 import signal
@@ -39,15 +38,17 @@ import time
 import pytest
 
 from repro.analysis.runner import execute_cells_detailed, grid_cell_specs
+from repro.analysis.storage import ContentStore
 from repro.service import (
     JobStore,
     ServiceClient,
     ServiceError,
+    describe_recovery,
     job_key,
     make_server,
     validate_job_spec,
 )
-from repro.service.journal import JobJournal, load_jsonl
+from repro.service.jobs import JOB_ENTRY_FORMAT_VERSION
 
 SPEC = {"designs": ["SNUCA2", "TLC"], "benchmarks": ["gcc", "mcf"],
         "n_refs": 1_500}
@@ -58,6 +59,24 @@ def _store(tmp_path, **kwargs):
     kwargs.setdefault("journal", tmp_path / "journal")
     kwargs.setdefault("workers", 2)
     return JobStore(**kwargs)
+
+
+def _journal(tmp_path):
+    """The job entries under the test's journal dir, read raw."""
+    return ContentStore(tmp_path / "journal", JOB_ENTRY_FORMAT_VERSION)
+
+
+def _write_entry(tmp_path, spec):
+    """Write the entry a server that died mid-job would have left."""
+    _journal(tmp_path).put(job_key(spec),
+                           {"spec": spec.as_dict(), "state": "submitted"})
+
+
+def _wait(job, timeout_s=120):
+    deadline = time.monotonic() + timeout_s
+    while job.state not in ("done", "failed"):
+        assert time.monotonic() < deadline
+        time.sleep(0.05)
 
 
 @pytest.fixture()
@@ -96,8 +115,7 @@ class TestJournalRecovery:
         # Pre-warm half the grid into the shared result cache — the
         # durable footprint of a server that died mid-job.
         execute_cells_detailed(cells[:2], cache=tmp_path / "results")
-        with JobJournal(tmp_path / "journal" / "journal.jsonl") as journal:
-            journal.record_submit(f"job-{key[:16]}", key, spec.as_dict())
+        _write_entry(tmp_path, spec)
 
         store = _store(tmp_path)
         try:
@@ -120,7 +138,8 @@ class TestJournalRecovery:
 
     def test_finished_job_replays_byte_identically(self, tmp_path):
         """Life 1 finishes and shuts down cleanly; life 2 recovers the
-        job, serves identical bytes, simulates nothing."""
+        job, serves identical bytes, simulates nothing.  The cache, not
+        the journal, says the job had finished."""
         store = _store(tmp_path)
         store.start()
         job, created = store.submit(validate_job_spec(SPEC))
@@ -136,7 +155,7 @@ class TestJournalRecovery:
         try:
             stats = second.recover()
             assert stats["replayed_finished_jobs"] == 1
-            assert stats["clean_shutdown"] == 1
+            assert stats["resumed_jobs"] == 0
             second.start()
             replayed = second.get(job.id)
             deadline = time.monotonic() + 120
@@ -152,32 +171,44 @@ class TestJournalRecovery:
 
     def test_journal_records_jobs_not_cells(self, tmp_path):
         """The result cache already holds every finished cell, so a
-        finished job leaves exactly two journal lines: its submit and
-        its finish."""
+        finished job leaves exactly one entry, written at submit and
+        left alone when the job finished."""
+        spec = validate_job_spec(
+            {"designs": ["SNUCA2", "TLC"], "benchmarks": ["gcc"],
+             "n_refs": 1_500})
         store = _store(tmp_path)
         store.start()
         try:
-            job, _created = store.submit(validate_job_spec(
-                {"designs": ["SNUCA2", "TLC"], "benchmarks": ["gcc"],
-                 "n_refs": 1_500}))
-            deadline = time.monotonic() + 120
-            while job.state not in ("done", "failed"):
-                assert time.monotonic() < deadline
-                time.sleep(0.05)
+            job, _created = store.submit(spec)
+            _wait(job)
             assert job.state == "done"
         finally:
             store.close()
-        payloads, bad_lines = load_jsonl(
-            tmp_path / "journal" / "journal.jsonl")
-        assert bad_lines == 0
-        assert [(p["event"], p["job_id"]) for p in payloads] == [
-            ("submit", job.id), ("finish", job.id)]
+        journal = _journal(tmp_path)
+        assert journal.keys() == [job.key]
+        assert journal.load(job.key) == {"spec": spec.as_dict(),
+                                         "state": "submitted"}
+
+    def test_evict_resubmit_cycles_keep_one_entry(self, tmp_path):
+        """Submit, finish, evict, resubmit, three times over: the job
+        keeps one entry, overwritten in place."""
+        spec = validate_job_spec(SPEC)
+        store = _store(tmp_path, job_ttl_s=3600.0)
+        try:
+            for _ in range(3):
+                job, created = store.submit(spec)
+                assert created
+                _wait(job)
+                assert store.reap(now=time.time() + 7200.0) == 1
+        finally:
+            store.close()
+        journal = _journal(tmp_path)
+        assert journal.keys() == [job.key]
+        assert journal.load(job.key)["state"] == "evicted"
+        assert store.lifecycle["jobs_evicted"] == 3
 
     def test_recover_is_idempotent(self, tmp_path):
-        with JobJournal(tmp_path / "journal" / "journal.jsonl") as journal:
-            spec = validate_job_spec(SPEC)
-            key = job_key(spec)
-            journal.record_submit(f"job-{key[:16]}", key, spec.as_dict())
+        _write_entry(tmp_path, validate_job_spec(SPEC))
         store = _store(tmp_path, workers=1)
         try:
             assert store.recover()["recovered_jobs"] == 1
@@ -185,25 +216,45 @@ class TestJournalRecovery:
         finally:
             store.close()
 
-    def test_garbage_journal_lines_degrade_not_crash(self, tmp_path):
-        path = tmp_path / "journal" / "journal.jsonl"
+    def test_garbage_journal_entries_are_quarantined(self, tmp_path):
         spec = validate_job_spec(SPEC)
-        key = job_key(spec)
-        with JobJournal(path) as journal:
-            journal.record_submit(f"job-{key[:16]}", key, spec.as_dict())
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write("{corrupt json\n")
-            handle.write(json.dumps({"format": 99, "event": "submit"}) + "\n")
-            handle.write(json.dumps(
-                {"format": 1, "event": "finish", "job_id": "job-neverseen",
-                 "state": "done"}) + "\n")
-            handle.write('{"format": 1, "event": "fin')  # torn final write
+        _write_entry(tmp_path, spec)
+        journal = _journal(tmp_path)
+        journal.put("aa" * 32, {"spec": spec.as_dict(), "state": "done"})
+        journal.put("bb" * 32, ["not", "an", "entry"])
+        for key, text in (("cc" * 32, "{corrupt json"),
+                          ("dd" * 32, '{"format": 1, "payload": {"spec"')):
+            path = journal.path_for(key)
+            path.parent.mkdir(exist_ok=True)  # a job key may share it
+            path.write_text(text)  # non-JSON, then a torn write
         store = _store(tmp_path, workers=1)
         try:
             stats = store.recover()
             assert stats["recovered_jobs"] == 1
-            assert stats["skipped_lines"] == 4
-            assert store.lifecycle["journal_skipped_lines"] == 4
+            assert stats["quarantined_entries"] == 4
+            assert store.lifecycle["journal_entries"] == 5
+            assert store.lifecycle["journal_quarantined"] == 4
+            assert journal.keys() == [job_key(spec)]
+            assert len(list(journal.quarantine_dir.iterdir())) == 4
+        finally:
+            store.close()
+
+    def test_invalid_entries_are_counted_in_the_recovery_line(
+            self, tmp_path):
+        """An entry whose spec no longer validates is dropped, and the
+        line ``repro serve`` prints says so."""
+        spec = validate_job_spec(SPEC)
+        _journal(tmp_path).put(
+            job_key(spec), {"spec": dict(spec.as_dict(), designs=["TLC9000"]),
+                            "state": "submitted"})
+        store = _store(tmp_path, workers=1)
+        try:
+            stats = store.recover()
+            assert store.lifecycle["invalid_recovered_jobs"] == 1
+            assert describe_recovery(stats) == (
+                "journal: recovered 0 job(s) — 0 resumed, 0 already "
+                "finished, 0 evicted tombstone(s), 1 invalid, "
+                "0 quarantined")
         finally:
             store.close()
 
@@ -222,7 +273,7 @@ class TestJournalRecovery:
             from repro.service import LIFECYCLE_COUNTS
             assert set(lifecycle) == set(LIFECYCLE_COUNTS)
             metrics = job.manifest["metrics"]
-            assert "service.lifecycle.journal_events" in metrics
+            assert "service.lifecycle.journal_entries" in metrics
         finally:
             store.close()
 
@@ -282,12 +333,10 @@ class TestGracefulDrain:
         # The in-flight job finished rather than being abandoned.
         assert store.get(submitted["id"]).state == "done"
         assert store.lifecycle["drain_clean"] == 1
-        # The journal's final event is the clean marker.
-        events = [json.loads(line) for line in
-                  (tmp_path / "journal" / "journal.jsonl")
-                  .read_text().splitlines()]
-        assert events[-1]["event"] == "shutdown"
-        assert events[-1]["clean"] is True
+        # The journal holds the admitted job alone: the rejected submit
+        # wrote nothing.
+        assert _journal(tmp_path).keys() == [
+            store.get(submitted["id"]).key]
 
     def test_shutdown_is_idempotent(self, tmp_path):
         store = _store(tmp_path, workers=1)
@@ -418,7 +467,7 @@ class TestKillNineRestart:
                     break
                 time.sleep(0.05)
         finally:
-            process.kill()  # SIGKILL: no drain, no journal marker
+            process.kill()  # SIGKILL: no drain
             process.wait(timeout=30)
 
         process, url = self._boot(tmp_path)
@@ -439,9 +488,7 @@ class TestKillNineRestart:
             process.send_signal(signal.SIGTERM)
             assert process.wait(timeout=60) == 0  # graceful drain exit
 
-        # After the SIGTERM drain, the journal ends with a clean marker.
-        events = [json.loads(line) for line in
-                  (tmp_path / "journal" / "journal.jsonl")
-                  .read_text().splitlines() if line.strip()]
-        assert events[-1] == {**events[-1], "event": "shutdown",
-                              "clean": True}
+        # Two lives, one job, one entry.
+        journal = _journal(tmp_path)
+        assert [f"job-{key[:16]}" for key in journal.keys()] == [job_id]
+        assert journal.load(journal.keys()[0])["state"] == "submitted"

@@ -303,6 +303,20 @@ class TestContentStore:
         with pytest.raises(CacheCorruptionError, match="format"):
             ContentStore(tmp_path, 2).load(self.KEY)
 
+    def test_keys_are_sorted_and_skip_temp_and_quarantine(self, tmp_path):
+        from repro.analysis.storage import ContentStore
+
+        store = ContentStore(tmp_path / "store", 1)
+        assert store.keys() == []  # no root yet
+        later, corrupt = "cd" + "1" * 62, "ef" + "2" * 62
+        for key in (later, self.KEY, corrupt):
+            store.put(key, {"k": key})
+        store.path_for(corrupt).write_text("{torn")
+        assert store.get(corrupt) is None  # moved to quarantine/
+        tmp = store.path_for(self.KEY).with_name(f".{self.KEY}.json.1.2.tmp")
+        tmp.write_text("{}")  # a writer killed before its os.replace
+        assert store.keys() == [self.KEY, later]
+
     def test_concurrent_puts_of_one_key(self, tmp_path):
         """Threads writing one key never take each other's temp file.
 
