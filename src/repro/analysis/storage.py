@@ -295,6 +295,13 @@ class ContentStore:
                 pass
         self.quarantined += 1
 
+    def discard(self, key: str) -> None:
+        """Remove the entry stored under ``key``, if there is one."""
+        try:
+            self.path_for(key).unlink()
+        except FileNotFoundError:
+            pass
+
     def put(self, key: str, value: Any, **meta: Any) -> None:
         """Store ``value`` under ``key`` atomically.
 

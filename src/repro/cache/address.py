@@ -123,10 +123,11 @@ class AddressMap:
         """:meth:`decompose` of an array of distinct blocks, as arrays.
 
         Returns the ``(bank indices, set indices, tags)`` of ``addrs`` as
-        three int64 arrays in the order of ``addrs``.  ``addrs`` must be
-        a one-dimensional integer ``ndarray`` whose values fit int64 and
-        which names no block twice; for anything else the result is
-        None.  Repeats are found with one sort of the block numbers.
+        arrays in the order of ``addrs``: int32 indices, int64 tags.
+        ``addrs`` must be a one-dimensional integer ``ndarray`` whose
+        values fit int64 and which names no block twice; for anything
+        else the result is None.  Repeats are found with one sort of the
+        block numbers.
         """
         if (not isinstance(addrs, np.ndarray) or addrs.ndim != 1
                 or addrs.dtype.kind not in "iu"):
@@ -138,8 +139,8 @@ class AddressMap:
         if (ordered[1:] == ordered[:-1]).any():
             return None
         del ordered
-        return (blocks & self._bank_mask,
-                (blocks >> self._bank_bits) & self._set_mask,
+        return ((blocks & self._bank_mask).astype(np.int32),
+                ((blocks >> self._bank_bits) & self._set_mask).astype(np.int32),
                 blocks >> self._tag_shift)
 
     def rebuild(self, tag: int, set_index: int, bank_index: int = 0) -> int:
@@ -149,28 +150,31 @@ class AddressMap:
 
 
 def group_order(keys: np.ndarray) -> np.ndarray:
-    """A stable argsort of non-negative integer ``keys``: equal keys
-    end up adjacent, in their original order.
+    """A stable argsort of non-negative integer ``keys``, as int32
+    indices: equal keys end up adjacent, in their original order.
 
     The keys are narrowed first: bank, set and slot indices fit 16 bits,
     and NumPy sorts 16-bit keys with a radix sort, about ten times
     faster than a 64-bit sort.
     """
     narrow = np.min_scalar_type(int(keys.max(initial=0)))
-    return np.argsort(keys.astype(narrow, copy=False), kind="stable")
+    return np.argsort(keys.astype(narrow, copy=False),
+                      kind="stable").astype(np.int32)
 
 
 def ranks_within(keys: np.ndarray) -> np.ndarray:
-    """For each of the non-negative ``keys``, how many earlier elements equal it.
+    """For each of the non-negative ``keys``, how many earlier elements
+    equal it, as int32.
 
     The j-th block to arrive in a set has rank j: this is the arrival
     order a per-block install loop sees, computed with one stable sort.
     """
     order = group_order(keys)
     grouped = keys[order]
-    index = np.arange(len(keys))
     starts = np.ones(len(keys), dtype=bool)
     np.not_equal(grouped[1:], grouped[:-1], out=starts[1:])
-    ranks = np.empty(len(keys), dtype=np.int64)
+    del grouped
+    index = np.arange(len(keys), dtype=np.int32)
+    ranks = np.empty(len(keys), dtype=np.int32)
     ranks[order] = index - np.maximum.accumulate(np.where(starts, index, 0))
     return ranks

@@ -93,6 +93,11 @@ class CacheBank:
         except ValueError:
             return None
 
+    def tags_of(self, set_index: int) -> List[Optional[int]]:
+        """The tags of ``set_index``'s ways, a copy; None marks an empty slot."""
+        base = self._base(set_index)
+        return self._tags[base:base + self.ways]
+
     def tag_at(self, set_index: int, way: int) -> Optional[int]:
         """The tag stored in (set, way), or None if the slot is empty."""
         return self._tags[self._slot(set_index, way)]
@@ -280,18 +285,23 @@ def fill_fresh_banks(banks: Sequence[CacheBank], bank_of: np.ndarray,
     LRU ticks, so a survivor's stamp is ``ticks`` times its index in
     its bank's writes, plus one.  The work is done on whole arrays; a
     bank receives slices, so no bank allocates arrays of its own.
+    Indices and stamps are int32, and every array the bank loop does not
+    read is freed before it starts.
     """
     order = group_order(bank_of)
     writes = np.bincount(bank_of, minlength=len(banks))
     firsts = np.cumsum(writes) - writes
     kept = survives[order]
-    stamps = (np.arange(len(order)) - np.repeat(firsts, writes) + 1)[kept]
+    stamps = (np.arange(len(order), dtype=np.int32)
+              - np.repeat(firsts.astype(np.int32), writes) + 1)[kept]
     stamps *= ticks
     survivors = order[kept]
-    del kept
+    del kept, survives
     kept_writes = np.bincount(bank_of[survivors], minlength=len(banks))
     kept_firsts = np.cumsum(kept_writes) - kept_writes
+    del bank_of
     sets, slots, tags = sets[order], slots[survivors], tags[survivors]
+    del order, survivors
     for bank, first, count, kept_first, kept_count in zip(
             banks, firsts.tolist(), writes.tolist(), kept_firsts.tolist(),
             kept_writes.tolist()):
@@ -319,6 +329,7 @@ def install_interleaved(banks: Sequence[CacheBank], addr_map: AddressMap,
     decomposed = addr_map.decompose_distinct(addrs)
     if decomposed is not None:
         bank_of, sets, tags = decomposed
+        del decomposed
         reached = np.bincount(bank_of, minlength=len(banks)).tolist()
         if all(bank.fresh_lru for bank, count in zip(banks, reached) if count):
             ways = banks[0].ways
@@ -326,8 +337,10 @@ def install_interleaved(banks: Sequence[CacheBank], addr_map: AddressMap,
             rank = ranks_within(key)
             survives = rank >= np.bincount(key)[key] - ways
             del key
-            fill_fresh_banks(banks, bank_of, sets, sets * ways + rank % ways,
-                             tags, survives, ticks=2)
+            slots = sets * ways + rank % ways
+            del rank
+            fill_fresh_banks(banks, bank_of, sets, slots, tags, survives,
+                             ticks=2)
             return
     if isinstance(addrs, np.ndarray):
         addrs = addrs.tolist()

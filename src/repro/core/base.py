@@ -143,10 +143,11 @@ class L2Design(abc.ABC):
     def _bank_access(self, bank: int, ready: int, contend: bool = True) -> int:
         """Occupy the bank; returns the cycle its access completes.
 
-        ``bank`` indexes the design's flat ``[0] * config.banks`` list
-        ``_bank_busy_until``.  ``contend=False`` (refills arriving from
-        memory) models the port time without reserving the bank against
-        earlier demand requests.
+        ``bank`` indexes the design's flat list ``_bank_busy_until``:
+        ``[0] * config.banks``, except in TLCopt, whose stripe banks move
+        in lockstep and share one entry per stripe group.
+        ``contend=False`` (refills arriving from memory) models the port
+        time without reserving the bank against earlier demand requests.
         """
         if not contend:
             return ready + self.config.bank_access_cycles

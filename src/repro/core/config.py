@@ -286,6 +286,17 @@ class DesignConfig:
                           f"{OPT_REQUEST_LINK_BITS} lines "
                           f"({OPT_REQUEST_LINK_BITS}-bit request link + "
                           f"response lines)")
+            # Stripe j of group g sits in bank g + j*groups.  With an
+            # even group count, groups 2c and 2c+1 stripe over the same
+            # pairs and no two stripes share a pair, so the controller
+            # can drive each pair set as one lockstep link class.
+            groups = self.banks // self.banks_per_block
+            self._require(groups % 2 == 0,
+                          f"a TLCopt design needs an even number of stripe "
+                          f"groups (banks / banks_per_block) so each block's "
+                          f"stripes sit on distinct pairs shared with one "
+                          f"sibling group; got {self.banks} / "
+                          f"{self.banks_per_block} = {groups}")
 
     def _check_nuca_family(self) -> None:
         self._require(self.mesh_columns >= 2 and self.mesh_columns % 2 == 0,

@@ -15,6 +15,18 @@ links (bank ``g + j*num_groups`` for stripe ``j``), letting all slices
 return in parallel — which is what keeps the uncontended latency at
 12-13 cycles despite the narrower links.
 
+The slices move in lockstep, so the model keeps them in closed form: one
+class send each way on the controller (groups ``2c`` and ``2c + 1``
+share link class ``c``; see :mod:`repro.core.controller`) and one bank
+busy-until per group, kept for the group's bank on the class's
+reference pair.  Every contended request reaches the group's banks in
+one cycle, offset only by each pair's request wire delay, so
+``bank_busy - request_delay`` is equal across a group's banks and the
+last slice arrives at ``common + FLIGHT_CYCLES + _group_rt_delays[g]``
+— what a walk over the stripes, one send and one bank access each,
+computes (``tests/test_network_oracle.py`` keeps that walk as the
+oracle).
+
 Partial-tag corner cases, faithfully modelled:
 
 * **False hit** — exactly one way matches the partial tag but the full
@@ -34,7 +46,7 @@ from typing import Iterable, List, Optional, Tuple
 
 from repro.cache.address import AddressMap
 from repro.cache.bank import CacheBank, install_interleaved
-from repro.cache.partial_tags import partial_tag
+from repro.cache.partial_tags import PARTIAL_TAG_MASK
 from repro.core.base import L2Design, L2Outcome
 from repro.core.config import DesignConfig, TLC_OPT_500
 from repro.core.controller import TLCController
@@ -76,15 +88,14 @@ class OptimizedTLC(L2Design):
             for _ in range(self.num_groups)
         ]
         self.network = TLCController(config, tech)
-        self._bank_busy_until = [0] * config.banks
+        # One bank busy-until per group: its stripe banks stay in lockstep.
+        self._bank_busy_until = [0] * self.num_groups
         self._data_slice_bits = BLOCK_BITS // self.stripe_banks
-        # Stripe geometry and group round-trip delay are pure functions
-        # of the group index, used on every access — tabulate them once.
-        self._group_banks = [self.banks_for_group(group)
-                             for group in range(self.num_groups)]
+        # The group round-trip delay is a pure function of the group
+        # index, used on every access — tabulate it once.
         self._group_rt_delays = [
             max(config.controller_rt_delays[b // 2]
-                for b in self._group_banks[group])
+                for b in self.banks_for_group(group))
             for group in range(self.num_groups)
         ]
         self.network.register_metrics(self.metrics.scope("link"))
@@ -100,39 +111,8 @@ class OptimizedTLC(L2Design):
         group = self.addr_map.bank_index(addr)
         return 2 + self.config.bank_access_cycles + self._group_rt_delays[group]
 
-    # -- timing helpers --------------------------------------------------------
-    def _fan_out(self, group: int, time: int, request_bits: int,
-                 contend: bool = True) -> List[Tuple[int, int]]:
-        """Send a request to every stripe bank; returns (bank, done) pairs."""
-        results = []
-        for bank in self._group_banks[group]:
-            _, request_at = self.network.send_request(
-                bank // 2, time, request_bits, contend)
-            done = self._bank_access(bank, request_at, contend)
-            results.append((bank, done))
-        return results
-
-    def _gather(self, bank_dones: List[Tuple[int, int]], response_bits: int,
-                contend: bool = True) -> int:
-        """Collect responses from every stripe bank; returns last arrival."""
-        last = 0
-        for bank, done in bank_dones:
-            arrival = self.network.send_response(
-                bank // 2, done, response_bits, contend)
-            last = max(last, arrival)
-        return last
-
-    # -- partial-tag classification ---------------------------------------------
-    def _partial_matches(self, group: CacheBank, set_index: int, tag: int) -> List[int]:
-        wanted = partial_tag(tag)
-        matches = []
-        for way in range(group.ways):
-            stored = group.tag_at(set_index, way)
-            if stored is not None and partial_tag(stored) == wanted:
-                matches.append(way)
-        return matches
-
     # -- the access path ----------------------------------------------------------
+    # A group's link class is ``group_idx >> 1`` (see link_classes).
     def access(self, addr: int, time: int, write: bool = False) -> L2Outcome:
         group_idx, set_index, tag = self.addr_map.decompose(addr)
         group = self.groups[group_idx]
@@ -146,23 +126,29 @@ class OptimizedTLC(L2Design):
 
     def _read(self, group: CacheBank, group_idx: int, set_index: int,
               tag: int, time: int) -> L2Outcome:
+        network, link = self.network, group_idx >> 1
         expected = 2 + self.config.bank_access_cycles + self._group_rt_delays[group_idx]
-        matches = self._partial_matches(group, set_index, tag)
+        wanted = tag & PARTIAL_TAG_MASK
+        matches = 0
+        for stored in group.tags_of(set_index):
+            if stored is not None and stored & PARTIAL_TAG_MASK == wanted:
+                matches += 1
         hit = group.lookup(set_index, tag).hit
-        bank_dones = self._fan_out(group_idx, time, OPT_REQUEST_BITS)
+        _, ready = network.send_request(link, time, OPT_REQUEST_BITS)
+        done = self._bank_access(group_idx, ready)
 
-        if len(matches) == 0:
+        if matches == 0:
             # Clean partial-tag miss: every bank acks "no match".
-            miss_at = self._gather(bank_dones, ACK_BITS)
+            miss_at = network.send_response(link, done, ACK_BITS)
             return self._miss(group, group_idx, set_index, tag, miss_at,
                               lookup_latency=miss_at - time,
                               predictable=(miss_at - time == expected))
 
-        if len(matches) == 1:
+        if matches == 1:
             # Banks ship the (single) candidate's slices plus upper tag
             # bits; the controller's full compare decides hit vs false hit.
             response_bits = self._data_slice_bits + RESPONSE_OVERHEAD_BITS
-            arrival = self._gather(bank_dones, response_bits)
+            arrival = network.send_response(link, done, response_bits)
             latency = arrival - time
             predictable = latency == expected
             if hit:
@@ -174,13 +160,14 @@ class OptimizedTLC(L2Design):
         # Multiple partial matches: candidates' tag bits come back first,
         # then the controller re-requests the resolved way (if any).
         self.stats.add("multi_partial_matches")
-        report_at = self._gather(bank_dones, ACK_BITS * len(matches))
+        report_at = network.send_response(link, done, ACK_BITS * matches)
         if not hit:
             return self._miss(group, group_idx, set_index, tag, report_at,
                               lookup_latency=report_at - time, predictable=False)
-        second = self._fan_out(group_idx, report_at, OPT_REQUEST_BITS)
+        _, ready = network.send_request(link, report_at, OPT_REQUEST_BITS)
+        done = self._bank_access(group_idx, ready)
         response_bits = self._data_slice_bits + RESPONSE_OVERHEAD_BITS
-        arrival = self._gather(second, response_bits)
+        arrival = network.send_response(link, done, response_bits)
         return L2Outcome(arrival, True, arrival - time, predictable=False)
 
     def _miss(self, group: CacheBank, group_idx: int, set_index: int, tag: int,
@@ -194,8 +181,8 @@ class OptimizedTLC(L2Design):
         # Stores carry their data slices on the request links and are
         # written without any tag comparison (exclusive write-back).
         write_bits = OPT_REQUEST_BITS + self._data_slice_bits
-        bank_dones = self._fan_out(group_idx, time, write_bits)
-        accepted = max(done for _, done in bank_dones)
+        _, ready = self.network.send_request(group_idx >> 1, time, write_bits)
+        accepted = self._bank_access(group_idx, ready)
         hit = group.lookup(set_index, tag, write=True).hit
         if not hit:
             self._insert(group, group_idx, set_index, tag, accepted, dirty=True)
@@ -204,19 +191,20 @@ class OptimizedTLC(L2Design):
     def _refill(self, group: CacheBank, group_idx: int, set_index: int,
                 tag: int, time: int, dirty: bool) -> None:
         write_bits = OPT_REQUEST_BITS + self._data_slice_bits
-        bank_dones = self._fan_out(group_idx, time, write_bits, contend=False)
-        accepted = max(done for _, done in bank_dones)
+        _, ready = self.network.send_request(group_idx >> 1, time, write_bits,
+                                             contend=False)
+        accepted = self._bank_access(group_idx, ready, contend=False)
         self._insert(group, group_idx, set_index, tag, accepted, dirty=dirty)
 
     def _insert(self, group: CacheBank, group_idx: int, set_index: int,
                 tag: int, time: int, dirty: bool) -> None:
         result = group.insert(set_index, tag, dirty=dirty)
         if result.evicted_tag is not None and result.evicted_dirty:
-            # Victim slices stream back from every stripe bank to memory.
+            # Victim slices stream back from every stripe bank to memory,
+            # all leaving at ``time``.
             response_bits = self._data_slice_bits + RESPONSE_OVERHEAD_BITS
-            arrival = self._gather(
-                [(b, time) for b in self._group_banks[group_idx]],
-                response_bits, contend=False)
+            arrival = self.network.send_response(
+                group_idx >> 1, time, response_bits, contend=False)
             self.memory.write(arrival)
             self.stats.add("writebacks")
 

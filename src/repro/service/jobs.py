@@ -486,8 +486,9 @@ class JobStore:
         """Resubmit the journal's jobs into this (fresh) store.
 
         Every ``submitted`` entry is re-validated and resubmitted under
-        its original deterministic id; cached cells answer from the
-        result cache, so only unfinished work simulates.  A job counts
+        its deterministic id; cached cells answer from the result cache,
+        so only unfinished work simulates.  An entry whose key is no
+        longer its job's key moves to the job's key.  A job counts
         as already finished when every one of its cells is in the
         cache (without a cache, as resumed).  ``evicted`` entries
         become tombstones again; corrupt entries are quarantined.
@@ -529,7 +530,16 @@ class JobStore:
             finished = self.cache is not None and all(
                 self.cache.path_for(cache_key(cell)).is_file()
                 for cell in _grid_cells(spec)[0])
-            _job, created = self.submit(spec, _replay=True)
+            job, created = self.submit(spec, _replay=True)
+            if job.key != key:
+                # Written by older code (job keys embed the code-version
+                # stamp): move the entry to the job's key, so eviction
+                # overwrites the job's one entry and nothing under the
+                # old key resubmits it after a restart.
+                if created:
+                    with self._lock:
+                        self._write_entry(job, "submitted")
+                self.journal.discard(key)
             if not created:
                 continue  # a second entry for an already recovered job
             stats["recovered_jobs"] += 1

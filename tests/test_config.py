@@ -108,6 +108,14 @@ class TestBuildDesign:
         with pytest.raises(ValueError):
             build_design("nope")
 
+    def test_tlcopt_needs_an_even_number_of_stripe_groups(self):
+        """16 banks in blocks of 16 leave one stripe group, whose
+        sixteen stripes would share eight pairs."""
+        from repro.core.config import ConfigError
+
+        with pytest.raises(ConfigError, match="even number of stripe groups"):
+            build_design("TLCopt500", banks=16, banks_per_block=16)
+
 
 class TestDesignVariant:
     def test_variant_builds_config_under_its_own_name(self):

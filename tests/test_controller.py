@@ -22,10 +22,13 @@ class TestConstruction:
         assert TLC_OPT_350.request_link_bits == 22
         assert TLC_OPT_350.response_link_bits == 44 - 22
         controller = TLCController(TLC_OPT_350)
+        # TLCopt350's one link class stripes every message over all
+        # eight pairs, so the meter counts each flit eight times.
+        assert controller.classes == (tuple(range(8)),)
         first, last = controller.send_request(0, 0, REQUEST_BITS)
         assert last - first == flits_for_bits(REQUEST_BITS, 22) - 1
         controller.send_response(0, 0, BLOCK_BITS)
-        assert controller.meter.busy_cycles == (
+        assert controller.meter.busy_cycles == 8 * (
             flits_for_bits(REQUEST_BITS, 22) + flits_for_bits(BLOCK_BITS, 22))
 
     def test_rejects_nuca_config(self):

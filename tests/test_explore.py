@@ -151,6 +151,16 @@ class TestExpansion:
         assert [v.name for v in expansion.variants] == ["s-0000", "s-0002"]
         assert [name for name, _ in expansion.skipped] == ["s-0001"]
 
+    def test_on_invalid_skip_drops_an_odd_stripe_group_count(self):
+        doc = {"name": "g", "base": "TLCopt500", "on_invalid": "skip",
+               "benchmarks": ["gcc"],
+               "axes": [{"field": "banks_per_block", "values": [4, 16, 8]}]}
+        expansion = expand(validate_space_spec(doc))
+        assert [v.name for v in expansion.variants] == ["g-0000", "g-0002"]
+        [(name, reason)] = expansion.skipped
+        assert name == "g-0001"
+        assert "even number of stripe groups" in str(reason)
+
     def test_on_invalid_raise_names_the_combination(self):
         doc = {"name": "r", "base": "SNUCA2", "benchmarks": ["gcc"],
                "axes": [{"field": "bank_access_cycles", "values": [2, 0]}]}

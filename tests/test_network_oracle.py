@@ -3,23 +3,38 @@
 ``MeshNetwork`` and ``TLCController`` keep their links' busy-until
 cycles in plain lists and walk a message's route inline.  They replaced
 a model with one link object per directed link, whose ``send`` the mesh
-called once per hop and the controller once per message.  That model
-is kept here as the oracle — its link, its per-hop mesh walk with
-lazily created links, and its per-pair controller links — in the way
+called once per hop and the controller once per pair.  That model is
+kept here as the oracle — its link, its per-hop mesh walk with lazily
+created links, and its per-pair controller links — in the way
 ``test_prewarm.py`` keeps the per-block install.
 
-Hypothesis message sequences must give the oracle's arrival cycles
-after every message, and its meter, energy and gauge accounting at the
-end; and every design must simulate identically with
+The controller keeps one busy-until per link class (the pairs a message
+fans out to), and ``OptimizedTLC`` one bank busy-until per stripe
+group.  The oracle keeps the per-stripe walk they replaced: a class
+send puts the message on each of its pairs' links in turn, and
+``StripeWalkTLC`` sends, accesses a bank and responds once per stripe
+bank, with a busy-until per physical bank.
+
+Hypothesis message and access sequences must give the oracle's arrival
+cycles and outcomes after every step, and its meter, energy and gauge
+accounting at the end; and every design must simulate identically with
 the oracle patched in.
 """
+
+import dataclasses
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.storage import result_to_dict
-from repro.core.config import TLC_BASE, TLC_OPT_350, build_design
+from repro.cache.partial_tags import partial_tag
+from repro.core.config import (TLC_BASE, TLC_OPT_350, TLC_OPT_500,
+                               TLC_OPT_1000, build_design)
+from repro.core.base import L2Outcome
 from repro.core.controller import TLCController
+from repro.core.tlc_opt import (ACK_BITS, OPT_REQUEST_BITS,
+                                RESPONSE_OVERHEAD_BITS, OptimizedTLC)
 from repro.interconnect.mesh import MeshNetwork
 from repro.interconnect.message import flits_for_bits
 from repro.obs.manifest import RunObserver
@@ -118,7 +133,14 @@ class OracleMesh(MeshNetwork):
 
 
 class OracleController(TLCController):
-    """The controller with one OracleLink per pair and direction."""
+    """The controller with one OracleLink per pair and direction.
+
+    A class send walks the class's pairs stripe by stripe.  A request
+    enters each pair's link after that pair's wire delay; a response
+    leaves each stripe bank as many cycles before the reference pair's
+    (``time``) as its request landed earlier.  Both return the last
+    stripe's arrival.
+    """
 
     def __init__(self, config, *args, **kwargs):
         super().__init__(config, *args, **kwargs)
@@ -129,17 +151,28 @@ class OracleController(TLCController):
                                           self.meter)
                                for _ in range(config.pairs)]
 
-    def send_request(self, pair, time, bits, contend=True):
+    def send_pair_request(self, pair, time, bits, contend=True):
         _start, first, last = self.request_links[pair].send(
-            time + self._request_delays[pair], bits, contend)
+            time + self.request_delay(pair), bits, contend)
         self._energy_j += bits * self._energy_per_bit[pair]
         return first, last
 
-    def send_response(self, pair, time, bits, contend=True):
+    def send_pair_response(self, pair, time, bits, contend=True):
         _start, first, _last = self.response_links[pair].send(
             time, bits, contend)
         self._energy_j += bits * self._energy_per_bit[pair]
-        return first + self._response_delays[pair]
+        return first + self.response_delay(pair)
+
+    def send_request(self, link, time, bits, contend=True):
+        return max(self.send_pair_request(pair, time, bits, contend)
+                   for pair in self.classes[link])
+
+    def send_response(self, link, time, bits, contend=True):
+        pairs = self.classes[link]
+        latest = max(self.request_delay(pair) for pair in pairs)
+        return max(self.send_pair_response(
+            pair, time - latest + self.request_delay(pair), bits, contend)
+            for pair in pairs)
 
     def register_metrics(self, scope):
         scope.register("util", self.meter)
@@ -156,6 +189,99 @@ class OracleController(TLCController):
         for link in self.request_links + self.response_links:
             link.bits_sent = 0
             link.transfers = 0
+
+
+class StripeWalkTLC(OptimizedTLC):
+    """A TLCopt design as a walk over its stripes: one request send, one
+    bank access and one response send per stripe bank, on an
+    OracleController's per-pair links, with a busy-until per physical
+    bank and the partial tags read one way at a time."""
+
+    def __init__(self, config, *args, **kwargs):
+        with mock.patch("repro.core.tlc_opt.TLCController", OracleController):
+            super().__init__(config, *args, **kwargs)
+        self._bank_busy_until = [0] * config.banks
+
+    def _fan_out(self, group, time, request_bits, contend=True):
+        """Send a request to every stripe bank; returns (bank, done) pairs."""
+        results = []
+        for bank in self.banks_for_group(group):
+            _, request_at = self.network.send_pair_request(
+                bank // 2, time, request_bits, contend)
+            done = self._bank_access(bank, request_at, contend)
+            results.append((bank, done))
+        return results
+
+    def _gather(self, bank_dones, response_bits, contend=True):
+        """Collect responses from every stripe bank; returns last arrival."""
+        last = 0
+        for bank, done in bank_dones:
+            arrival = self.network.send_pair_response(
+                bank // 2, done, response_bits, contend)
+            last = max(last, arrival)
+        return last
+
+    def _read(self, group, group_idx, set_index, tag, time):
+        expected = (2 + self.config.bank_access_cycles
+                    + self._group_rt_delays[group_idx])
+        matches = [way for way in range(group.ways)
+                   if group.tag_at(set_index, way) is not None
+                   and partial_tag(group.tag_at(set_index, way))
+                   == partial_tag(tag)]
+        hit = group.lookup(set_index, tag).hit
+        bank_dones = self._fan_out(group_idx, time, OPT_REQUEST_BITS)
+        response_bits = self._data_slice_bits + RESPONSE_OVERHEAD_BITS
+        if len(matches) == 0:
+            miss_at = self._gather(bank_dones, ACK_BITS)
+            return self._miss(group, group_idx, set_index, tag, miss_at,
+                              lookup_latency=miss_at - time,
+                              predictable=(miss_at - time == expected))
+        if len(matches) == 1:
+            arrival = self._gather(bank_dones, response_bits)
+            latency = arrival - time
+            if hit:
+                return L2Outcome(arrival, True, latency, latency == expected)
+            self.stats.add("false_hits")
+            return self._miss(group, group_idx, set_index, tag, arrival,
+                              lookup_latency=latency,
+                              predictable=latency == expected)
+        self.stats.add("multi_partial_matches")
+        report_at = self._gather(bank_dones, ACK_BITS * len(matches))
+        if not hit:
+            return self._miss(group, group_idx, set_index, tag, report_at,
+                              lookup_latency=report_at - time,
+                              predictable=False)
+        second = self._fan_out(group_idx, report_at, OPT_REQUEST_BITS)
+        arrival = self._gather(second, response_bits)
+        return L2Outcome(arrival, True, arrival - time, predictable=False)
+
+    def _write(self, group, group_idx, set_index, tag, time):
+        write_bits = OPT_REQUEST_BITS + self._data_slice_bits
+        bank_dones = self._fan_out(group_idx, time, write_bits)
+        accepted = max(done for _, done in bank_dones)
+        hit = group.lookup(set_index, tag, write=True).hit
+        if not hit:
+            self._insert(group, group_idx, set_index, tag, accepted,
+                         dirty=True)
+        return L2Outcome(accepted, hit, 0, predictable=True, write=True)
+
+    def _refill(self, group, group_idx, set_index, tag, time, dirty):
+        write_bits = OPT_REQUEST_BITS + self._data_slice_bits
+        bank_dones = self._fan_out(group_idx, time, write_bits,
+                                   contend=False)
+        accepted = max(done for _, done in bank_dones)
+        self._insert(group, group_idx, set_index, tag, accepted, dirty=dirty)
+
+    def _insert(self, group, group_idx, set_index, tag, time, dirty):
+        result = group.insert(set_index, tag, dirty=dirty)
+        if result.evicted_tag is not None and result.evicted_dirty:
+            # Every stripe's victim slice leaves at ``time``.
+            arrival = self._gather(
+                [(bank, time) for bank in self.banks_for_group(group_idx)],
+                self._data_slice_bits + RESPONSE_OVERHEAD_BITS,
+                contend=False)
+            self.memory.write(arrival)
+            self.stats.add("writebacks")
 
 
 def accounting(network):
@@ -223,20 +349,76 @@ def test_controller_matches_per_link_oracle(config, messages):
     controller = TLCController(config)
     oracle = OracleController(config)
     time = 0
-    for step, request, pair, bits, contend, reset in messages:
+    for step, request, link, bits, contend, reset in messages:
         time += step
-        pair %= config.pairs
+        link %= len(controller.classes)
         if request:
-            got = controller.send_request(pair, time, bits, contend)
-            want = oracle.send_request(pair, time, bits, contend)
+            got = controller.send_request(link, time, bits, contend)
+            want = oracle.send_request(link, time, bits, contend)
         else:
-            got = controller.send_response(pair, time, bits, contend)
-            want = oracle.send_response(pair, time, bits, contend)
+            got = controller.send_response(link, time, bits, contend)
+            want = oracle.send_response(link, time, bits, contend)
         assert got == want
         if reset == 0:
             controller.reset_counters()
             oracle.reset_counters()
     assert accounting(controller) == accounting(oracle)
+
+
+#: Tags whose low six bits collide in pairs and triples, so a set of
+#: four ways sees clean misses, false hits and multiple partial matches.
+ALIASED_TAGS = (1, 2, 65, 66, 129, 130, 193)
+
+#: (time step, group, set, tag, write?, reset stats after it?).
+tlcopt_accesses = st.lists(
+    st.tuples(st.integers(0, 30), st.integers(0, 7), st.integers(0, 2),
+              st.sampled_from(ALIASED_TAGS), st.booleans(),
+              st.integers(0, 30)),
+    min_size=1, max_size=120)
+
+
+def design_accounting(design):
+    return design.metrics.snapshot(), design.network_energy_j()
+
+
+@pytest.mark.parametrize("config", [
+    TLC_OPT_1000, TLC_OPT_500, TLC_OPT_350,
+    # Every paper TLCopt design has request delay 0 on every pair; only
+    # unequal delays within a class exercise the stripes' offsets.
+    dataclasses.replace(TLC_OPT_500, name="TLCopt500-skewed",
+                        controller_rt_delays=(3, 0, 6, 1, 0, 5, 2, 7)),
+], ids=lambda config: config.name)
+@settings(max_examples=60, deadline=None)
+@given(accesses=tlcopt_accesses)
+def test_tlcopt_matches_the_stripe_walk(config, accesses):
+    closed = OptimizedTLC(config)
+    walk = StripeWalkTLC(config)
+    time = 0
+    for step, group, set_index, tag, write, reset in accesses:
+        time += step
+        addr = closed.addr_map.rebuild(tag, set_index,
+                                       group % closed.num_groups)
+        assert (closed.access(addr, time, write)
+                == walk.access(addr, time, write))
+        if reset == 0:
+            closed.reset_stats()
+            walk.reset_stats()
+    assert design_accounting(closed) == design_accounting(walk)
+
+
+def test_the_stripe_walk_sees_every_corner_case():
+    """The access strategy reaches multi-match second fan-outs, false
+    hits and dirty writebacks (refills happen on every read miss)."""
+    design = StripeWalkTLC(TLC_OPT_500)
+    time = 0
+    for round_ in range(3):
+        for tag in ALIASED_TAGS:
+            time += 7
+            addr = design.addr_map.rebuild(tag, 0, 0)
+            design.access(addr, time, write=(tag + round_) % 3 == 0)
+    assert design.stats["multi_partial_matches"] > 0
+    assert design.stats["false_hits"] > 0
+    assert design.stats["writebacks"] > 0
 
 
 def observed_run(design, workload):
@@ -254,8 +436,11 @@ def test_designs_simulate_identically_with_the_oracle(design, workload,
     plain = observed_run(design, workload)
     monkeypatch.setattr("repro.core.tlc.TLCController", OracleController)
     monkeypatch.setattr("repro.core.tlc_opt.TLCController", OracleController)
+    monkeypatch.setattr("repro.core.tlc_opt.OptimizedTLC", StripeWalkTLC)
     monkeypatch.setattr("repro.nuca.snuca.MeshNetwork", OracleMesh)
     monkeypatch.setattr("repro.nuca.dnuca.MeshNetwork", OracleMesh)
-    assert isinstance(build_design(design).network,
-                      (OracleController, OracleMesh))
+    built = build_design(design)
+    assert isinstance(built.network, (OracleController, OracleMesh))
+    assert (isinstance(built, StripeWalkTLC)
+            or not isinstance(built, OptimizedTLC))
     assert observed_run(design, workload) == plain

@@ -207,6 +207,38 @@ class TestJournalRecovery:
         assert journal.load(job.key)["state"] == "evicted"
         assert store.lifecycle["jobs_evicted"] == 3
 
+    def test_rekeyed_entry_does_not_bring_an_evicted_job_back(
+            self, tmp_path):
+        """An entry under a key that is no longer its job's (older code
+        wrote it) moves to the job's key on recovery, so once the job
+        is evicted a restart finds only its tombstone."""
+        spec = validate_job_spec({"designs": ["TLC"],
+                                  "benchmarks": ["perl"], "n_refs": 1_500})
+        stale = "cc" * 32
+        _journal(tmp_path).put(stale, {"spec": spec.as_dict(),
+                                       "state": "submitted"})
+        store = _store(tmp_path, workers=1, job_ttl_s=3600.0)
+        try:
+            assert store.recover()["recovered_jobs"] == 1
+            job = store.get(f"job-{job_key(spec)[:16]}")
+            _wait(job)
+            assert store.reap(now=time.time() + 7200.0) == 1
+        finally:
+            store.close()
+        journal = _journal(tmp_path)
+        assert journal.keys() == [job.key]
+        assert journal.load(job.key)["state"] == "evicted"
+        restarted = _store(tmp_path, workers=1, job_ttl_s=3600.0)
+        try:
+            stats = restarted.recover()
+            assert stats["evicted_tombstones"] == 1
+            assert stats["recovered_jobs"] == 0
+            assert restarted.get(job.id) is None
+            assert restarted.evicted_at(job.id) is not None
+        finally:
+            restarted.close()
+        assert journal.keys() == [job.key]
+
     def test_recover_is_idempotent(self, tmp_path):
         _write_entry(tmp_path, validate_job_spec(SPEC))
         store = _store(tmp_path, workers=1)

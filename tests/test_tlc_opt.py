@@ -1,10 +1,17 @@
 """Tests for the optimized TLC designs (striping + partial tags)."""
 
+import os
+import sys
+
 import pytest
 
+import repro
 from repro.core.config import TLC_OPT_350, TLC_OPT_500, TLC_OPT_1000
 from repro.core.tlc_opt import OptimizedTLC
 from repro.sim.memory import MainMemory
+from repro.sim.system import System, prewarm_l2
+from repro.workloads.profiles import get_profile
+from repro.workloads.synthetic import generate_trace, resident_block_addresses
 
 
 def make(config=TLC_OPT_500):
@@ -31,6 +38,17 @@ class TestStripeGeometry:
         for group in range(design.num_groups):
             pairs = [b // 2 for b in design.banks_for_group(group)]
             assert len(set(pairs)) == len(pairs)
+
+    @pytest.mark.parametrize("config", [TLC_OPT_1000, TLC_OPT_500, TLC_OPT_350])
+    def test_sibling_groups_share_one_link_class(self, config):
+        """Groups 2c and 2c+1 stripe over link class c's pairs, in
+        stripe order, and the classes partition the pairs."""
+        design = make(config)
+        classes = design.network.classes
+        for group in range(design.num_groups):
+            pairs = tuple(b // 2 for b in design.banks_for_group(group))
+            assert pairs == classes[group >> 1]
+        assert sorted(p for pairs in classes for p in pairs) == list(range(8))
 
     def test_groups_partition_banks(self):
         design = make(TLC_OPT_500)
@@ -157,3 +175,35 @@ class TestReadWritePaths:
                 design.access(i * 64, time=i * 40)
             results[config.name] = design.link_utilization(50 * 40)
         assert results["TLCopt350"] > results["TLCopt1000"]
+
+
+def repro_calls_per_reference(design, benchmark="perl", n_refs=2_000):
+    """Calls into functions under ``src/repro`` per reference, counted
+    with ``sys.setprofile`` during ``System.run`` after pre-warm."""
+    spec = get_profile(benchmark).spec
+    trace = generate_trace(spec, n_refs, seed=7)
+    system = System(design)
+    prewarm_l2(system.l2, resident_block_addresses(spec))
+    root = os.path.dirname(repro.__file__) + os.sep
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        system.run(trace, benchmark=benchmark, warmup_refs=n_refs // 4)
+    finally:
+        sys.setprofile(None)
+    return calls / n_refs
+
+
+def test_a_tlcopt_access_costs_what_a_tlc_access_costs():
+    """The stripes move in lockstep, so a TLCopt access makes one send
+    each way and one bank access, like TLC, whatever its stripe count.
+    Call counts are deterministic, unlike timings on a shared host."""
+    tlc = repro_calls_per_reference("TLC")
+    for design in ("TLCopt1000", "TLCopt500", "TLCopt350"):
+        assert repro_calls_per_reference(design) <= 1.5 * tlc, design
