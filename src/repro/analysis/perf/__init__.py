@@ -8,11 +8,13 @@ the CI perf gate this package backs).
 
 from repro.analysis.perf.harness import (
     CALIBRATION_BENCHMARK,
+    CALLS_TOLERANCE,
     FORMAT_VERSION,
     BenchResult,
     Comparison,
     bench_document,
     compare_benchmarks,
+    count_repro_calls,
     default_bench_name,
     load_benchmarks,
     mad,
@@ -31,6 +33,7 @@ from repro.analysis.perf.suite import (
 
 __all__ = [
     "CALIBRATION_BENCHMARK",
+    "CALLS_TOLERANCE",
     "FORMAT_VERSION",
     "LOOKUP_DESIGNS",
     "SUITE",
@@ -39,6 +42,7 @@ __all__ = [
     "bench_document",
     "benchmark_names",
     "compare_benchmarks",
+    "count_repro_calls",
     "default_bench_name",
     "load_benchmarks",
     "mad",

@@ -40,16 +40,28 @@ The document deliberately carries no timestamps: two runs of identical
 code on identical inputs produce byte-identical documents apart from
 the timings themselves.
 
+Call counts
+-----------
+
+Timings on a shared host move with its load; call counts do not.  Each
+suite entry also records ``meta["calls_per_op"]``: the calls into
+functions whose code is under ``src/repro`` per inner operation, as
+:func:`count_repro_calls` counts them with :func:`sys.setprofile`.
+Builtins, the standard library, numpy and code generated at run time
+are not counted, so the count does not depend on the Python version.
+
 Comparison
 ----------
 
 :func:`compare_benchmarks` joins a current document against a baseline
-and flags any benchmark whose median slowed by more than a threshold.
-Because absolute nanoseconds are machine-dependent, ``normalize=True``
-rescales by the ``calibration.spin`` benchmark — a fixed pure-Python
-spin loop whose timing tracks single-core interpreter speed — so a CI
-runner can be compared against a baseline captured on different
-hardware.
+and flags any benchmark whose median slowed by more than a threshold,
+or whose ``calls_per_op`` rose by more than :data:`CALLS_TOLERANCE`
+over a baseline entry that records one.  Because absolute nanoseconds
+are machine-dependent, ``normalize=True`` rescales the timings by the
+``calibration.spin`` benchmark — a fixed pure-Python spin loop whose
+timing tracks single-core interpreter speed — so a CI runner can be
+compared against a baseline captured on different hardware.  Counts
+need no normalization.
 """
 
 from __future__ import annotations
@@ -67,6 +79,10 @@ FORMAT_VERSION = 1
 
 #: the benchmark used to normalize cross-machine comparisons.
 CALIBRATION_BENCHMARK = "calibration.spin"
+
+#: how far an entry's ``calls_per_op`` may rise over its baseline's
+#: before the entry regresses: 1 %.
+CALLS_TOLERANCE = 0.01
 
 
 @dataclass(frozen=True)
@@ -156,6 +172,32 @@ def measure(
     )
 
 
+def count_repro_calls(fn: Callable[[], Any]) -> int:
+    """Run ``fn()`` once; return the calls it made into ``src/repro`` code.
+
+    Every ``call`` event :func:`sys.setprofile` reports for a function
+    whose code lives under the ``repro`` package counts, ``fn`` itself
+    included when it does.  C functions raise other events and are not
+    counted.
+    """
+    import repro
+
+    root = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+    calls = 0
+
+    def count(frame: Any, event: str, arg: Any) -> None:
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
 # -- BENCH documents ---------------------------------------------------------
 
 
@@ -240,13 +282,20 @@ def validate_benchmarks(document: Any) -> None:
 
 @dataclass(frozen=True)
 class Comparison:
-    """One benchmark's current-vs-baseline verdict."""
+    """One benchmark's current-vs-baseline verdict.
+
+    ``regressed`` is True when the timing ``ratio`` is above the
+    threshold or the call count rose (``calls_regressed``).
+    """
 
     name: str
     baseline_ns: int
     current_ns: int
     ratio: float
     regressed: bool
+    baseline_calls: Optional[float] = None
+    current_calls: Optional[float] = None
+    calls_regressed: bool = False
 
 
 def compare_benchmarks(
@@ -260,7 +309,9 @@ def compare_benchmarks(
     Returns ``(comparisons, missing)`` where ``missing`` names baseline
     benchmarks absent from the current run.  A benchmark regresses when
     its (optionally calibration-normalized) median slowed by more than
-    ``fail_above_pct`` percent.  The calibration benchmark itself is
+    ``fail_above_pct`` percent, or when its baseline entry records a
+    ``calls_per_op`` and the current one is more than
+    :data:`CALLS_TOLERANCE` higher.  The calibration benchmark itself is
     never flagged: it *is* the machine-speed probe.
     """
     if not 0 <= fail_above_pct < math.inf:
@@ -278,7 +329,16 @@ def compare_benchmarks(
         base_ns = baseline_entries[name]["median_ns"]
         cur_ns = current_entries[name]["median_ns"]
         ratio = (cur_ns * scale) / base_ns
-        regressed = ratio > threshold and name != CALIBRATION_BENCHMARK
+        base_calls = baseline_entries[name]["meta"].get("calls_per_op")
+        cur_calls = current_entries[name]["meta"].get("calls_per_op")
+        calls_regressed = (
+            base_calls is not None
+            and cur_calls is not None
+            and cur_calls > base_calls * (1.0 + CALLS_TOLERANCE)
+            and name != CALIBRATION_BENCHMARK
+        )
+        timing_regressed = ratio > threshold and name != CALIBRATION_BENCHMARK
+        regressed = timing_regressed or calls_regressed
         comparisons.append(
             Comparison(
                 name=name,
@@ -286,6 +346,9 @@ def compare_benchmarks(
                 current_ns=cur_ns,
                 ratio=ratio,
                 regressed=regressed,
+                baseline_calls=base_calls,
+                current_calls=cur_calls,
+                calls_regressed=calls_regressed,
             )
         )
     missing = sorted(set(baseline_entries) - set(current_entries))

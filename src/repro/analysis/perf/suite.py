@@ -26,13 +26,22 @@ same shapes smaller.  Builders construct their fixtures outside the
 timed region: construction and pre-warming are not part of any
 measurement except the ``prewarm.*`` entries, which measure exactly
 those.
+
+Every entry also records ``meta.calls_per_op``, counted on a fresh build
+of the entry after the same warm-up as the timed one, outside the timed
+reps, so the count does not depend on ``--reps``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.analysis.perf.harness import BenchResult, measure, pin_process
+from repro.analysis.perf.harness import (
+    BenchResult,
+    count_repro_calls,
+    measure,
+    pin_process,
+)
 
 BenchBuilder = Callable[[int], Tuple[Callable[[], Any], Dict[str, Any]]]
 
@@ -208,8 +217,18 @@ def run_suite(
         fn, meta = SUITE[name](scale)
         result = measure(fn, reps=effective_reps, warmup=warmup, meta=meta)
         _add_derived_meta(result)
+        result.meta["calls_per_op"] = _calls_per_op(SUITE[name], scale, warmup)
         results[name] = result
     return results, pinned
+
+
+def _calls_per_op(builder: BenchBuilder, scale: int, warmup: int) -> float:
+    """Calls into ``src/repro`` per inner op of one run of a fresh build,
+    after ``warmup`` untimed runs."""
+    fn, meta = builder(scale)
+    for _ in range(warmup):
+        fn()
+    return round(count_repro_calls(fn) / meta["inner_ops"], 6)
 
 
 def _add_derived_meta(result: BenchResult) -> None:

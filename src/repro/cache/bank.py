@@ -23,9 +23,8 @@ closed form against.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,9 +32,8 @@ from repro.cache.address import AddressMap, group_order, ranks_within
 from repro.cache.replacement import LRUPolicy, make_policy
 
 
-@dataclasses.dataclass(frozen=True)
-class AccessResult:
-    """Outcome of a bank access."""
+class AccessResult(NamedTuple):
+    """Outcome of a bank access (a tuple, built on every lookup and insert)."""
 
     hit: bool
     way: Optional[int] = None
@@ -104,6 +102,15 @@ class CacheBank:
 
     def dirty_at(self, set_index: int, way: int) -> bool:
         return bool(self._dirty[self._slot(set_index, way)])
+
+    def entry_at(self, set_index: int, way: int) -> Tuple[Optional[int], bool]:
+        """The ``(tag, dirty)`` pair stored in (set, way), in one call.
+
+        The tag is None if the slot is empty.  DNUCA's promotion reads
+        the moving block this way.
+        """
+        slot = self._slot(set_index, way)
+        return self._tags[slot], bool(self._dirty[slot])
 
     # -- state-changing accesses ----------------------------------------
     def lookup(self, set_index: int, tag: int, write: bool = False) -> AccessResult:

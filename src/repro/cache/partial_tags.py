@@ -38,9 +38,12 @@ class PartialTagArray:
     ``positions`` is the number of banks covered (16 for a DNUCA bank
     set) and ``ways`` the associativity of each covered bank.  Entries
     are kept consistent by the owning cache model calling
-    :meth:`update` / :meth:`clear` whenever it moves blocks — the paper's
-    "significant complexity" of keeping partial tags coherent during
-    migration is exactly this bookkeeping.
+    :meth:`update` / :meth:`swap` (or :meth:`clear`) whenever it moves
+    blocks — the paper's "significant complexity" of keeping partial
+    tags coherent during migration is exactly this bookkeeping.  Since
+    the array mirrors the banks, a block can only sit at a position
+    whose partial tag matches it: DNUCA finds a far block by probing
+    only the positions :meth:`matches` names.
 
     The entries are one byte per slot, set-major: the slots of one set,
     over every position and way, are contiguous, so a search of a set
@@ -80,6 +83,21 @@ class PartialTagArray:
     def clear(self, position: int, set_index: int, way: int) -> None:
         """Record that (position, set, way) is now empty."""
         self._slots[self._slot(position, set_index, way)] = _EMPTY
+
+    def swap(self, set_index: int, way: int, position: int,
+             other: int) -> None:
+        """Exchange the entries of (position, set, way) and (other, set, way).
+
+        DNUCA's promotion swaps two banks' blocks in one way; since the
+        array mirrors the banks, swapping their two bytes records both
+        moves.
+        """
+        if not 0 <= other < self.positions:
+            raise IndexError(f"position {other} out of range")
+        slot = self._slot(position, set_index, way)
+        partner = slot + (other - position) * self.ways
+        slots = self._slots
+        slots[slot], slots[partner] = slots[partner], slots[slot]
 
     def stored(self, position: int, set_index: int, way: int) -> Optional[int]:
         """The partial tag recorded for (position, set, way), or None.

@@ -601,6 +601,7 @@ def _cmd_explore(args) -> int:
 
 def _cmd_perf(args) -> int:
     from repro.analysis.perf import (
+        CALLS_TOLERANCE,
         bench_document,
         compare_benchmarks,
         load_benchmarks,
@@ -625,10 +626,12 @@ def _cmd_perf(args) -> int:
         ops = result.meta.get("ops_per_sec")
         rows.append([name, f"{result.median_ns / 1e6:.3f}",
                      f"{result.mad_ns / 1e6:.3f}", result.reps,
-                     f"{ops:,.0f}" if ops else "-"])
+                     f"{ops:,.0f}" if ops else "-",
+                     f"{result.meta['calls_per_op']:.2f}"])
     mode = "quick" if args.quick else "full"
     print(format_table(
-        ["benchmark", "median (ms)", "MAD (ms)", "reps", "ops/sec"],
+        ["benchmark", "median (ms)", "MAD (ms)", "reps", "ops/sec",
+         "calls/op"],
         rows, title=f"Microbenchmarks ({mode} mode, "
                     f"{'pinned' if pinned else 'unpinned'})"))
 
@@ -652,16 +655,21 @@ def _cmd_perf(args) -> int:
         compare_rows = [
             [c.name, f"{c.baseline_ns / 1e6:.3f}",
              f"{c.current_ns / 1e6:.3f}", f"{c.ratio:.2f}x",
-             "REGRESSED" if c.regressed else "ok"]
+             "-" if c.baseline_calls is None or c.current_calls is None
+             else f"{c.baseline_calls:.2f} -> {c.current_calls:.2f}",
+             "REGRESSED (calls)" if c.calls_regressed
+             else "REGRESSED" if c.regressed else "ok"]
             for c in comparisons
         ]
         norm = " (calibration-normalized)" if args.normalize else ""
         print()
         print(format_table(
-            ["benchmark", "baseline (ms)", "current (ms)", "ratio", "verdict"],
+            ["benchmark", "baseline (ms)", "current (ms)", "ratio",
+             "calls/op", "verdict"],
             compare_rows,
             title=f"vs {args.compare}, fail above "
-                  f"+{args.fail_above:.0f}%{norm}"))
+                  f"+{args.fail_above:.0f}% or calls/op above "
+                  f"+{CALLS_TOLERANCE:.0%}{norm}"))
         for name in missing:
             print(f"warning: baseline benchmark {name!r} was not run",
                   file=sys.stderr)
@@ -891,7 +899,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "gets the conventional BENCH_<rev>.json name)")
     perf.add_argument("--compare", metavar="BASELINE",
                       help="compare against a BENCH baseline document; "
-                           "exits 1 on regression")
+                           "exits 1 on regression: a slowdown above "
+                           "--fail-above, or calls/op more than 1%% above "
+                           "the baseline's")
     perf.add_argument("--fail-above", default=40.0, metavar="PCT",
                       type=_bounded(float, lambda pct: 0 <= pct < math.inf,
                                     "a finite number >= 0"),

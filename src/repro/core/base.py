@@ -36,17 +36,21 @@ record a :class:`~repro.obs.manifest.RunManifest` embeds.
 from __future__ import annotations
 
 import abc
-import dataclasses
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from repro.obs.registry import MetricsRegistry
 from repro.sim.memory import MainMemory
 from repro.tech import Technology, TECH_45NM
 
 
-@dataclasses.dataclass(frozen=True)
-class L2Outcome:
-    """Result of one L2 access."""
+class L2Outcome(NamedTuple):
+    """Result of one L2 access.
+
+    A tuple, like :class:`~repro.workloads.trace.Reference`: every access
+    of every design builds one, and a tuple is about three times cheaper
+    to build than a frozen dataclass.  Fields read by name, compare by
+    value and cannot be reassigned.
+    """
 
     #: cycle the critical word is available to the requester (reads), or
     #: the cycle the write was accepted (writes).

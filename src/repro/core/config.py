@@ -302,6 +302,10 @@ class DesignConfig:
         self._require(self.mesh_columns >= 2 and self.mesh_columns % 2 == 0,
                       "mesh_columns must be an even number >= 2")
         self._require(self.mesh_rows >= 1, "mesh_rows must be positive")
+        if self.kind == "dnuca":
+            self._require(self.mesh_rows >= 2,
+                          "mesh_rows must be at least 2: every DNUCA lookup "
+                          "probes the closest two banks of its bank set")
         self._require(self.banks == self.mesh_columns * self.mesh_rows,
                       f"banks={self.banks} must equal mesh_columns x "
                       f"mesh_rows = {self.mesh_columns * self.mesh_rows}")

@@ -21,7 +21,21 @@ cycle lives in one list, and each route is a memoized tuple of link
 ids.  Ids run over the ``2 * (columns - 1)`` horizontal edge links,
 two per gap between adjacent columns, then over each column's
 ``2 * (rows - 1)`` vertical links, two per gap between adjacent rows;
-of each two, the first points away from the controller.
+of each two, the first points away from the controller.  So a
+column's vertical links are contiguous ids, in row order.
+
+Two of DNUCA's parallel actions are one call each, in closed form:
+
+* :meth:`MeshNetwork.send_closest_two` sends one request to each of
+  the two banks nearest the controller at the same cycle.  On every
+  horizontal link the two share, the second starts exactly ``flits``
+  cycles after the first, so one walk leaves each shared link busy
+  until the first's start plus ``2 * flits``; the second then takes
+  its one vertical hop.
+* :meth:`MeshNetwork.transfer_between` moves a promotion's blocks:
+  one message each way over every vertical link between two
+  positions of a column, all leaving at one cycle on distinct links,
+  a walk over one contiguous id range.
 
 The mesh owns its traffic accounting and prices it: every bit-hop costs
 one hop of conventional repeated wire plus one switch traversal
@@ -67,6 +81,8 @@ class MeshNetwork:
         # Routing is a pure function of the endpoint and is asked for on
         # every simulated message, so each route is computed once.
         self._routes: Dict[Tuple[int, int, bool], Route] = {}
+        # Flits per message size, asked for on every message.
+        self._flits: Dict[int, int] = {}
         #: ids of the links some route or promotion hop has used.
         self._touched: Set[int] = set()
         self.bit_hops = 0
@@ -126,11 +142,20 @@ class MeshNetwork:
         return route
 
     # -- transfers -------------------------------------------------------
+    def _flit_count(self, message_bits: int) -> int:
+        """Flits of a ``message_bits`` message (memoized; raises for <= 0)."""
+        flits = self._flits[message_bits] = flits_for_bits(message_bits,
+                                                           self.flit_bits)
+        return flits
+
     def send(self, column: int, position: int, time: int, message_bits: int,
              outbound: bool, contend: bool = True) -> Tuple[int, int]:
         """Route a message controller<->bank; returns the cycles its
         first and last flits arrive.
 
+        The head flit advances one hop per ``hop_latency`` cycles, each
+        link it enters no earlier than the link's busy-until cycle, and
+        leaves the link busy for the message's flit count.
         ``contend=False`` is for fill/writeback traffic scheduled at a
         future completion time (e.g. a refill arriving from memory): the
         message still consumes bandwidth for utilization and energy
@@ -141,29 +166,7 @@ class MeshNetwork:
         route = self._routes.get((column, position, outbound))
         if route is None:
             route = self.route(column, position, outbound)
-        return self._traverse(route, time, message_bits, contend)
-
-    def transfer_between(self, column: int, upper_position: int, time: int,
-                         message_bits: int, upward: bool) -> Tuple[int, int]:
-        """One-hop bank-to-adjacent-bank transfer (DNUCA promotion swaps).
-
-        Moves a message between (column, upper_position-1) and
-        (column, upper_position) over the single vertical link joining
-        them; ``upward`` selects the direction away from the controller.
-        Returns the cycles the first and last flits arrive.
-        """
-        if not 0 <= column < self.columns:
-            raise IndexError(f"column {column} out of range")
-        if not 1 <= upper_position < self.rows:
-            raise IndexError("upper_position must be in [1, rows)")
-        link = self._vertical_link(column, upper_position - 1, upward)
-        self._touched.add(link)
-        return self._traverse((link,), time, message_bits, True)
-
-    def _traverse(self, route: Route, time: int, message_bits: int,
-                  contend: bool) -> Tuple[int, int]:
-        """Walk ``route`` wormhole-style and account the message once."""
-        flits = flits_for_bits(message_bits, self.flit_bits)
+        flits = self._flits.get(message_bits) or self._flit_count(message_bits)
         hops = len(route)
         head = time
         if contend:
@@ -177,10 +180,93 @@ class MeshNetwork:
                 head = start + hop_latency
         else:
             head += hops * self.hop_latency
-        self.meter.busy(flits * hops)
+        self.meter.busy_cycles += flits * hops
         self.bit_hops += message_bits * hops
         self.switch_traversals += hops
         return head, head + flits - 1
+
+    def send_closest_two(self, column: int, time: int,
+                         message_bits: int) -> Tuple[int, int]:
+        """Send one contending message from the controller to each of
+        positions 0 and 1 of ``column``, both at ``time``, position 0's
+        first; returns the cycles their first flits arrive.
+
+        The same as two :meth:`send` calls, in one walk.  The two routes
+        share the horizontal links, and on each of them the second
+        message starts exactly ``flits`` cycles after the first: the
+        first leaves the link busy until its start plus ``flits``, and
+        the second, ``flits`` cycles behind at the previous link (or
+        level with it at the first), never reaches the link later.  So
+        each shared link ends busy until the first's start plus
+        ``2 * flits``, and the second message reaches its vertical link
+        ``flits`` cycles after the first reaches position 0 (at ``time``
+        when no link is shared).
+        """
+        # Position 1's route is position 0's plus one vertical link, so
+        # registering it marks both routes' links as touched.
+        route = self._routes.get((column, 1, True))
+        if route is None:
+            route = self.route(column, 1, True)
+        flits = self._flits.get(message_bits) or self._flit_count(message_bits)
+        busy = self._busy
+        hop_latency = self.hop_latency
+        shared = len(route) - 1
+        head = time
+        for link in route[:shared]:
+            start = busy[link]
+            if start < head:
+                start = head
+            busy[link] = start + 2 * flits
+            head = start + hop_latency
+        near = head
+        if shared:
+            head += flits
+        link = route[shared]
+        start = busy[link]
+        if start < head:
+            start = head
+        busy[link] = start + flits
+        hops = 2 * shared + 1
+        self.meter.busy_cycles += flits * hops
+        self.bit_hops += message_bits * hops
+        self.switch_traversals += hops
+        return near, start + hop_latency
+
+    def transfer_between(self, column: int, lower_position: int,
+                         upper_position: int, time: int,
+                         message_bits: int) -> int:
+        """Swap traffic between two banks of a column (DNUCA promotions).
+
+        Sends one contending ``message_bits`` message each way over every
+        vertical link between positions ``lower_position`` and
+        ``upper_position``, all at ``time``: the hop-by-hop block moves
+        of one promotion, which use distinct links, so none waits for
+        another.  Returns the cycle the last flit of the last message
+        to land arrives.
+        """
+        if not (0 <= column < self.columns
+                and 0 <= lower_position < upper_position < self.rows):
+            raise IndexError(
+                f"no vertical links between positions {lower_position} and "
+                f"{upper_position} of column {column}")
+        flits = self._flits.get(message_bits) or self._flit_count(message_bits)
+        first = self._vertical_link(column, lower_position, True)
+        end = first + 2 * (upper_position - lower_position)
+        busy = self._busy
+        latest = time
+        for link in range(first, end):
+            start = busy[link]
+            if start < time:
+                start = time
+            elif start > latest:
+                latest = start
+            busy[link] = start + flits
+        self._touched.update(range(first, end))
+        hops = end - first
+        self.meter.busy_cycles += flits * hops
+        self.bit_hops += message_bits * hops
+        self.switch_traversals += hops
+        return latest + self.hop_latency + flits - 1
 
     def utilization(self, elapsed_cycles: int) -> float:
         return self.meter.utilization(elapsed_cycles)

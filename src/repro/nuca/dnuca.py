@@ -26,6 +26,13 @@ The partial-tag array is updated synchronously with every insert, evict,
 and swap; the paper's "complex synchronization mechanism" guaranteeing
 that a search never misses an in-flight block is modelled by these
 atomic functional updates.
+
+Each parallel action is one step of the model.  The closest-two probe is
+one :meth:`~repro.interconnect.mesh.MeshNetwork.send_closest_two` call,
+and a promotion one :meth:`~repro.interconnect.mesh.MeshNetwork.transfer_between`
+call plus one partial-tag swap.  A block missed by the closest two is
+looked for only in the banks whose partial tag matches it: the array
+mirrors the banks, so no other bank can hold it.
 """
 
 from __future__ import annotations
@@ -98,15 +105,6 @@ class DynamicNUCA(L2Design):
                 lambda banks=self.banks[column]: sum(
                     bank.occupied_blocks for bank in banks))
 
-    # -- functional helpers ------------------------------------------------
-    def _find(self, column: int, set_index: int, tag: int) -> Optional[Tuple[int, int]]:
-        """(position, way) currently holding ``tag``, or None."""
-        for position in range(self.positions):
-            way = self.banks[column][position].probe(set_index, tag)
-            if way is not None:
-                return position, way
-        return None
-
     # -- the access path ----------------------------------------------------
     def access(self, addr: int, time: int, write: bool = False) -> L2Outcome:
         column, set_index, tag = self.addr_map.decompose(addr)
@@ -116,27 +114,23 @@ class DynamicNUCA(L2Design):
 
     def _lookup(self, column: int, set_index: int, tag: int, time: int,
                 write: bool) -> Tuple[L2Outcome, int]:
-        holder = self._find(column, set_index, tag)
-        pta = self.partial_tags[column]
-        all_matches = pta.matches(set_index, tag)
+        banks = self.banks[column]
         first_bank = column * self.positions
 
         # Probe the closest two banks (in parallel with the partial tags).
-        probe_done = {}
-        for position in CLOSEST_BANKS:
-            request_at, _ = self.network.send(column, position, time,
-                                              REQUEST_BITS, True)
-            probe_done[position] = self._bank_access(first_bank + position,
-                                                     request_at)
+        near_at, far_at = self.network.send_closest_two(column, time,
+                                                        REQUEST_BITS)
+        probe_done = (self._bank_access(first_bank, near_at),
+                      self._bank_access(first_bank + 1, far_at))
         banks_accessed = len(CLOSEST_BANKS)
-
-        if holder is not None and holder[0] in CLOSEST_BANKS:
-            position = holder[0]
-            outcome = self._hit(column, position, holder[1], set_index, tag,
-                                time, probe_done[position], write,
-                                close_hit=True)
-            self.stats.add("close_hits")
-            return outcome, banks_accessed
+        for position in CLOSEST_BANKS:
+            way = banks[position].probe(set_index, tag)
+            if way is not None:
+                outcome = self._hit(column, position, way, set_index, tag,
+                                    time, probe_done[position], write,
+                                    close_hit=True)
+                self.stats.add("close_hits")
+                return outcome, banks_accessed
 
         # Closest-two miss.  Miss acks flow back while the partial tags
         # direct (or rule out) a wider search.
@@ -145,8 +139,18 @@ class DynamicNUCA(L2Design):
                               False)[0]
             for p in CLOSEST_BANKS
         ]
+        # The partial tags mirror the banks, so a far block sits at the
+        # nearest partial-tag match whose bank holds it, if anywhere.
+        all_matches = self.partial_tags[column].matches(set_index, tag)
+        far = [p for p in all_matches if p not in CLOSEST_BANKS]
+        holder = None
+        for position in far:
+            way = banks[position].probe(set_index, tag)
+            if way is not None:
+                holder = position, way
+                break
         if self.config.use_partial_tags:
-            search_candidates = [p for p in all_matches if p not in CLOSEST_BANKS]
+            search_candidates = far
         else:
             # Ablation: no partial tags, so every remaining bank must be
             # searched and no miss can be declared early.
@@ -192,7 +196,7 @@ class DynamicNUCA(L2Design):
             search_done[position] = self._bank_access(first_bank + position,
                                                       request_at)
 
-        if holder is not None and holder[0] in search_done:
+        if holder is not None:
             position = holder[0]
             outcome = self._hit(column, position, holder[1], set_index, tag,
                                 time, search_done[position], write,
@@ -259,26 +263,16 @@ class DynamicNUCA(L2Design):
                  time: int) -> None:
         """Swap the hit block ``promotion_distance`` banks closer."""
         target = max(0, position - self.config.promotion_distance)
-        upper = self.banks[column][position]
-        lower = self.banks[column][target]
-        moving_tag, moving_dirty = upper.tag_at(set_index, way), upper.dirty_at(set_index, way)
-        displaced = lower.replace_way(set_index, way, moving_tag, moving_dirty)
-        upper.replace_way(set_index, way, displaced[0], displaced[1])
-        pta = self.partial_tags[column]
-        if moving_tag is not None:
-            pta.update(target, set_index, way, moving_tag)
-        if displaced[0] is not None:
-            pta.update(position, set_index, way, displaced[0])
-        else:
-            pta.clear(position, set_index, way)
+        banks = self.banks[column]
+        upper, lower = banks[position], banks[target]
+        displaced = lower.replace_way(set_index, way,
+                                      *upper.entry_at(set_index, way))
+        upper.replace_way(set_index, way, *displaced)
+        self.partial_tags[column].swap(set_index, way, target, position)
         # Two block transfers over every vertical link between the banks,
         # which briefly occupies both endpoint banks as well.
-        transfer_time = time
-        for hop in range(target + 1, position + 1):
-            self.network.transfer_between(column, hop, transfer_time,
-                                          BLOCK_BITS, upward=False)
-            self.network.transfer_between(column, hop, transfer_time,
-                                          BLOCK_BITS, upward=True)
+        self.network.transfer_between(column, target, position, time,
+                                      BLOCK_BITS)
         first_bank = column * self.positions
         self._bank_access(first_bank + position, time)
         self._bank_access(first_bank + target, time)

@@ -145,6 +145,7 @@ BANK_ENTRY_POINTS = {
     "probe": (lambda bank, s, w: bank.probe(s, 1), ("set",)),
     "tag_at": (lambda bank, s, w: bank.tag_at(s, w), ("set", "way")),
     "dirty_at": (lambda bank, s, w: bank.dirty_at(s, w), ("set", "way")),
+    "entry_at": (lambda bank, s, w: bank.entry_at(s, w), ("set", "way")),
     "lookup": (lambda bank, s, w: bank.lookup(s, 1), ("set",)),
     "insert": (lambda bank, s, w: bank.insert(s, 1), ("set",)),
     "install_all": (lambda bank, s, w: bank.install_all([(s, 1)]), ("set",)),
@@ -173,6 +174,15 @@ def test_out_of_range_index_raises(entry, axis, bad):
     with pytest.raises(IndexError):
         call(bank, set_index, way)
     assert [bank.tag_at(s, w) for s in range(4) for w in range(2)] == before
+
+
+def test_entry_at_reads_tag_and_dirty_bit_together():
+    bank = CacheBank(num_sets=2, ways=2)
+    bank.replace_way(1, 0, 7, dirty=True)
+    bank.replace_way(1, 1, 9)
+    assert bank.entry_at(1, 0) == (7, True)
+    assert bank.entry_at(1, 1) == (9, False)
+    assert bank.entry_at(0, 1) == (None, False)
 
 
 def test_frequency_aging_halves_only_its_own_set():

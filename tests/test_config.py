@@ -116,6 +116,20 @@ class TestBuildDesign:
         with pytest.raises(ConfigError, match="even number of stripe groups"):
             build_design("TLCopt500", banks=16, banks_per_block=16)
 
+    def test_dnuca_needs_two_mesh_rows(self):
+        """Every DNUCA lookup probes the closest two banks of its bank
+        set, so a one-row mesh is rejected when the cell is set up,
+        where it used to fail on the first access; SNUCA2 keeps one row."""
+        from repro.core.config import ConfigError
+        from repro.sim.system import run_system
+
+        with pytest.raises(ConfigError, match="closest two banks"):
+            run_system("DNUCA", "perl", n_refs=500, seed=7, mesh_rows=1,
+                       mesh_columns=16, banks=16)
+        one_row = build_design("SNUCA2", mesh_rows=1, mesh_columns=16,
+                               banks=16)
+        assert one_row.config.mesh_rows == 1
+
 
 class TestDesignVariant:
     def test_variant_builds_config_under_its_own_name(self):

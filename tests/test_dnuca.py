@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.nuca.dnuca import DynamicNUCA
 from repro.sim.memory import MainMemory
+from tests.call_counts import repro_calls_per_reference
 
 
 def make():
@@ -276,7 +277,8 @@ class TestInstall:
         for tag in range(1, 18):
             design.install(addr_for(design, 0, set_index=0, tag=tag))
         assert design.banks[0][15].probe(0, 17) is not None
-        assert design._find(0, 0, 16) is None  # displaced
+        # displaced
+        assert all(bank.probe(0, 16) is None for bank in design.banks[0])
 
 
 @settings(max_examples=20, deadline=None)
@@ -302,3 +304,14 @@ def test_partial_tags_always_consistent_with_banks(ops):
                     assert recorded is None
                 else:
                     assert recorded == stored & 0x3F
+
+
+@pytest.mark.parametrize("workload, bound", [("perl", 1.5), ("mcf", 2.5)])
+def test_a_dnuca_access_costs_little_more_than_a_tlc_access(workload, bound):
+    """The closest-two probe and a promotion are one mesh call each, and
+    the partial tags name the only banks a far block can sit in, so a
+    DNUCA reference costs at most ``bound`` times a TLC reference.
+    mcf, whose blocks sit far out and promote, gets the wider bound.
+    Call counts are deterministic, unlike timings on a shared host."""
+    tlc = repro_calls_per_reference("TLC", workload)
+    assert repro_calls_per_reference("DNUCA", workload) <= bound * tlc

@@ -161,6 +161,17 @@ class TestExpansion:
         assert name == "g-0001"
         assert "even number of stripe groups" in str(reason)
 
+    def test_on_invalid_skip_drops_a_one_row_dnuca(self):
+        doc = {"name": "d", "base": "DNUCA", "on_invalid": "skip",
+               "benchmarks": ["gcc"],
+               "axes": [{"values": [{"mesh_rows": 1, "banks": 16},
+                                    {"mesh_rows": 2, "banks": 32}]}]}
+        expansion = expand(validate_space_spec(doc))
+        assert [v.name for v in expansion.variants] == ["d-0001"]
+        [(name, reason)] = expansion.skipped
+        assert name == "d-0000"
+        assert "closest two banks" in str(reason)
+
     def test_on_invalid_raise_names_the_combination(self):
         doc = {"name": "r", "base": "SNUCA2", "benchmarks": ["gcc"],
                "axes": [{"field": "bank_access_cycles", "values": [2, 0]}]}

@@ -125,16 +125,17 @@ class TestContention:
         assert demand - idle_arrival(15, 0, REQUEST_BITS) == 0
 
     def test_transfer_between_adjacent_banks(self):
+        """A one-hop swap sends one block each way over the link joining
+        the two banks: two transfers, which do not wait for each other."""
         mesh = dnuca_mesh()
-        first, _ = mesh.transfer_between(5, 8, time=0, message_bits=BLOCK_BITS,
-                                         upward=True)
-        assert mesh.switch_traversals == 1  # one hop
-        assert first == 1
+        last = mesh.transfer_between(5, 7, 8, time=0, message_bits=BLOCK_BITS)
+        assert mesh.switch_traversals == 2  # one hop, each way
+        assert last == 1 + 3  # first flit after one hop, then 4 flits
 
     def test_transfer_between_validates_position(self):
         mesh = dnuca_mesh()
         with pytest.raises(IndexError):
-            mesh.transfer_between(5, 0, 0, BLOCK_BITS, upward=True)
+            mesh.transfer_between(5, 0, 0, 0, BLOCK_BITS)
 
 
 class TestAccounting:

@@ -38,7 +38,7 @@ def mesh_cases():
     for column, upper in ((-1, 1), (COLUMNS, 1), (0, -1), (0, ROWS)):
         yield pytest.param(
             "mesh", lambda mesh, c=column, u=upper: mesh.transfer_between(
-                c, u, 0, REQUEST_BITS, upward=True),
+                c, u - 1, u, 0, REQUEST_BITS),
             id=f"transfer_between-column{column}-upper{upper}")
 
 

@@ -101,6 +101,9 @@ ENTRY_POINTS = {
                ("position", "set", "way")),
     "matches": (lambda pta, p, s, w: pta.matches(s, 5), ("set",)),
     "first_empty": (lambda pta, p, s, w: pta.first_empty(s), ("set",)),
+    "swap": (lambda pta, p, s, w: pta.swap(s, w, p, 1),
+             ("position", "set", "way")),
+    "swap_other": (lambda pta, p, s, w: pta.swap(s, w, 1, p), ("position",)),
 }
 SIZES = {"position": 4, "set": 8, "way": 2}
 
@@ -125,6 +128,18 @@ def test_out_of_range_index_raises(entry, axis, bad):
              index.get("way", 0))
     assert [pta.stored(p, s, w) for p in range(4) for s in range(8)
             for w in range(2)] == before
+
+
+def test_swap_exchanges_two_positions_of_one_way():
+    pta = PartialTagArray(positions=3, num_sets=2, ways=2)
+    pta.update(0, 1, 1, 5)
+    pta.update(2, 1, 1, 70)
+    pta.update(2, 1, 0, 9)
+    pta.swap(1, 1, 0, 2)
+    assert [pta.stored(p, 1, 1) for p in range(3)] == [70 & 0x3F, None, 5]
+    assert pta.stored(2, 1, 0) == 9
+    pta.swap(1, 1, 2, 1)  # with an empty slot
+    assert [pta.stored(p, 1, 1) for p in range(3)] == [70 & 0x3F, 5, None]
 
 
 def test_first_empty_is_nearest_position_then_way():

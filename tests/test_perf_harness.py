@@ -188,6 +188,28 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare_benchmarks(document, document, fail_above_pct=-1)
 
+    def test_a_rise_in_calls_per_op_fails(self):
+        """Counts are deterministic, so a rise of more than 1 % fails
+        the gate even when the timing is unchanged."""
+        baseline = make_document()
+        baseline["benchmarks"]["link.transit"]["meta"]["calls_per_op"] = 20.0
+        for calls, regressed in ((20.2, False), (20.21, True), (19.0, False)):
+            current = copy.deepcopy(baseline)
+            current["benchmarks"]["link.transit"]["meta"]["calls_per_op"] = calls
+            comparisons, _ = compare_benchmarks(current, baseline)
+            verdict = {c.name: c for c in comparisons}["link.transit"]
+            assert verdict.calls_regressed is regressed
+            assert verdict.regressed is regressed
+            assert main_compare_exit_code(comparisons) == int(regressed)
+
+    def test_calls_need_a_baseline_count(self):
+        """A baseline entry without a count gates on timing alone."""
+        baseline = make_document()
+        current = copy.deepcopy(baseline)
+        current["benchmarks"]["link.transit"]["meta"]["calls_per_op"] = 99.0
+        comparisons, _ = compare_benchmarks(current, baseline)
+        assert main_compare_exit_code(comparisons) == 0
+
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
     def test_non_finite_threshold_rejected(self, threshold):
         """A NaN or infinite threshold would make every ratio compare
@@ -207,6 +229,14 @@ class TestSuite:
                          "mesh.transit", "workload.generate",
                          "system.refs_per_sec.tlc"):
             assert required in names
+
+    def test_calls_per_op_do_not_depend_on_reps(self):
+        """The count is taken on a fresh build after the warm-up, outside
+        the timed reps."""
+        counts = [run_suite(quick=True, name_filter="l2.lookup.dnuca",
+                            reps=reps, pin=False)[0]["l2.lookup.dnuca"]
+                  .meta["calls_per_op"] for reps in (1, 3)]
+        assert counts[0] == counts[1] > 1
 
     def test_filtered_quick_run_produces_results(self):
         results, _ = run_suite(quick=True, name_filter="calibration",

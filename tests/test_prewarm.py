@@ -80,7 +80,8 @@ def install_historically(l2, addr):
     """One block, through the banks' public single-block API."""
     if isinstance(l2, DynamicNUCA):
         column, set_index, tag = l2.addr_map.decompose(addr)
-        if l2._find(column, set_index, tag) is not None:
+        if any(bank.probe(set_index, tag) is not None
+               for bank in l2.banks[column]):
             return
         pta = l2.partial_tags[column]
         for position, bank in enumerate(l2.banks[column]):

@@ -1,17 +1,11 @@
 """Tests for the optimized TLC designs (striping + partial tags)."""
 
-import os
-import sys
-
 import pytest
 
-import repro
 from repro.core.config import TLC_OPT_350, TLC_OPT_500, TLC_OPT_1000
 from repro.core.tlc_opt import OptimizedTLC
 from repro.sim.memory import MainMemory
-from repro.sim.system import System, prewarm_l2
-from repro.workloads.profiles import get_profile
-from repro.workloads.synthetic import generate_trace, resident_block_addresses
+from tests.call_counts import repro_calls_per_reference
 
 
 def make(config=TLC_OPT_500):
@@ -175,29 +169,6 @@ class TestReadWritePaths:
                 design.access(i * 64, time=i * 40)
             results[config.name] = design.link_utilization(50 * 40)
         assert results["TLCopt350"] > results["TLCopt1000"]
-
-
-def repro_calls_per_reference(design, benchmark="perl", n_refs=2_000):
-    """Calls into functions under ``src/repro`` per reference, counted
-    with ``sys.setprofile`` during ``System.run`` after pre-warm."""
-    spec = get_profile(benchmark).spec
-    trace = generate_trace(spec, n_refs, seed=7)
-    system = System(design)
-    prewarm_l2(system.l2, resident_block_addresses(spec))
-    root = os.path.dirname(repro.__file__) + os.sep
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_filename.startswith(root):
-            calls += 1
-
-    sys.setprofile(count)
-    try:
-        system.run(trace, benchmark=benchmark, warmup_refs=n_refs // 4)
-    finally:
-        sys.setprofile(None)
-    return calls / n_refs
 
 
 def test_a_tlcopt_access_costs_what_a_tlc_access_costs():
