@@ -17,7 +17,6 @@ from repro.analysis.tables import (
 from repro.analysis.figures import (
     grouped_bar_chart,
     horizontal_bar,
-    latency_histogram_sparkline,
 )
 from repro.analysis.report import build_report
 from repro.analysis.runner import (
@@ -48,7 +47,6 @@ __all__ = [
     "format_table",
     "grouped_bar_chart",
     "horizontal_bar",
-    "latency_histogram_sparkline",
     "build_report",
     "CellSpec",
     "ResultCache",

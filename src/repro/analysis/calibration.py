@@ -13,7 +13,7 @@ import dataclasses
 import math
 from typing import Dict, Optional
 
-from repro.analysis.experiments import ExperimentGrid, run_design_grid
+from repro.analysis.experiments import ExperimentGrid
 from repro.analysis.tables import PAPER_TABLE6
 from repro.workloads.profiles import get_profile
 
@@ -74,11 +74,3 @@ def grade_grid(grid: ExperimentGrid) -> Dict[str, CalibrationGrade]:
             paper_equivalent_rate=None,
         )
     return grades
-
-
-def grade_benchmark(benchmark: str, n_refs: int = 15_000,
-                    seed: int = 7) -> CalibrationGrade:
-    """Measure one benchmark's characteristics and grade them."""
-    grid = run_design_grid(designs=("TLC", "DNUCA"), benchmarks=(benchmark,),
-                           n_refs=n_refs, seed=seed)
-    return grade_grid(grid)[benchmark]

@@ -95,34 +95,3 @@ def grouped_bar_chart(series: Mapping[str, Mapping[str, float]],
     lines.append(f"legend: {legend}")
     return "\n".join(lines)
 
-
-def latency_histogram_sparkline(histogram, width: int = 60,
-                                title: str = "") -> str:
-    """Render a :class:`~repro.sim.stats.Histogram` as a density strip.
-
-    Buckets the histogram into ``width`` latency columns and shades each
-    by mass — a quick visual of lookup-latency concentration (TLC's is a
-    single spike; DNUCA's spreads).
-    """
-    # Sort defensively: Histogram.items() is sorted, but manifest bins
-    # and hand-built mappings come back in insertion order, and an
-    # unsorted view would put low/high at arbitrary values and drive
-    # the bucket index negative or past the strip.
-    items = sorted(histogram.items())
-    if not items:
-        return (title + "\n" if title else "") + "(empty histogram)"
-    low = items[0][0]
-    high = items[-1][0]
-    span = max(1, high - low + 1)
-    buckets = [0] * min(width, span)
-    for value, count in items:
-        index = (value - low) * len(buckets) // span
-        buckets[index] += count
-    peak = max(buckets)
-    shades = " .:-=+*#%@"
-    strip = "".join(
-        shades[min(len(shades) - 1, (b * (len(shades) - 1)) // peak)]
-        for b in buckets)
-    header = f"{title}\n" if title else ""
-    return (f"{header}[{low:>4} cycles] {strip} [{high} cycles]  "
-            f"peak={peak} mean={histogram.mean:.1f}")

@@ -368,10 +368,5 @@ def _calibration_scale(current: Dict[str, Any], baseline: Dict[str, Any]) -> flo
     return base_spin / cur_spin
 
 
-def main_compare_exit_code(comparisons: List[Comparison]) -> int:
-    """0 when nothing regressed, 1 otherwise (the CLI's contract)."""
-    return 1 if any(c.regressed for c in comparisons) else 0
-
-
 if __name__ == "__main__":  # pragma: no cover - convenience entry point
     sys.exit("use `python -m repro perf` instead")

@@ -8,7 +8,7 @@ transistor inventory — and scale with design parameters so that other
 configurations can be explored.
 """
 
-from repro.area.cacti import bank_access_time_cycles, bank_area_m2, BankModel
+from repro.area.cacti import bank_access_time_cycles, bank_area_m2
 from repro.area.floorplan import (
     AreaReport,
     dnuca_area,
@@ -25,7 +25,6 @@ from repro.area.transistors import (
 __all__ = [
     "bank_access_time_cycles",
     "bank_area_m2",
-    "BankModel",
     "AreaReport",
     "dnuca_area",
     "snuca_area",

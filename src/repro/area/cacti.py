@@ -19,7 +19,6 @@ Two quantities feed the rest of the library:
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -78,24 +77,3 @@ def bank_area_m2(size_bytes: int, tech: Technology = TECH_45NM) -> float:
     bits = size_bytes * 8
     cell_area = bits * tech.sram_cell_area_m2
     return cell_area * peripheral_overhead_factor(size_bytes)
-
-
-@dataclasses.dataclass(frozen=True)
-class BankModel:
-    """Convenience bundle of a bank's derived physical properties."""
-
-    size_bytes: int
-    tech: Technology = TECH_45NM
-
-    @property
-    def access_cycles(self) -> int:
-        return bank_access_time_cycles(self.size_bytes, self.tech)
-
-    @property
-    def area_m2(self) -> float:
-        return bank_area_m2(self.size_bytes, self.tech)
-
-    @property
-    def width_m(self) -> float:
-        """Edge length assuming a square bank."""
-        return math.sqrt(self.area_m2)

@@ -60,17 +60,8 @@ class TLCFloorplan:
     pair_line_lengths_m: Tuple[float, ...]
 
     @property
-    def min_line_m(self) -> float:
-        return min(self.pair_line_lengths_m)
-
-    @property
     def max_line_m(self) -> float:
         return max(self.pair_line_lengths_m)
-
-    def fits_table1_envelope(self, envelope_max_m: float = 0.013) -> bool:
-        """Do all runs fit the longest Table 1 geometry class?"""
-        return self.max_line_m <= envelope_max_m + 1e-12
-
 
 def build_floorplan(config: DesignConfig = TLC_BASE,
                     die_edge_m: float = DEFAULT_DIE_EDGE_M,

@@ -4,8 +4,6 @@ from repro.cache.address import AddressMap, block_address
 from repro.cache.replacement import (
     LRUPolicy,
     LIPPolicy,
-    FrequencyPolicy,
-    RandomPolicy,
     make_policy,
 )
 from repro.cache.bank import CacheBank, AccessResult
@@ -16,8 +14,6 @@ __all__ = [
     "block_address",
     "LRUPolicy",
     "LIPPolicy",
-    "FrequencyPolicy",
-    "RandomPolicy",
     "make_policy",
     "CacheBank",
     "AccessResult",

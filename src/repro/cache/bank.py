@@ -51,8 +51,7 @@ class CacheBank:
     ways:
         Associativity.  DNUCA banks are direct-mapped (``ways=1``).
     policy:
-        Replacement policy name: ``lru`` (TLC default), ``lip``,
-        ``frequency``, or ``random``.
+        Replacement policy name: ``lru`` (TLC default) or ``lip``.
     """
 
     def __init__(self, num_sets: int, ways: int, policy: str = "lru") -> None:
@@ -60,7 +59,6 @@ class CacheBank:
             raise ValueError("num_sets and ways must be positive")
         self.num_sets = num_sets
         self.ways = ways
-        self.policy_name = policy
         self.policy = make_policy(policy, ways, num_sets)
         slots = num_sets * ways
         self._tags: List[Optional[int]] = [None] * slots
@@ -99,9 +97,6 @@ class CacheBank:
     def tag_at(self, set_index: int, way: int) -> Optional[int]:
         """The tag stored in (set, way), or None if the slot is empty."""
         return self._tags[self._slot(set_index, way)]
-
-    def dirty_at(self, set_index: int, way: int) -> bool:
-        return bool(self._dirty[self._slot(set_index, way)])
 
     def entry_at(self, set_index: int, way: int) -> Tuple[Optional[int], bool]:
         """The ``(tag, dirty)`` pair stored in (set, way), in one call.
@@ -208,17 +203,6 @@ class CacheBank:
         for slot, tag in zip(slots.tolist(), tags.tolist()):
             stored[slot] = tag
         self.policy.stamp_fresh(slots, stamps, clock)
-
-    def invalidate(self, set_index: int, tag: int) -> Tuple[bool, bool]:
-        """Remove ``tag`` if present.  Returns (was_present, was_dirty)."""
-        way = self.probe(set_index, tag)
-        if way is None:
-            return (False, False)
-        slot = set_index * self.ways + way
-        was_dirty = bool(self._dirty[slot])
-        self._tags[slot] = None
-        self._dirty[slot] = 0
-        return (True, was_dirty)
 
     def replace_way(self, set_index: int, way: int, tag: Optional[int],
                     dirty: bool = False) -> Tuple[Optional[int], bool]:

@@ -38,9 +38,9 @@ class PartialTagArray:
     ``positions`` is the number of banks covered (16 for a DNUCA bank
     set) and ``ways`` the associativity of each covered bank.  Entries
     are kept consistent by the owning cache model calling
-    :meth:`update` / :meth:`swap` (or :meth:`clear`) whenever it moves
-    blocks — the paper's "significant complexity" of keeping partial
-    tags coherent during migration is exactly this bookkeeping.  Since
+    :meth:`update` / :meth:`swap` whenever it moves blocks — the
+    paper's "significant complexity" of keeping partial tags coherent
+    during migration is exactly this bookkeeping.  Since
     the array mirrors the banks, a block can only sit at a position
     whose partial tag matches it: DNUCA finds a far block by probing
     only the positions :meth:`matches` names.
@@ -80,10 +80,6 @@ class PartialTagArray:
         """Record that (position, set, way) now holds ``tag``."""
         self._slots[self._slot(position, set_index, way)] = partial_tag(tag)
 
-    def clear(self, position: int, set_index: int, way: int) -> None:
-        """Record that (position, set, way) is now empty."""
-        self._slots[self._slot(position, set_index, way)] = _EMPTY
-
     def swap(self, set_index: int, way: int, position: int,
              other: int) -> None:
         """Exchange the entries of (position, set, way) and (other, set, way).
@@ -108,13 +104,12 @@ class PartialTagArray:
         value = self._slots[self._slot(position, set_index, way)]
         return None if value == _EMPTY else value
 
-    def matches(self, set_index: int, tag: int,
-                exclude: Tuple[int, ...] = ()) -> List[int]:
+    def matches(self, set_index: int, tag: int) -> List[int]:
         """Positions whose partial tags match ``tag`` in ``set_index``.
 
-        ``exclude`` lists positions already searched (DNUCA's closest two
-        banks), which are skipped.  The result is sorted by position so
-        searches proceed nearest-first.
+        The result is sorted by position so searches proceed
+        nearest-first; a caller that has already searched some positions
+        (DNUCA's closest two banks) skips them itself.
         """
         start = self._start(set_index)
         end = start + self._row
@@ -124,8 +119,7 @@ class PartialTagArray:
         hit = slots.find(wanted, start, end)
         while hit >= 0:
             position = (hit - start) // ways
-            if position not in exclude:
-                found.append(position)
+            found.append(position)
             hit = slots.find(wanted, start + (position + 1) * ways, end)
         return found
 
@@ -153,7 +147,3 @@ class PartialTagArray:
         """
         np.frombuffer(self._slots, dtype=np.uint8)[slots] = (
             tags & PARTIAL_TAG_MASK)
-
-    def storage_bits(self) -> int:
-        """Total storage the array would occupy in hardware, in bits."""
-        return self.positions * self.num_sets * self.ways * PARTIAL_TAG_BITS

@@ -2,8 +2,10 @@
 
 The paper's TLC designs use LRU (Table 3), while DNUCA's generational
 promotion acts like a frequency policy — the comparison between the two
-is the root cause of the equake anomaly discussed in Section 6.1.  To
-support the replacement-policy ablation, banks take a pluggable policy.
+is the root cause of the equake anomaly discussed in Section 6.1.  The
+replacement ablation gives TLC LIP, the set-associative analogue of
+DNUCA's insert-at-the-tail policy, so banks take one of two policies:
+``lru`` and ``lip``.
 
 A policy instance holds the replacement state of *every* set of one
 bank, in flat per-slot arrays: the slot of (set, way) is
@@ -15,9 +17,7 @@ takes the set's first slot and returns a way.  With the default
 
 from __future__ import annotations
 
-import random
 from array import array
-from typing import Dict
 
 import numpy as np
 
@@ -70,41 +70,6 @@ class LRUPolicy:
         self._clock = int(clock)
 
 
-class FrequencyPolicy:
-    """Evicts the slot with the lowest access count (LFU with aging).
-
-    Counts are halved whenever the leader's count saturates, so stale
-    blocks eventually become evictable — the same qualitative behaviour
-    as DNUCA's promotion distance.  A count never exceeds
-    ``SATURATION``, so one byte per slot holds it.
-    """
-
-    SATURATION = 255
-
-    def __init__(self, ways: int, num_sets: int = 1) -> None:
-        _check_geometry(ways, num_sets)
-        self.ways = ways
-        self._counts = bytearray(ways * num_sets)
-
-    def touch(self, slot: int) -> None:
-        counts = self._counts
-        counts[slot] += 1
-        if counts[slot] >= self.SATURATION:
-            base = slot - slot % self.ways
-            end = base + self.ways
-            counts[base:end] = bytes(count // 2 for count in counts[base:end])
-
-    def victim(self, base: int = 0) -> int:
-        row = self._counts[base:base + self.ways]
-        return row.index(min(row))
-
-    def insert(self, slot: int) -> None:
-        # A freshly inserted block starts with a single use, so it cannot
-        # immediately displace a frequently accessed block but is itself
-        # the preferred victim until it proves useful.
-        self._counts[slot] = 1
-
-
 class LIPPolicy(LRUPolicy):
     """LRU with LRU-position insertion (LIP).
 
@@ -127,43 +92,14 @@ class LIPPolicy(LRUPolicy):
         self._stamps[slot] = self._floor
 
 
-class RandomPolicy:
-    """Evicts a uniformly random slot (baseline for the ablation).
-
-    Each set draws from its own generator, seeded ``seed + set index``
-    when the set first needs a victim, so one set's victims never depend
-    on another set's traffic.
-    """
-
-    def __init__(self, ways: int, num_sets: int = 1, seed: int = 0) -> None:
-        _check_geometry(ways, num_sets)
-        self.ways = ways
-        self.seed = seed
-        self._rngs: Dict[int, random.Random] = {}
-
-    def touch(self, slot: int) -> None:  # noqa: D401 - no state to update
-        """Random replacement keeps no use history."""
-
-    def victim(self, base: int = 0) -> int:
-        set_index = base // self.ways
-        rng = self._rngs.get(set_index)
-        if rng is None:
-            rng = self._rngs[set_index] = random.Random(self.seed + set_index)
-        return rng.randrange(self.ways)
-
-    insert = touch
-
-
 _POLICIES = {
     "lru": LRUPolicy,
     "lip": LIPPolicy,
-    "frequency": FrequencyPolicy,
-    "random": RandomPolicy,
 }
 
 
 def make_policy(name: str, ways: int, num_sets: int = 1):
-    """Construct policy ``name`` (``lru``/``lip``/``frequency``/``random``)."""
+    """Construct policy ``name`` (``lru`` or ``lip``)."""
     try:
         policy = _POLICIES[name]
     except KeyError:

@@ -315,10 +315,6 @@ class DesignConfig:
                       "mesh_hop_latency must be positive")
 
     @property
-    def total_bytes(self) -> int:
-        return self.banks * self.bank_bytes
-
-    @property
     def pairs(self) -> int:
         """Bank pairs sharing a link bundle (TLC family only)."""
         return self.banks // 2
@@ -588,7 +584,7 @@ def build_design(design: str, memory: Optional[MainMemory] = None,
     """Instantiate the simulator for design ``design``.
 
     ``overrides`` replace fields of the registered config (e.g.
-    ``replacement="frequency"`` for the ablation study, or ``name=...``
+    ``replacement="lip"`` for the ablation study, or ``name=...``
     plus axis fields for an exploration variant — the parameter is
     called ``design`` precisely so a ``name`` override stays available).
     """

@@ -32,7 +32,6 @@ from repro.explore.space import (
     Expansion,
     SpaceSpec,
     expand,
-    expand_variants,
     validate_space_spec,
 )
 
@@ -51,7 +50,6 @@ __all__ = [
     "SpaceSpec",
     "build_search_manifest",
     "expand",
-    "expand_variants",
     "leaderboard_artifact",
     "leaderboard_dataset",
     "render_leaderboard",

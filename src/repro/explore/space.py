@@ -415,8 +415,3 @@ def expand(spec: SpaceSpec) -> Expansion:
             f"space {spec.name}: every combination is unbuildable "
             f"({len(skipped)} skipped)")
     return Expansion(variants=tuple(variants), skipped=tuple(skipped))
-
-
-def expand_variants(spec: SpaceSpec) -> Tuple[DesignVariant, ...]:
-    """The expanded variants alone (see :func:`expand`)."""
-    return expand(spec).variants

@@ -393,12 +393,7 @@ class DynamicNUCA(L2Design):
             pta.fill_fresh(slots[start:start + count], tags[start:start + count])
             start += count
 
-    # -- reporting -----------------------------------------------------------
-    @property
-    def promotes_per_insert(self) -> float:
-        """Table 6, column 6: block promotions per insertion."""
-        return self.stats.ratio("promotions", "insertions")
-
+    # -- sanitizer wiring ----------------------------------------------------
     def _attach_sanitizer_extra(self, sanitizer) -> None:
         from repro.sanitizer.core import SanitizerViolation
 

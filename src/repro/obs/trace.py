@@ -68,10 +68,6 @@ class EventTracer:
         #: events rejected by the type filter.
         self.filtered = 0
 
-    def wants(self, event_type: str) -> bool:
-        """Whether an event of ``event_type`` would be recorded."""
-        return self.types is None or event_type in self.types
-
     def emit(self, event_type: str, time: int, **fields: Any) -> None:
         """Record one event (subject to the type filter / ring capacity).
 

@@ -91,19 +91,6 @@ class Histogram:
             raise ValueError("empty histogram has no max")
         return max(self._bins)
 
-    def fraction_at(self, value: int) -> float:
-        """Fraction of samples exactly equal to ``value``."""
-        if self._count == 0:
-            return 0.0
-        return self._bins.get(value, 0) / self._count
-
-    def fraction_at_most(self, value: int) -> float:
-        """Fraction of samples ``<= value``."""
-        if self._count == 0:
-            return 0.0
-        covered = sum(n for v, n in self._bins.items() if v <= value)
-        return covered / self._count
-
     def percentile(self, p: float) -> int:
         """The smallest value v with at least fraction ``p`` of mass ``<= v``.
 

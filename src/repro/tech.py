@@ -65,11 +65,6 @@ class Technology:
         return 1.0 / self.frequency_hz
 
     @property
-    def cycle_ps(self) -> float:
-        """Clock period in picoseconds."""
-        return self.cycle_s * 1e12
-
-    @property
     def wave_velocity(self) -> float:
         """Propagation velocity of an LC line in this dielectric, m/s."""
         return C_LIGHT / math.sqrt(self.dielectric_er)

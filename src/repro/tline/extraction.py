@@ -115,23 +115,6 @@ class LineParameters:
         shunt = np.where(np.abs(shunt) == 0.0, 1e-30, shunt)
         return np.sqrt(series / shunt)
 
-    def attenuation_np(self, freq_hz: float) -> float:
-        """One-way attenuation in nepers over the routed length."""
-        return float(np.real(self.gamma(freq_hz))) * self.geometry.length
-
-    def lc_transition_hz(self) -> float:
-        """Frequency above which the line is inductance-dominated (R = wL)."""
-        # Solve R(f) = 2*pi*f*L iteratively; R grows like sqrt(f) so the
-        # fixed point converges quickly.
-        freq = 1e9
-        for _ in range(60):
-            freq_next = float(self.r_per_m(freq)) / (2.0 * math.pi * self.l_per_m)
-            if abs(freq_next - freq) < 1e3:
-                break
-            freq = freq_next
-        return freq
-
-
 def extract(geometry: WireGeometry, tech: Technology = TECH_45NM) -> LineParameters:
     """Extract per-unit-length RLC for ``geometry`` in ``tech``'s dielectric."""
     er_e0 = tech.dielectric_er * EPS_0

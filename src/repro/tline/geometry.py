@@ -49,11 +49,6 @@ class WireGeometry:
         """Conductor cross-sectional area, m^2."""
         return self.width * self.thickness
 
-    @property
-    def aspect_ratio(self) -> float:
-        return self.thickness / self.width
-
-
 def _um(x: float) -> float:
     return x * 1e-6
 

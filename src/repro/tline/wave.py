@@ -51,10 +51,6 @@ class PulseResult:
         """Received pulse width as a fraction of the clock cycle."""
         return self.width_s / cycle_s
 
-    def delay_cycles(self, cycle_s: float) -> float:
-        return self.delay_s / cycle_s
-
-
 def trapezoid_pulse(time_s: np.ndarray, vdd: float, start_s: float,
                     bit_time_s: float, rise_s: float) -> np.ndarray:
     """A single trapezoidal pulse: rise, hold, fall.

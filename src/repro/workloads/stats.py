@@ -14,8 +14,6 @@ itself.
   pass over the trace.  For set-associative caches this is a lower
   bound (conflict misses add on top), so measured design miss ratios
   should straddle it.
-* :func:`mixture_summary` — per-region reference shares for traces
-  generated by :mod:`repro.workloads.synthetic`.
 """
 
 from __future__ import annotations
@@ -109,17 +107,6 @@ class TraceSummary:
     l2_refs_per_kinstr: float
     predicted_miss_ratio_16mb: float
 
-    def as_row(self) -> List[object]:
-        return [
-            self.references,
-            self.instructions,
-            f"{self.footprint_bytes / 2**20:.1f} MB",
-            f"{self.write_fraction:.0%}",
-            f"{self.dependent_fraction:.0%}",
-            f"{self.l2_refs_per_kinstr:.1f}",
-            f"{self.predicted_miss_ratio_16mb:.1%}",
-        ]
-
 
 def summarize(trace: List[Reference],
               cache_bytes: int = 16 * 2**20) -> TraceSummary:
@@ -140,30 +127,3 @@ def summarize(trace: List[Reference],
         predicted_miss_ratio_16mb=predict_miss_ratio(trace, cache_bytes),
     )
 
-
-def mixture_summary(trace: Iterable[Reference]) -> Dict[str, float]:
-    """Reference shares by generator region (hot / stream / cold).
-
-    Works on traces produced with ``scatter=False``; scattered traces
-    interleave the regions in physical address space, so region
-    attribution is only possible through the generator (use the spec's
-    mixture fractions directly there).
-    """
-    from repro.workloads.synthetic import (
-        _COLD_BASE_BLOCK,
-        _STREAM_BASE_BLOCK,
-    )
-    counts = {"hot": 0, "stream": 0, "cold": 0}
-    total = 0
-    for ref in trace:
-        block = ref.addr // BLOCK_BYTES
-        if block >= _COLD_BASE_BLOCK:
-            counts["cold"] += 1
-        elif block >= _STREAM_BASE_BLOCK:
-            counts["stream"] += 1
-        else:
-            counts["hot"] += 1
-        total += 1
-    if total == 0:
-        return {name: 0.0 for name in counts}
-    return {name: count / total for name, count in counts.items()}

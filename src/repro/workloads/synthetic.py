@@ -22,6 +22,7 @@ and fully determined by (spec, seed).
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import List
 
 import numpy as np
@@ -65,10 +66,18 @@ class TraceSpec:
     scatter: bool = True
 
     def __post_init__(self) -> None:
-        if self.mean_gap < 1.0:
-            raise ValueError("mean_gap must be at least 1 instruction")
-        if not 0.0 <= self.stream_fraction + self.cold_fraction <= 1.0:
+        if not (math.isfinite(self.mean_gap) and self.mean_gap >= 1.0):
+            raise ValueError("mean_gap must be a finite number of at least "
+                             "1 instruction")
+        for name in ("stream_fraction", "cold_fraction", "write_fraction",
+                     "dependent_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be a probability")
+        if self.stream_fraction + self.cold_fraction > 1.0:
             raise ValueError("mixture fractions must sum to at most 1")
+        if not (math.isfinite(self.hot_skew) and self.hot_skew >= 1.0):
+            raise ValueError("hot_skew must be a finite number of at least 1 "
+                             "(1.0 is uniform)")
         for name in ("hot_blocks", "stream_blocks", "cold_blocks",
                      "stream_interleave"):
             if getattr(self, name) <= 0:
@@ -87,13 +96,6 @@ class TraceSpec:
                 ("cold_blocks", _COLD_BASE_BLOCK, limit)):
             if base + getattr(self, name) > end:
                 raise ValueError(f"{name} must be at most {end - base}")
-        for name in ("write_fraction", "dependent_fraction"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be a probability")
-
-    @property
-    def hot_fraction(self) -> float:
-        return 1.0 - self.stream_fraction - self.cold_fraction
 
 
 # Disjoint base addresses for the three regions, far apart so the

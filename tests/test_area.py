@@ -3,7 +3,6 @@
 import pytest
 
 from repro.area.cacti import (
-    BankModel,
     bank_access_time_cycles,
     bank_area_m2,
     peripheral_overhead_factor,
@@ -44,11 +43,6 @@ class TestBankArea:
     def test_area_superlinear_at_small_sizes(self):
         """Eight 64 KB banks consume more area than one 512 KB bank."""
         assert 8 * bank_area_m2(64 * 1024) > bank_area_m2(512 * 1024)
-
-    def test_bank_model_bundle(self):
-        model = BankModel(512 * 1024)
-        assert model.access_cycles == 8
-        assert model.width_m == pytest.approx(model.area_m2 ** 0.5)
 
 
 class TestTable7:

@@ -1,7 +1,5 @@
 """Tests for the set-associative cache bank."""
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -71,12 +69,12 @@ class TestDirtyTracking:
         bank = CacheBank(num_sets=4, ways=2)
         bank.insert(0, 1)
         bank.lookup(0, 1, write=True)
-        assert bank.dirty_at(0, bank.probe(0, 1))
+        assert bank.entry_at(0, bank.probe(0, 1)) == (1, True)
 
     def test_clean_insert_not_dirty(self):
         bank = CacheBank(num_sets=4, ways=2)
         r = bank.insert(0, 1)
-        assert not bank.dirty_at(0, r.way)
+        assert bank.entry_at(0, r.way) == (1, False)
 
     def test_dirty_eviction_reported(self):
         bank = CacheBank(num_sets=4, ways=1)
@@ -102,17 +100,6 @@ class TestProbeAndInvalidate:
     def test_probe_missing(self):
         bank = CacheBank(num_sets=4, ways=2)
         assert bank.probe(0, 9) is None
-
-    def test_invalidate_present(self):
-        bank = CacheBank(num_sets=4, ways=2)
-        bank.insert(0, 1, dirty=True)
-        present, dirty = bank.invalidate(0, 1)
-        assert present and dirty
-        assert not bank.lookup(0, 1).hit
-
-    def test_invalidate_absent(self):
-        bank = CacheBank(num_sets=4, ways=2)
-        assert bank.invalidate(0, 1) == (False, False)
 
     def test_replace_way_returns_old_contents(self):
         bank = CacheBank(num_sets=4, ways=1)
@@ -144,12 +131,10 @@ class TestOccupancy:
 BANK_ENTRY_POINTS = {
     "probe": (lambda bank, s, w: bank.probe(s, 1), ("set",)),
     "tag_at": (lambda bank, s, w: bank.tag_at(s, w), ("set", "way")),
-    "dirty_at": (lambda bank, s, w: bank.dirty_at(s, w), ("set", "way")),
     "entry_at": (lambda bank, s, w: bank.entry_at(s, w), ("set", "way")),
     "lookup": (lambda bank, s, w: bank.lookup(s, 1), ("set",)),
     "insert": (lambda bank, s, w: bank.insert(s, 1), ("set",)),
     "install_all": (lambda bank, s, w: bank.install_all([(s, 1)]), ("set",)),
-    "invalidate": (lambda bank, s, w: bank.invalidate(s, 1), ("set",)),
     "replace_way": (lambda bank, s, w: bank.replace_way(s, w, 1),
                     ("set", "way")),
     "set_tag": (lambda bank, s, w: bank.set_tag(s, w, 1), ("set", "way")),
@@ -185,60 +170,27 @@ def test_entry_at_reads_tag_and_dirty_bit_together():
     assert bank.entry_at(0, 1) == (None, False)
 
 
-def test_frequency_aging_halves_only_its_own_set():
-    """Saturating one set's count halves every count of that set and of
-    no other set, as a per-set FrequencyPolicy would."""
-    bank = CacheBank(num_sets=4, ways=2, policy="frequency")
-    for set_index, (uses_of_10, uses_of_11) in {1: (40, 39), 2: (257, 130),
-                                                 3: (40, 39)}.items():
-        bank.insert(set_index, 10)
-        bank.insert(set_index, 11)
-        for _ in range(uses_of_11):
-            bank.lookup(set_index, 11)
-        for _ in range(uses_of_10):
-            bank.lookup(set_index, 10)
-    # Set 2 saturated at 255 and aged to [127, 65], then [130, 65]; unaged,
-    # 10 would pass 255 and 11 would stay at 131.
-    assert bank.insert(2, 12).evicted_tag == 11
-    # Sets 1 and 3 keep [41, 40]; halved, they would tie and evict 10.
-    assert bank.insert(1, 12).evicted_tag == 11
-    assert bank.insert(3, 12).evicted_tag == 11
-
-
 class ReferenceSet:
     """One set under the per-set semantics tests/test_replacement.py pins."""
 
-    def __init__(self, ways, policy, set_index):
-        self.ways, self.policy = ways, policy
+    def __init__(self, ways, policy):
+        self.policy = policy
         self.tags = [None] * ways
         self.dirty = [False] * ways
-        self.order = list(range(ways))  # LRU/LIP, MRU last
-        self.counts = [0] * ways        # frequency
-        self.rng = random.Random(set_index)
+        self.order = list(range(ways))  # MRU last
 
     def touch(self, way):
-        if self.policy == "frequency":
-            self.counts[way] += 1
-            if self.counts[way] >= 255:
-                self.counts = [c // 2 for c in self.counts]
-        elif self.policy in ("lru", "lip"):
-            self.order.remove(way)
-            self.order.append(way)
+        self.order.remove(way)
+        self.order.append(way)
 
     def insert_policy(self, way):
-        if self.policy == "frequency":
-            self.counts[way] = 1
-        elif self.policy == "lip":
+        if self.policy == "lip":
             self.order.remove(way)
             self.order.insert(0, way)
         else:
             self.touch(way)
 
     def victim(self):
-        if self.policy == "frequency":
-            return self.counts.index(min(self.counts))
-        if self.policy == "random":
-            return self.rng.randrange(self.ways)
         return self.order[0]
 
     def insert(self, tag, dirty):
@@ -257,19 +209,18 @@ ops = st.lists(st.one_of(
     st.tuples(st.just("access"), st.integers(0, 3), st.integers(0, 12),
               st.booleans()),
     st.tuples(st.just("install"), st.integers(0, 3), st.integers(0, 12)),
-    st.tuples(st.just("invalidate"), st.integers(0, 3), st.integers(0, 12)),
     st.tuples(st.just("replace_way"), st.integers(0, 3), st.integers(0, 2),
               st.one_of(st.none(), st.integers(0, 12)), st.booleans()),
 ), max_size=200)
 
 
 @settings(max_examples=200, deadline=None)
-@given(policy=st.sampled_from(["lru", "lip", "frequency", "random"]), ops=ops)
+@given(policy=st.sampled_from(["lru", "lip"]), ops=ops)
 def test_bank_matches_reference_model(policy, ops):
     """Model check: the flat bank equals per-set reference sets."""
     ways = 3
     bank = CacheBank(num_sets=4, ways=ways, policy=policy)
-    reference = [ReferenceSet(ways, policy, s) for s in range(4)]
+    reference = [ReferenceSet(ways, policy) for _ in range(4)]
 
     for op, set_index, *args in ops:
         model = reference[set_index]
@@ -292,14 +243,6 @@ def test_bank_matches_reference_model(policy, ops):
             if tag not in model.tags:
                 way = model.insert(tag, False)[0]
                 model.touch(way)
-        elif op == "invalidate":
-            (tag,) = args
-            present = tag in model.tags
-            was_dirty = present and model.dirty[model.tags.index(tag)]
-            assert bank.invalidate(set_index, tag) == (present, was_dirty)
-            if present:
-                way = model.tags.index(tag)
-                model.tags[way], model.dirty[way] = None, False
         else:
             way, tag, dirty = args
             if tag is not None and tag in model.tags:
@@ -311,9 +254,8 @@ def test_bank_matches_reference_model(policy, ops):
                 model.touch(way)
 
     for set_index, model in enumerate(reference):
-        assert [bank.tag_at(set_index, w) for w in range(ways)] == model.tags
-        assert [bank.dirty_at(set_index, w) for w in range(ways)] == model.dirty
-        if policy != "random":  # a random victim draw would advance the rng
-            # Includes never-touched sets and ways: LRU evicts the lowest
-            # untouched way first.
-            assert bank.policy.victim(set_index * ways) == model.victim()
+        assert ([bank.entry_at(set_index, w) for w in range(ways)]
+                == list(zip(model.tags, model.dirty)))
+        # Includes never-touched sets and ways: LRU evicts the lowest
+        # untouched way first.
+        assert bank.policy.victim(set_index * ways) == model.victim()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis.calibration import CalibrationGrade, grade_benchmark
+from repro.analysis.calibration import CalibrationGrade, grade_grid
+from repro.analysis.experiments import run_design_grid
 
 
 class TestGradeMath:
@@ -35,7 +36,9 @@ class TestGradeMath:
 def test_representative_benchmarks_calibrated(bench_name):
     """One benchmark from each behaviour class must grade within
     tolerance (full-suite grading runs in the benchmark harness)."""
-    grade = grade_benchmark(bench_name, n_refs=8_000)
+    grid = run_design_grid(designs=("TLC", "DNUCA"), benchmarks=(bench_name,),
+                           n_refs=8_000, seed=7)
+    grade = grade_grid(grid)[bench_name]
     assert grade.within(), (
         bench_name, grade.measured_tlc_mpki, grade.paper_tlc_mpki,
         grade.measured_close_hit, grade.paper_close_hit)

@@ -101,12 +101,23 @@ class TestBuildDesign:
         assert design.name == name
 
     def test_overrides_apply(self):
-        design = build_design("TLC", replacement="frequency")
-        assert design.config.replacement == "frequency"
+        design = build_design("TLC", replacement="lip")
+        assert design.config.replacement == "lip"
 
     def test_build_unknown_raises(self):
         with pytest.raises(ValueError):
             build_design("nope")
+
+    def test_removed_replacement_policies_are_refused(self):
+        """Only ``lru`` and ``lip`` remain; the error names both."""
+        from repro.core.config import ConfigError
+        from repro.sim.system import run_system
+
+        with pytest.raises(ConfigError, match=r"'frequency'.*\['lip', 'lru'\]"):
+            build_design("TLC", replacement="frequency")
+        with pytest.raises(ConfigError, match=r"'random'.*\['lip', 'lru'\]"):
+            run_system("TLC", "perl", replacement="random", n_refs=500,
+                       seed=7)
 
     def test_tlcopt_needs_an_even_number_of_stripe_groups(self):
         """16 banks in blocks of 16 leave one stripe group, whose

@@ -50,7 +50,7 @@ def test_single_field_mutation_is_typed(field, value, base):
         return
     # Accepted: the config must be internally consistent enough for the
     # derived quantities every model starts from.
-    assert config.total_bytes > 0
+    assert config.banks * config.bank_bytes > 0
     assert config.pairs >= 1
     if config.kind in ("tlc", "tlcopt"):
         assert isinstance(config.controller_rt_delays, tuple)

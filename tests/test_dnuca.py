@@ -108,7 +108,7 @@ class TestPromotion:
         design.access(addr, time=0)
         design.access(addr, time=10_000)
         design.access(addr, time=20_000)
-        assert design.promotes_per_insert == pytest.approx(2.0)
+        assert design.stats.ratio("promotions", "insertions") == pytest.approx(2.0)
 
 
 class TestSearchAndFastMiss:
@@ -191,7 +191,7 @@ class TestWritePath:
         addr = addr_for(design, 9, set_index=4, tag=33)
         design.access(addr, time=0, write=True)
         column = design.addr_map.bank_index(addr)
-        assert design.banks[column][15].dirty_at(4, 0)
+        assert design.banks[column][15].entry_at(4, 0) == (33, True)
         assert design.memory.stats["reads"] == 0  # full-block writeback
 
     def test_write_hit_promotes(self):

@@ -172,6 +172,18 @@ class TestExpansion:
         assert name == "d-0000"
         assert "closest two banks" in str(reason)
 
+    def test_a_removed_replacement_policy_is_unbuildable(self):
+        doc = {"name": "p", "base": "TLC", "benchmarks": ["gcc"],
+               "axes": [{"field": "replacement",
+                         "values": ["lru", "frequency", "lip"]}]}
+        with pytest.raises(ConfigError, match="combination 1"):
+            expand(validate_space_spec(doc))
+        expansion = expand(validate_space_spec(dict(doc, on_invalid="skip")))
+        assert [v.name for v in expansion.variants] == ["p-0000", "p-0002"]
+        [(name, reason)] = expansion.skipped
+        assert name == "p-0001"
+        assert "'frequency'" in reason and "['lip', 'lru']" in reason
+
     def test_on_invalid_raise_names_the_combination(self):
         doc = {"name": "r", "base": "SNUCA2", "benchmarks": ["gcc"],
                "axes": [{"field": "bank_access_cycles", "values": [2, 0]}]}

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.analysis.figures import (
-    grouped_bar_chart,
-    horizontal_bar,
-    latency_histogram_sparkline,
-)
-from repro.sim.stats import Histogram
+from repro.analysis.figures import grouped_bar_chart, horizontal_bar
 
 
 class TestHorizontalBar:
@@ -71,41 +66,3 @@ class TestGroupedBarChart:
         sequence`` from the label-width computation."""
         with pytest.raises(ValueError, match="at least one category"):
             grouped_bar_chart({"TLC": {"gcc": 1.0}}, [])
-
-
-class TestSparkline:
-    def test_empty_histogram(self):
-        assert "(empty histogram)" in latency_histogram_sparkline(Histogram())
-
-    def test_shows_range_and_mean(self):
-        h = Histogram()
-        for v in (10, 10, 10, 16):
-            h.record(v)
-        text = latency_histogram_sparkline(h, title="TLC")
-        assert "TLC" in text
-        assert "10" in text and "16" in text
-        assert "mean=11.5" in text
-
-    def test_peak_bucket_darkest(self):
-        h = Histogram()
-        h.record(0, 100)
-        h.record(50, 1)
-        text = latency_histogram_sparkline(h, width=10)
-        strip = text.split("] ")[1].split(" [")[0]
-        assert strip[0] == "@"  # peak shade at the concentrated bucket
-
-    def test_unsorted_mapping_matches_histogram(self):
-        """Regression: low/high came from the first/last of ``items()``
-        unsorted, so an insertion-ordered mapping (a manifest's bins, a
-        hand-built dict) crashed on a negative bucket index or rendered
-        a garbage range."""
-        from types import SimpleNamespace
-
-        h = Histogram()
-        for value, count in ((10, 3), (40, 1), (25, 2)):
-            h.record(value, count)
-        unsorted = SimpleNamespace(
-            items=lambda: [(40, 1), (10, 3), (25, 2)], mean=h.mean)
-        rendered = latency_histogram_sparkline(unsorted, width=12)
-        assert rendered == latency_histogram_sparkline(h, width=12)
-        assert "[  10 cycles]" in rendered and "[40 cycles]" in rendered

@@ -37,7 +37,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.storage import result_to_dict
-from repro.cache.partial_tags import partial_tag
+from repro.cache.partial_tags import _EMPTY, partial_tag
 from repro.core.config import (DNUCA, TLC_BASE, TLC_OPT_350, TLC_OPT_500,
                                TLC_OPT_1000, build_design)
 from repro.core.base import L2Outcome
@@ -413,8 +413,7 @@ class ProbeWalkDNUCA(DynamicNUCA):
         target = max(0, position - self.config.promotion_distance)
         upper = self.banks[column][position]
         lower = self.banks[column][target]
-        moving_tag = upper.tag_at(set_index, way)
-        moving_dirty = upper.dirty_at(set_index, way)
+        moving_tag, moving_dirty = upper.entry_at(set_index, way)
         displaced = lower.replace_way(set_index, way, moving_tag, moving_dirty)
         upper.replace_way(set_index, way, displaced[0], displaced[1])
         pta = self.partial_tags[column]
@@ -423,7 +422,8 @@ class ProbeWalkDNUCA(DynamicNUCA):
         if displaced[0] is not None:
             pta.update(position, set_index, way, displaced[0])
         else:
-            pta.clear(position, set_index, way)
+            # The array has no per-slot clear: write the empty byte.
+            pta._slots[pta._slot(position, set_index, way)] = _EMPTY
         for hop in range(target + 1, position + 1):
             self.network.transfer_hop(column, hop, time, BLOCK_BITS,
                                       upward=False)
@@ -652,8 +652,8 @@ def test_dnuca_matches_the_probe_walk(config, run):
 def dnuca_cases(design, column, set_index, tag, write, time):
     """Access ``design`` (a ProbeWalkDNUCA); name the cases it took."""
     holder = design._find(column, set_index, tag)
-    matches = design.partial_tags[column].matches(set_index, tag,
-                                                  exclude=CLOSEST_BANKS)
+    matches = [p for p in design.partial_tags[column].matches(set_index, tag)
+               if p not in CLOSEST_BANKS]
     before = design.stats.as_dict()
     outcome = design.access(design.addr_map.rebuild(tag, set_index, column),
                             time, write)

@@ -146,8 +146,6 @@ class TestEventTracer:
         tracer.emit("run.warmup_end", time=2)
         assert len(tracer) == 1
         assert tracer.filtered == 1
-        assert tracer.wants("l2.access")
-        assert not tracer.wants("run.warmup_end")
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):

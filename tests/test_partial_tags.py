@@ -3,11 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cache.partial_tags import (
-    PARTIAL_TAG_BITS,
-    PartialTagArray,
-    partial_tag,
-)
+from repro.cache.partial_tags import PartialTagArray, partial_tag
 
 
 class TestPartialTagFunction:
@@ -42,23 +38,11 @@ class TestPartialTagArray:
         pta.update(2, 0, 0, 0x01)
         assert pta.matches(0, 0x02) == []
 
-    def test_exclude_skips_positions(self):
-        pta = PartialTagArray(positions=4, num_sets=8)
-        pta.update(0, 0, 0, 7)
-        pta.update(3, 0, 0, 7)
-        assert pta.matches(0, 7, exclude=(0, 1)) == [3]
-
     def test_matches_sorted_nearest_first(self):
         pta = PartialTagArray(positions=8, num_sets=4)
         for position in (6, 2, 4):
             pta.update(position, 1, 0, 9)
         assert pta.matches(1, 9) == [2, 4, 6]
-
-    def test_clear_removes_entry(self):
-        pta = PartialTagArray(positions=4, num_sets=8)
-        pta.update(1, 0, 0, 7)
-        pta.clear(1, 0, 0)
-        assert pta.matches(0, 7) == []
 
     def test_multi_way_slots(self):
         pta = PartialTagArray(positions=2, num_sets=4, ways=2)
@@ -81,11 +65,6 @@ class TestPartialTagArray:
         with pytest.raises(IndexError):
             pta.update(0, 4, 0, 1)
 
-    def test_storage_bits_formula(self):
-        # DNUCA's structure: 16 banks x 1024 sets x 6 bits per bank set.
-        pta = PartialTagArray(positions=16, num_sets=1024)
-        assert pta.storage_bits() == 16 * 1024 * PARTIAL_TAG_BITS
-
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
             PartialTagArray(positions=0, num_sets=4)
@@ -95,8 +74,6 @@ class TestPartialTagArray:
 ENTRY_POINTS = {
     "update": (lambda pta, p, s, w: pta.update(p, s, w, 5),
                ("position", "set", "way")),
-    "clear": (lambda pta, p, s, w: pta.clear(p, s, w),
-              ("position", "set", "way")),
     "stored": (lambda pta, p, s, w: pta.stored(p, s, w),
                ("position", "set", "way")),
     "matches": (lambda pta, p, s, w: pta.matches(s, 5), ("set",)),

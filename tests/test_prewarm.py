@@ -29,7 +29,7 @@ from repro.sim.system import System, prewarm_l2
 from repro.workloads.synthetic import TraceSpec, resident_block_addresses
 from repro.workloads.trace import Reference
 
-POLICIES = ("lru", "lip", "frequency", "random")
+POLICIES = ("lru", "lip")
 
 #: (bank, set, tag) coordinates: few banks and sets, so sets overflow
 #: (DNUCA's 16 positions included) and blocks repeat; tags 64 apart
@@ -66,9 +66,7 @@ def state(l2):
     for bank in tag_banks(l2):
         fields = {name: typed(value) for name, value in vars(bank).items()
                   if name not in ("policy", "sanitizer")}
-        policy = {name: typed({key: rng.getstate()
-                               for key, rng in value.items()}
-                              if name == "_rngs" else value)
+        policy = {name: typed(value)
                   for name, value in vars(bank.policy).items()}
         banks.append((fields, policy, bank.touched_sets, list(bank.iter_sets())))
     partial = [{name: typed(value) for name, value in vars(pta).items()}
@@ -236,9 +234,6 @@ LOOP_CASES = {
     "repeated block": (lambda resident: np.append(resident, resident[3] + 1),
                        None, {}),
     "lip": (lambda resident: resident, None, {"replacement": "lip"}),
-    "frequency": (lambda resident: resident, None,
-                  {"replacement": "frequency"}),
-    "random": (lambda resident: resident, None, {"replacement": "random"}),
     "address beyond int64": (
         lambda resident: np.append(resident.astype(np.uint64),
                                    np.uint64(2**63 + 64 * 7)),

@@ -3,13 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cache.replacement import (
-    FrequencyPolicy,
-    LIPPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    make_policy,
-)
+from repro.cache.replacement import LIPPolicy, LRUPolicy, make_policy
 
 
 class TestLRU:
@@ -51,47 +45,6 @@ class TestLRU:
         assert p.victim() == reference[0]
 
 
-class TestFrequency:
-    def test_untouched_way_is_victim(self):
-        p = FrequencyPolicy(4)
-        p.touch(0)
-        p.touch(1)
-        p.touch(2)
-        assert p.victim() == 3
-
-    def test_least_frequent_evicted(self):
-        p = FrequencyPolicy(2)
-        for _ in range(5):
-            p.touch(0)
-        p.touch(1)
-        assert p.victim() == 1
-
-    def test_new_insert_preferred_victim_over_hot_block(self):
-        p = FrequencyPolicy(2)
-        for _ in range(10):
-            p.touch(0)
-        p.insert(1)
-        assert p.victim() == 1
-
-    def test_aging_halves_counts_at_saturation(self):
-        p = FrequencyPolicy(2)
-        for _ in range(FrequencyPolicy.SATURATION + 5):
-            p.touch(0)
-        # After aging, way 0's count is bounded, not monotonically huge.
-        assert p._counts[0] <= FrequencyPolicy.SATURATION
-
-    def test_frequency_retains_hot_block_against_stream(self):
-        """The equake effect: a frequently-touched way survives a stream
-        of single-use insertions, which LRU would not guarantee."""
-        p = FrequencyPolicy(4)
-        for _ in range(20):
-            p.touch(0)
-        for _ in range(10):
-            victim = p.victim()
-            assert victim != 0
-            p.insert(victim)
-
-
 class TestLIP:
     def test_insert_lands_at_lru(self):
         p = LIPPolicy(4)
@@ -121,25 +74,10 @@ class TestLIP:
             p.insert(victim)
 
 
-class TestRandom:
-    def test_victim_in_range(self):
-        p = RandomPolicy(4, seed=1)
-        for _ in range(50):
-            assert 0 <= p.victim() < 4
-
-    def test_deterministic_with_seed(self):
-        a = [RandomPolicy(8, seed=3).victim() for _ in range(10)]
-        b = [RandomPolicy(8, seed=3).victim() for _ in range(10)]
-        # Fresh policies with the same seed produce the same first victim.
-        assert a[0] == b[0]
-
-
 class TestFactory:
     @pytest.mark.parametrize("name,cls", [
         ("lru", LRUPolicy),
         ("lip", LIPPolicy),
-        ("frequency", FrequencyPolicy),
-        ("random", RandomPolicy),
     ])
     def test_make_policy(self, name, cls):
         assert isinstance(make_policy(name, 4), cls)

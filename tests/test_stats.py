@@ -70,19 +70,6 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram().min
 
-    def test_fraction_at(self):
-        h = Histogram()
-        h.record(10, 3)
-        h.record(20, 1)
-        assert h.fraction_at(10) == pytest.approx(0.75)
-        assert h.fraction_at(99) == 0.0
-
-    def test_fraction_at_most(self):
-        h = Histogram()
-        for v in (1, 2, 3, 4):
-            h.record(v)
-        assert h.fraction_at_most(2) == pytest.approx(0.5)
-
     def test_percentile(self):
         h = Histogram()
         for v in range(1, 11):

@@ -34,10 +34,6 @@ class TestTraceSpecValidation:
         with pytest.raises(ValueError):
             TraceSpec(mean_gap=10, stream_blocks=4, stream_interleave=8)
 
-    def test_hot_fraction_derived(self):
-        spec = TraceSpec(mean_gap=10, stream_fraction=0.3, cold_fraction=0.2)
-        assert spec.hot_fraction == pytest.approx(0.5)
-
     def test_region_beyond_int64_addresses_rejected(self):
         # 2**58 blocks of 64 bytes would take byte addresses past int64.
         with pytest.raises(ValueError, match="stream_blocks"):
@@ -60,6 +56,37 @@ class TestTraceSpecValidation:
         with pytest.raises(ValueError, match="cold_blocks"):
             TraceSpec(mean_gap=10.0, cold_blocks=largest + 1,
                       scatter=scatter)
+
+    @pytest.mark.parametrize("name, value, others", [
+        ("stream_fraction", -0.5, {"cold_fraction": 0.6}),
+        ("cold_fraction", -0.5, {"stream_fraction": 0.6}),
+        ("stream_fraction", 1.5, {"cold_fraction": -0.6}),
+        ("stream_fraction", float("nan"), {}),
+        ("cold_fraction", float("nan"), {}),
+    ], ids=["negative-stream", "negative-cold", "stream-above-one",
+            "nan-stream", "nan-cold"])
+    def test_each_mixture_fraction_is_a_probability(self, name, value,
+                                                    others):
+        """A sum in [0, 1] is not enough: from stream -0.5 and cold 0.6
+        the generator would draw a trace about 10 % cold, not 60 %."""
+        with pytest.raises(ValueError, match=name):
+            TraceSpec(mean_gap=10.0, **{name: value}, **others)
+
+    @pytest.mark.parametrize("gap", [float("nan"), float("inf")])
+    def test_mean_gap_must_be_finite(self, gap):
+        """From a NaN gap the generator would draw every gap as 1."""
+        with pytest.raises(ValueError, match="mean_gap"):
+            TraceSpec(mean_gap=gap)
+
+    @pytest.mark.parametrize("skew", [0.0, -1.0, 0.5, float("nan"),
+                                      float("inf")])
+    def test_hot_skew_must_be_finite_and_at_least_one(self, skew):
+        """The skew is defined from 1.0 (uniform) up.  Below it the
+        rank formula can leave the hot region: with 16 hot blocks,
+        skew 0 would draw rank 16 and skew -1 ranks in the tens of
+        thousands."""
+        with pytest.raises(ValueError, match="hot_skew"):
+            TraceSpec(mean_gap=10.0, hot_blocks=16, hot_skew=skew)
 
     def test_largest_regions_map_to_real_addresses(self):
         stream = TraceSpec(mean_gap=10.0, stream_fraction=0.5,
@@ -131,6 +158,18 @@ class TestGeneration:
                          dependent_fraction=0.9)
         for ref in generate_trace(spec, 2_000, seed=0):
             assert not (ref.write and ref.dependent)
+
+    def test_region_shares_follow_the_spec(self):
+        spec = TraceSpec(mean_gap=10.0, hot_blocks=1_000,
+                         stream_fraction=0.3, cold_fraction=0.2,
+                         scatter=False)
+        blocks = np.array([ref.addr // 64
+                           for ref in generate_trace(spec, 20_000, seed=2)])
+        stream = ((blocks >= 1 << 26) & (blocks < 1 << 27)).mean()
+        cold = (blocks >= 1 << 27).mean()
+        assert stream == pytest.approx(0.3, abs=0.02)
+        assert cold == pytest.approx(0.2, abs=0.02)
+        assert 1 - stream - cold == pytest.approx(0.5, abs=0.02)
 
     def test_pure_hot_spec_stays_in_hot_population(self):
         spec = TraceSpec(mean_gap=10.0, hot_blocks=256, scatter=False)

@@ -50,7 +50,7 @@ class TestRunSystem:
         assert a.l2_requests == b.l2_requests
 
     def test_design_overrides(self):
-        result = run_system("TLC", "perl", replacement="frequency", **SMALL)
+        result = run_system("TLC", "perl", replacement="lip", **SMALL)
         assert result.cycles > 0
 
     def test_prewarm_spec_warms_custom_traces(self):

@@ -18,7 +18,6 @@ class TestTechnologyBasics:
 
     def test_cycle_time_is_100ps(self):
         assert TECH_45NM.cycle_s == pytest.approx(100e-12)
-        assert TECH_45NM.cycle_ps == pytest.approx(100.0)
 
     def test_technology_is_immutable(self):
         with pytest.raises(Exception):

@@ -148,7 +148,7 @@ class TestReadWritePaths:
         group = design.groups[design.addr_map.bank_index(0x9000)]
         set_index = design.addr_map.set_index(0x9000)
         way = group.probe(set_index, design.addr_map.tag(0x9000))
-        assert group.dirty_at(set_index, way)
+        assert group.entry_at(set_index, way)[1]
 
     def test_dirty_eviction_writes_back(self):
         design = make()

@@ -78,12 +78,14 @@ class TestSkinEffect:
 class TestPropagationConstant:
     def test_attenuation_grows_with_frequency(self, lines):
         line = lines[-1]
-        assert line.attenuation_np(10e9) > line.attenuation_np(1e9)
+        assert line.gamma(10e9).real > line.gamma(1e9).real
 
     def test_attenuation_grows_with_length(self):
+        """One-way attenuation in nepers: Re(gamma) times the length."""
         short = extract(tl_geometry_for_length(0.005))
         long = extract(tl_geometry_for_length(0.013))
-        assert long.attenuation_np(5e9) > short.attenuation_np(5e9)
+        assert (long.gamma(5e9).real * long.geometry.length
+                > short.gamma(5e9).real * short.geometry.length)
 
     def test_gamma_imaginary_part_is_phase(self, lines):
         """At high frequency, Im(gamma) ~ omega/velocity."""
@@ -97,12 +99,6 @@ class TestPropagationConstant:
         line = lines[0]
         z_hi = complex(line.z0_complex(50e9))
         assert abs(z_hi) == pytest.approx(line.z0, rel=0.1)
-
-    def test_lc_transition_in_ghz_range(self, lines):
-        """The paper targets lines that are inductive at 10 GHz."""
-        for line in lines:
-            transition = line.lc_transition_hz()
-            assert 0.5e9 < transition < 10e9
 
 
 class TestDesignPointSensitivity:

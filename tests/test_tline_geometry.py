@@ -47,10 +47,6 @@ class TestGeometryProperties:
         g = TABLE1_LINES[0]
         assert g.cross_section_area == pytest.approx(2.0e-6 * 3.0e-6)
 
-    def test_aspect_ratio(self):
-        g = TABLE1_LINES[0]
-        assert g.aspect_ratio == pytest.approx(1.5)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             WireGeometry("bad", length=0.01, width=-1e-6, spacing=1e-6,

@@ -82,8 +82,6 @@ class TestPropagation:
             result.amplitude_v / 0.9)
         assert result.width_fraction(100e-12) == pytest.approx(
             result.width_s / 100e-12)
-        assert result.delay_cycles(100e-12) == pytest.approx(
-            result.delay_s / 100e-12)
 
     def test_deterministic(self, short_line):
         a = propagate_pulse(short_line, 1.0, 100e-12)

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.workloads.stats import (
     footprint,
-    mixture_summary,
     predict_miss_ratio,
     reuse_distance_histogram,
     summarize,
@@ -100,26 +99,6 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
-
-    def test_as_row_length_stable(self):
-        spec = TraceSpec(mean_gap=20.0, hot_blocks=64)
-        summary = summarize(generate_trace(spec, 500, seed=0))
-        assert len(summary.as_row()) == 7
-
-
-class TestMixtureSummary:
-    def test_shares_match_spec(self):
-        spec = TraceSpec(mean_gap=10.0, hot_blocks=1_000,
-                         stream_fraction=0.3, cold_fraction=0.2,
-                         scatter=False)
-        trace = generate_trace(spec, 8_000, seed=2)
-        mix = mixture_summary(trace)
-        assert mix["stream"] == pytest.approx(0.3, abs=0.03)
-        assert mix["cold"] == pytest.approx(0.2, abs=0.03)
-        assert mix["hot"] == pytest.approx(0.5, abs=0.03)
-
-    def test_empty(self):
-        assert mixture_summary([]) == {"hot": 0.0, "stream": 0.0, "cold": 0.0}
 
 
 @settings(max_examples=25, deadline=None)
