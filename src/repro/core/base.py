@@ -11,9 +11,16 @@ latency predictability, banks touched).
 
 Designs update *functional* state (which block lives where) immediately
 and compute *timing* through FIFO resource models, which is exact for
-the arrival-ordered request stream a single core produces.  The base
-class centralizes the statistics the evaluation section reports, so the
-experiment harness can treat every design uniformly:
+the arrival-ordered request stream a single core produces.  TLC, TLCopt
+and SNUCA2 make an access two steps in a row: a functional step makes
+every bank state change (the lookup, then the insert on a miss), and a
+timing step reads only what it left (the hit, whether the victim was
+dirty, and for a TLCopt read its partial-tag match count) and makes the
+access's sends, bank-port calls and memory calls in one pass.  DNUCA
+keeps one pass that interleaves its search and promotion with their
+sends.  The base class centralizes the statistics the evaluation
+section reports, so the experiment harness can treat every design
+uniformly:
 
 * ``stats``: requests, hits, misses, writebacks, bank accesses, ...
 * ``lookup_latencies``: Histogram feeding Fig. 6 (mean lookup latency)

@@ -63,83 +63,52 @@ class TransmissionLineCache(L2Design):
     # -- the access path ----------------------------------------------------
     def access(self, addr: int, time: int, write: bool = False) -> L2Outcome:
         bank_idx, set_index, tag = self.addr_map.decompose(addr)
-        pair = bank_idx // 2
         bank = self.banks[bank_idx]
+        # Functional step: a store writes its block dirty, a read miss
+        # refills it clean, evicting the set's LRU victim if needed.
+        hit = bank.lookup(set_index, tag, write).hit
+        writeback = (not hit
+                     and bank.insert(set_index, tag, dirty=write).evicted_dirty)
 
+        # Timing step: a store's or a refill's data reaches the bank at
+        # ``landed``.
+        network, pair = self.network, bank_idx // 2
         if write:
-            outcome = self._write(bank, bank_idx, pair, set_index, tag, time)
+            # Store/writeback: address and a full block ride the request
+            # link; no tag comparison is needed (exclusive write-back).
+            _, landed = network.send_request(
+                pair, time, REQUEST_BITS + BLOCK_BITS)
+            self._bank_access(bank_idx, landed)
+            outcome = L2Outcome(landed, hit, 0, predictable=True, write=True)
         else:
-            outcome = self._read(bank, bank_idx, pair, set_index, tag, time)
-        self._record(outcome, banks_accessed=1)
-        return outcome
-
-    def _read(self, bank: CacheBank, bank_idx: int, pair: int,
-              set_index: int, tag: int, time: int) -> L2Outcome:
-        request_at, _ = self.network.send_request(pair, time, REQUEST_BITS)
-        bank_done = self._bank_access(bank_idx, request_at)
-        lookup = bank.lookup(set_index, tag)
-        expected = self.network.uncontended_latency(pair)
-
-        if lookup.hit:
-            arrival = self.network.send_response(pair, bank_done, BLOCK_BITS)
-            latency = arrival - time
-            return L2Outcome(
-                complete_time=arrival,
-                hit=True,
-                lookup_latency=latency,
-                predictable=(latency == expected),
-            )
-
-        # Miss: the bank's tag compare fails; a short ack tells the
-        # controller, which fetches from memory and refills the bank.
-        miss_at = self.network.send_response(pair, bank_done, REQUEST_BITS)
-        latency = miss_at - time
-        mem_done = self.memory.read(miss_at)
-        self._refill(bank, bank_idx, pair, set_index, tag, mem_done)
-        return L2Outcome(
-            complete_time=mem_done,
-            hit=False,
-            lookup_latency=latency,
-            predictable=(latency == expected),
-        )
-
-    def _write(self, bank: CacheBank, bank_idx: int, pair: int,
-               set_index: int, tag: int, time: int) -> L2Outcome:
-        # Store/writeback: address and a full block ride the request link;
-        # no tag comparison is needed (exclusive write-back design).
-        _, data_at = self.network.send_request(
-            pair, time, REQUEST_BITS + BLOCK_BITS)
-        self._bank_access(bank_idx, data_at)
-        hit = bank.lookup(set_index, tag, write=True).hit
-        if not hit:
-            self._insert(bank, bank_idx, pair, set_index, tag,
-                         data_at, dirty=True)
-        return L2Outcome(
-            complete_time=data_at,
-            hit=hit,
-            lookup_latency=0,
-            predictable=True,
-            write=True,
-        )
-
-    def _refill(self, bank: CacheBank, bank_idx: int, pair: int,
-                set_index: int, tag: int, time: int) -> None:
-        """Install a block fetched from memory (occupies the request link)."""
-        _, refill_at = self.network.send_request(
-            pair, time, REQUEST_BITS + BLOCK_BITS, contend=False)
-        self._bank_access(bank_idx, refill_at, contend=False)
-        self._insert(bank, bank_idx, pair, set_index, tag,
-                     refill_at, dirty=False)
-
-    def _insert(self, bank: CacheBank, bank_idx: int, pair: int,
-                set_index: int, tag: int, time: int, dirty: bool) -> None:
-        result = bank.insert(set_index, tag, dirty=dirty)
-        if result.evicted_tag is not None and result.evicted_dirty:
-            # Victim writeback: block travels bank -> controller -> memory.
-            arrival = self.network.send_response(
-                pair, time, BLOCK_BITS, contend=False)
+            request_at, _ = network.send_request(pair, time, REQUEST_BITS)
+            bank_done = self._bank_access(bank_idx, request_at)
+            expected = network.uncontended_latency(pair)
+            if hit:
+                arrival = network.send_response(pair, bank_done, BLOCK_BITS)
+                latency = arrival - time
+                outcome = L2Outcome(arrival, True, latency, latency == expected)
+            else:
+                # Miss: the bank's tag compare fails; a short ack tells the
+                # controller, which fetches from memory and refills the
+                # bank over the request link.
+                miss_at = network.send_response(pair, bank_done, REQUEST_BITS)
+                latency = miss_at - time
+                mem_done = self.memory.read(miss_at)
+                _, landed = network.send_request(
+                    pair, mem_done, REQUEST_BITS + BLOCK_BITS, contend=False)
+                self._bank_access(bank_idx, landed, contend=False)
+                outcome = L2Outcome(mem_done, False, latency,
+                                    latency == expected)
+        if writeback:
+            # Victim writeback: the block leaves at ``landed`` and travels
+            # bank -> controller -> memory.
+            arrival = network.send_response(pair, landed, BLOCK_BITS,
+                                            contend=False)
             self.memory.write(arrival)
             self.stats.add("writebacks")
+        self._record(outcome, banks_accessed=1)
+        return outcome
 
     def bulk_install(self, addrs: Iterable[int]) -> None:
         install_interleaved(self.banks, self.addr_map, addrs)

@@ -116,97 +116,81 @@ class OptimizedTLC(L2Design):
     def access(self, addr: int, time: int, write: bool = False) -> L2Outcome:
         group_idx, set_index, tag = self.addr_map.decompose(addr)
         group = self.groups[group_idx]
+        # Functional step: a read counts the ways its partial tag matches,
+        # then a store writes its block dirty and a read miss refills it
+        # clean, evicting the set's LRU victim if needed.
+        if not write:
+            wanted = tag & PARTIAL_TAG_MASK
+            matches = 0
+            for stored in group.tags_of(set_index):
+                if stored is not None and stored & PARTIAL_TAG_MASK == wanted:
+                    matches += 1
+        hit = group.lookup(set_index, tag, write).hit
+        writeback = (not hit
+                     and group.insert(set_index, tag, dirty=write).evicted_dirty)
 
-        if write:
-            outcome = self._write(group, group_idx, set_index, tag, time)
-        else:
-            outcome = self._read(group, group_idx, set_index, tag, time)
-        self._record(outcome, banks_accessed=self.stripe_banks)
-        return outcome
-
-    def _read(self, group: CacheBank, group_idx: int, set_index: int,
-              tag: int, time: int) -> L2Outcome:
+        # Timing step: the new block's bank write ends at ``accepted``.
         network, link = self.network, group_idx >> 1
-        expected = 2 + self.config.bank_access_cycles + self._group_rt_delays[group_idx]
-        wanted = tag & PARTIAL_TAG_MASK
-        matches = 0
-        for stored in group.tags_of(set_index):
-            if stored is not None and stored & PARTIAL_TAG_MASK == wanted:
-                matches += 1
-        hit = group.lookup(set_index, tag).hit
-        _, ready = network.send_request(link, time, OPT_REQUEST_BITS)
-        done = self._bank_access(group_idx, ready)
-
-        if matches == 0:
-            # Clean partial-tag miss: every bank acks "no match".
-            miss_at = network.send_response(link, done, ACK_BITS)
-            return self._miss(group, group_idx, set_index, tag, miss_at,
-                              lookup_latency=miss_at - time,
-                              predictable=(miss_at - time == expected))
-
-        if matches == 1:
-            # Banks ship the (single) candidate's slices plus upper tag
-            # bits; the controller's full compare decides hit vs false hit.
-            response_bits = self._data_slice_bits + RESPONSE_OVERHEAD_BITS
-            arrival = network.send_response(link, done, response_bits)
-            latency = arrival - time
-            predictable = latency == expected
-            if hit:
-                return L2Outcome(arrival, True, latency, predictable)
-            self.stats.add("false_hits")
-            return self._miss(group, group_idx, set_index, tag, arrival,
-                              lookup_latency=latency, predictable=predictable)
-
-        # Multiple partial matches: candidates' tag bits come back first,
-        # then the controller re-requests the resolved way (if any).
-        self.stats.add("multi_partial_matches")
-        report_at = network.send_response(link, done, ACK_BITS * matches)
-        if not hit:
-            return self._miss(group, group_idx, set_index, tag, report_at,
-                              lookup_latency=report_at - time, predictable=False)
-        _, ready = network.send_request(link, report_at, OPT_REQUEST_BITS)
-        done = self._bank_access(group_idx, ready)
+        write_bits = OPT_REQUEST_BITS + self._data_slice_bits
         response_bits = self._data_slice_bits + RESPONSE_OVERHEAD_BITS
-        arrival = network.send_response(link, done, response_bits)
-        return L2Outcome(arrival, True, arrival - time, predictable=False)
-
-    def _miss(self, group: CacheBank, group_idx: int, set_index: int, tag: int,
-              miss_at: int, lookup_latency: int, predictable: bool) -> L2Outcome:
-        mem_done = self.memory.read(miss_at)
-        self._refill(group, group_idx, set_index, tag, mem_done, dirty=False)
-        return L2Outcome(mem_done, False, lookup_latency, predictable)
-
-    def _write(self, group: CacheBank, group_idx: int, set_index: int,
-               tag: int, time: int) -> L2Outcome:
-        # Stores carry their data slices on the request links and are
-        # written without any tag comparison (exclusive write-back).
-        write_bits = OPT_REQUEST_BITS + self._data_slice_bits
-        _, ready = self.network.send_request(group_idx >> 1, time, write_bits)
-        accepted = self._bank_access(group_idx, ready)
-        hit = group.lookup(set_index, tag, write=True).hit
-        if not hit:
-            self._insert(group, group_idx, set_index, tag, accepted, dirty=True)
-        return L2Outcome(accepted, hit, 0, predictable=True, write=True)
-
-    def _refill(self, group: CacheBank, group_idx: int, set_index: int,
-                tag: int, time: int, dirty: bool) -> None:
-        write_bits = OPT_REQUEST_BITS + self._data_slice_bits
-        _, ready = self.network.send_request(group_idx >> 1, time, write_bits,
-                                             contend=False)
-        accepted = self._bank_access(group_idx, ready, contend=False)
-        self._insert(group, group_idx, set_index, tag, accepted, dirty=dirty)
-
-    def _insert(self, group: CacheBank, group_idx: int, set_index: int,
-                tag: int, time: int, dirty: bool) -> None:
-        result = group.insert(set_index, tag, dirty=dirty)
-        if result.evicted_tag is not None and result.evicted_dirty:
+        if write:
+            # Stores carry their data slices on the request links and are
+            # written without any tag comparison (exclusive write-back).
+            _, ready = network.send_request(link, time, write_bits)
+            accepted = self._bank_access(group_idx, ready)
+            outcome = L2Outcome(accepted, hit, 0, predictable=True, write=True)
+        else:
+            expected = (2 + self.config.bank_access_cycles
+                        + self._group_rt_delays[group_idx])
+            _, ready = network.send_request(link, time, OPT_REQUEST_BITS)
+            done = self._bank_access(group_idx, ready)
+            if matches == 0:
+                # Clean partial-tag miss: every bank acks "no match".
+                answer_at = network.send_response(link, done, ACK_BITS)
+                predictable = answer_at - time == expected
+            elif matches == 1:
+                # Banks ship the (single) candidate's slices plus upper tag
+                # bits; the controller's full compare decides hit vs false
+                # hit.
+                answer_at = network.send_response(link, done, response_bits)
+                predictable = answer_at - time == expected
+                if not hit:
+                    self.stats.add("false_hits")
+            else:
+                # Multiple partial matches: candidates' tag bits come back
+                # first, then the controller re-requests the resolved way
+                # (if any).
+                self.stats.add("multi_partial_matches")
+                answer_at = network.send_response(link, done,
+                                                  ACK_BITS * matches)
+                predictable = False
+                if hit:
+                    _, ready = network.send_request(link, answer_at,
+                                                    OPT_REQUEST_BITS)
+                    done = self._bank_access(group_idx, ready)
+                    answer_at = network.send_response(link, done,
+                                                      response_bits)
+            if hit:
+                outcome = L2Outcome(answer_at, True, answer_at - time,
+                                    predictable)
+            else:
+                # A clean miss, a false hit or a multiple match with no
+                # hit: fetch from memory and refill every stripe bank.
+                mem_done = self.memory.read(answer_at)
+                _, ready = network.send_request(link, mem_done, write_bits,
+                                                contend=False)
+                accepted = self._bank_access(group_idx, ready, contend=False)
+                outcome = L2Outcome(mem_done, False, answer_at - time,
+                                    predictable)
+        if writeback:
             # Victim slices stream back from every stripe bank to memory,
-            # all leaving at ``time``.
-            response_bits = self._data_slice_bits + RESPONSE_OVERHEAD_BITS
-            arrival = self.network.send_response(
-                group_idx >> 1, time, response_bits, contend=False)
+            # all leaving at ``accepted``.
+            arrival = network.send_response(link, accepted, response_bits,
+                                            contend=False)
             self.memory.write(arrival)
             self.stats.add("writebacks")
+        self._record(outcome, banks_accessed=self.stripe_banks)
+        return outcome
 
     def bulk_install(self, addrs: Iterable[int]) -> None:
         install_interleaved(self.groups, self.addr_map, addrs)

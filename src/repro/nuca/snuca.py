@@ -69,65 +69,51 @@ class StaticNUCA(L2Design):
     # -- the access path --------------------------------------------------------
     def access(self, addr: int, time: int, write: bool = False) -> L2Outcome:
         bank_idx, set_index, tag = self.addr_map.decompose(addr)
-        column, position = self._grids[bank_idx]
         bank = self.banks[bank_idx]
+        # Functional step: a store writes its block dirty, a read miss
+        # refills it clean, evicting the set's LRU victim if needed.
+        hit = bank.lookup(set_index, tag, write).hit
+        writeback = (not hit
+                     and bank.insert(set_index, tag, dirty=write).evicted_dirty)
+
+        # Timing step: a store's bank write ends, or a refill's data
+        # reaches the bank, at ``landed``.
+        network, (column, position) = self.network, self._grids[bank_idx]
         t_inject = time + self.config.controller_overhead
-
         if write:
-            outcome = self._write(bank, bank_idx, column, position,
-                                  set_index, tag, t_inject)
+            _, data_at = network.send(column, position, t_inject,
+                                      REQUEST_BITS + BLOCK_BITS, True)
+            landed = self._bank_access(bank_idx, data_at)
+            outcome = L2Outcome(landed, hit, 0, predictable=True, write=True)
         else:
-            outcome = self._read(bank, bank_idx, column, position,
-                                 set_index, tag, time, t_inject)
-        self._record(outcome, banks_accessed=1)
-        return outcome
-
-    def _read(self, bank: CacheBank, bank_idx: int, column: int, position: int,
-              set_index: int, tag: int, time: int, t_inject: int) -> L2Outcome:
-        request_at, _ = self.network.send(column, position, t_inject,
-                                          REQUEST_BITS, True)
-        done = self._bank_access(bank_idx, request_at)
-        expected = self._uncontended[bank_idx]
-        if bank.lookup(set_index, tag).hit:
-            response_at, _ = self.network.send(column, position, done,
-                                               BLOCK_BITS, False)
-            latency = response_at - time
-            return L2Outcome(response_at, True, latency,
-                             predictable=(latency == expected))
-        ack_at, _ = self.network.send(column, position, done, REQUEST_BITS, False)
-        latency = ack_at - time
-        mem_done = self.memory.read(ack_at)
-        self._refill(bank, bank_idx, column, position, set_index, tag, mem_done)
-        return L2Outcome(mem_done, False, latency,
-                         predictable=(latency == expected))
-
-    def _write(self, bank: CacheBank, bank_idx: int, column: int, position: int,
-               set_index: int, tag: int, t_inject: int) -> L2Outcome:
-        _, data_at = self.network.send(column, position, t_inject,
-                                       REQUEST_BITS + BLOCK_BITS, True)
-        accepted = self._bank_access(bank_idx, data_at)
-        hit = bank.lookup(set_index, tag, write=True).hit
-        if not hit:
-            self._insert(bank, bank_idx, column, position, set_index, tag,
-                         accepted, dirty=True)
-        return L2Outcome(accepted, hit, 0, predictable=True, write=True)
-
-    def _refill(self, bank: CacheBank, bank_idx: int, column: int, position: int,
-                set_index: int, tag: int, time: int) -> None:
-        _, refill_at = self.network.send(column, position, time,
-                                         REQUEST_BITS + BLOCK_BITS, True, contend=False)
-        self._bank_access(bank_idx, refill_at, contend=False)
-        self._insert(bank, bank_idx, column, position, set_index, tag,
-                     refill_at, dirty=False)
-
-    def _insert(self, bank: CacheBank, bank_idx: int, column: int, position: int,
-                set_index: int, tag: int, time: int, dirty: bool) -> None:
-        result = bank.insert(set_index, tag, dirty=dirty)
-        if result.evicted_tag is not None and result.evicted_dirty:
-            _, writeback_at = self.network.send(column, position, time, BLOCK_BITS,
-                                                False, contend=False)
+            request_at, _ = network.send(column, position, t_inject,
+                                         REQUEST_BITS, True)
+            done = self._bank_access(bank_idx, request_at)
+            expected = self._uncontended[bank_idx]
+            if hit:
+                response_at, _ = network.send(column, position, done,
+                                              BLOCK_BITS, False)
+                latency = response_at - time
+                outcome = L2Outcome(response_at, True, latency,
+                                    latency == expected)
+            else:
+                ack_at, _ = network.send(column, position, done,
+                                         REQUEST_BITS, False)
+                latency = ack_at - time
+                mem_done = self.memory.read(ack_at)
+                _, landed = network.send(column, position, mem_done,
+                                         REQUEST_BITS + BLOCK_BITS, True,
+                                         contend=False)
+                self._bank_access(bank_idx, landed, contend=False)
+                outcome = L2Outcome(mem_done, False, latency,
+                                    latency == expected)
+        if writeback:
+            _, writeback_at = network.send(column, position, landed,
+                                           BLOCK_BITS, False, contend=False)
             self.memory.write(writeback_at)
             self.stats.add("writebacks")
+        self._record(outcome, banks_accessed=1)
+        return outcome
 
     def bulk_install(self, addrs: Iterable[int]) -> None:
         install_interleaved(self.banks, self.addr_map, addrs)

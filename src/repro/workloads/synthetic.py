@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from typing import List
 
 import numpy as np
@@ -80,7 +81,12 @@ class TraceSpec:
                              "(1.0 is uniform)")
         for name in ("hot_blocks", "stream_blocks", "cold_blocks",
                      "stream_interleave"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            # A fractional count makes the trace and its pre-warm
+            # disagree on the region's blocks; a bool is not a count.
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            if value <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.stream_interleave > self.stream_blocks:
             raise ValueError("stream_interleave cannot exceed stream_blocks")

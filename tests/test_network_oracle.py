@@ -15,6 +15,13 @@ send puts the message on each of its pairs' links in turn, and
 ``StripeWalkTLC`` sends, accesses a bank and responds once per stripe
 bank, with a busy-until per physical bank.
 
+TLC, TLCopt and SNUCA2 make an access's bank state changes first and
+then time it in one pass.  The oracles keep the helper per step that
+this replaced, each changing bank state next to its own sends: a read,
+a write, a refill and an insert (and TLCopt's miss).  ``StepwiseTLC``
+and ``StepwiseSNUCA`` run it on the per-link networks, and
+``StripeWalkTLC`` on its stripe walk.
+
 DNUCA's closest-two probe and promotion are one mesh call each, and its
 partial tags find a far block.  The oracle keeps the walks they
 replaced: the mesh sends the probe as two messages and a promotion hop
@@ -38,15 +45,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.storage import result_to_dict
 from repro.cache.partial_tags import _EMPTY, partial_tag
-from repro.core.config import (DNUCA, TLC_BASE, TLC_OPT_350, TLC_OPT_500,
-                               TLC_OPT_1000, build_design)
+from repro.core.config import (DNUCA, SNUCA2, TLC_BASE, TLC_OPT_350,
+                               TLC_OPT_500, TLC_OPT_1000, build_design)
 from repro.core.base import L2Outcome
 from repro.core.controller import TLCController
+from repro.core.tlc import TransmissionLineCache
 from repro.core.tlc_opt import (ACK_BITS, OPT_REQUEST_BITS,
                                 RESPONSE_OVERHEAD_BITS, OptimizedTLC)
 from repro.interconnect.mesh import MeshNetwork
 from repro.interconnect.message import BLOCK_BITS, REQUEST_BITS, flits_for_bits
 from repro.nuca.dnuca import CLOSEST_BANKS, DynamicNUCA
+from repro.nuca.snuca import StaticNUCA
 from repro.obs.manifest import RunObserver
 from repro.obs.registry import MetricsRegistry
 from repro.sim.system import run_system
@@ -229,6 +238,16 @@ class StripeWalkTLC(OptimizedTLC):
             super().__init__(config, *args, **kwargs)
         self._bank_busy_until = [0] * config.banks
 
+    def access(self, addr, time, write=False):
+        group_idx, set_index, tag = self.addr_map.decompose(addr)
+        group = self.groups[group_idx]
+        if write:
+            outcome = self._write(group, group_idx, set_index, tag, time)
+        else:
+            outcome = self._read(group, group_idx, set_index, tag, time)
+        self._record(outcome, banks_accessed=self.stripe_banks)
+        return outcome
+
     def _fan_out(self, group, time, request_bits, contend=True):
         """Send a request to every stripe bank; returns (bank, done) pairs."""
         results = []
@@ -282,6 +301,12 @@ class StripeWalkTLC(OptimizedTLC):
         arrival = self._gather(second, response_bits)
         return L2Outcome(arrival, True, arrival - time, predictable=False)
 
+    def _miss(self, group, group_idx, set_index, tag, miss_at, lookup_latency,
+              predictable):
+        mem_done = self.memory.read(miss_at)
+        self._refill(group, group_idx, set_index, tag, mem_done, dirty=False)
+        return L2Outcome(mem_done, False, lookup_latency, predictable)
+
     def _write(self, group, group_idx, set_index, tag, time):
         write_bits = OPT_REQUEST_BITS + self._data_slice_bits
         bank_dones = self._fan_out(group_idx, time, write_bits)
@@ -308,6 +333,139 @@ class StripeWalkTLC(OptimizedTLC):
                 self._data_slice_bits + RESPONSE_OVERHEAD_BITS,
                 contend=False)
             self.memory.write(arrival)
+            self.stats.add("writebacks")
+
+
+class StepwiseTLC(TransmissionLineCache):
+    """TLC as a helper per step, on an OracleController: a read or a
+    write, then a refill and an insert, each changing bank state next
+    to its own sends."""
+
+    def __init__(self, config=TLC_BASE, *args, **kwargs):
+        with mock.patch("repro.core.tlc.TLCController", OracleController):
+            super().__init__(config, *args, **kwargs)
+
+    def access(self, addr, time, write=False):
+        bank_idx, set_index, tag = self.addr_map.decompose(addr)
+        pair = bank_idx // 2
+        bank = self.banks[bank_idx]
+        if write:
+            outcome = self._write(bank, bank_idx, pair, set_index, tag, time)
+        else:
+            outcome = self._read(bank, bank_idx, pair, set_index, tag, time)
+        self._record(outcome, banks_accessed=1)
+        return outcome
+
+    def _read(self, bank, bank_idx, pair, set_index, tag, time):
+        request_at, _ = self.network.send_request(pair, time, REQUEST_BITS)
+        bank_done = self._bank_access(bank_idx, request_at)
+        lookup = bank.lookup(set_index, tag)
+        expected = self.network.uncontended_latency(pair)
+        if lookup.hit:
+            arrival = self.network.send_response(pair, bank_done, BLOCK_BITS)
+            latency = arrival - time
+            return L2Outcome(arrival, True, latency, latency == expected)
+        miss_at = self.network.send_response(pair, bank_done, REQUEST_BITS)
+        latency = miss_at - time
+        mem_done = self.memory.read(miss_at)
+        self._refill(bank, bank_idx, pair, set_index, tag, mem_done)
+        return L2Outcome(mem_done, False, latency, latency == expected)
+
+    def _write(self, bank, bank_idx, pair, set_index, tag, time):
+        _, data_at = self.network.send_request(
+            pair, time, REQUEST_BITS + BLOCK_BITS)
+        self._bank_access(bank_idx, data_at)
+        hit = bank.lookup(set_index, tag, write=True).hit
+        if not hit:
+            self._insert(bank, bank_idx, pair, set_index, tag, data_at,
+                         dirty=True)
+        return L2Outcome(data_at, hit, 0, predictable=True, write=True)
+
+    def _refill(self, bank, bank_idx, pair, set_index, tag, time):
+        _, refill_at = self.network.send_request(
+            pair, time, REQUEST_BITS + BLOCK_BITS, contend=False)
+        self._bank_access(bank_idx, refill_at, contend=False)
+        self._insert(bank, bank_idx, pair, set_index, tag, refill_at,
+                     dirty=False)
+
+    def _insert(self, bank, bank_idx, pair, set_index, tag, time, dirty):
+        result = bank.insert(set_index, tag, dirty=dirty)
+        if result.evicted_tag is not None and result.evicted_dirty:
+            arrival = self.network.send_response(pair, time, BLOCK_BITS,
+                                                 contend=False)
+            self.memory.write(arrival)
+            self.stats.add("writebacks")
+
+
+class StepwiseSNUCA(StaticNUCA):
+    """SNUCA2 as a helper per step, on an OracleMesh: a read or a write,
+    then a refill and an insert, each changing bank state next to its
+    own sends."""
+
+    def __init__(self, config=SNUCA2, *args, **kwargs):
+        with mock.patch("repro.nuca.snuca.MeshNetwork", OracleMesh):
+            super().__init__(config, *args, **kwargs)
+
+    def access(self, addr, time, write=False):
+        bank_idx, set_index, tag = self.addr_map.decompose(addr)
+        column, position = self._grids[bank_idx]
+        bank = self.banks[bank_idx]
+        t_inject = time + self.config.controller_overhead
+        if write:
+            outcome = self._write(bank, bank_idx, column, position,
+                                  set_index, tag, t_inject)
+        else:
+            outcome = self._read(bank, bank_idx, column, position,
+                                 set_index, tag, time, t_inject)
+        self._record(outcome, banks_accessed=1)
+        return outcome
+
+    def _read(self, bank, bank_idx, column, position, set_index, tag, time,
+              t_inject):
+        request_at, _ = self.network.send(column, position, t_inject,
+                                          REQUEST_BITS, True)
+        done = self._bank_access(bank_idx, request_at)
+        expected = self._uncontended[bank_idx]
+        if bank.lookup(set_index, tag).hit:
+            response_at, _ = self.network.send(column, position, done,
+                                               BLOCK_BITS, False)
+            latency = response_at - time
+            return L2Outcome(response_at, True, latency, latency == expected)
+        ack_at, _ = self.network.send(column, position, done, REQUEST_BITS,
+                                      False)
+        latency = ack_at - time
+        mem_done = self.memory.read(ack_at)
+        self._refill(bank, bank_idx, column, position, set_index, tag,
+                     mem_done)
+        return L2Outcome(mem_done, False, latency, latency == expected)
+
+    def _write(self, bank, bank_idx, column, position, set_index, tag,
+               t_inject):
+        _, data_at = self.network.send(column, position, t_inject,
+                                       REQUEST_BITS + BLOCK_BITS, True)
+        accepted = self._bank_access(bank_idx, data_at)
+        hit = bank.lookup(set_index, tag, write=True).hit
+        if not hit:
+            self._insert(bank, bank_idx, column, position, set_index, tag,
+                         accepted, dirty=True)
+        return L2Outcome(accepted, hit, 0, predictable=True, write=True)
+
+    def _refill(self, bank, bank_idx, column, position, set_index, tag, time):
+        _, refill_at = self.network.send(column, position, time,
+                                         REQUEST_BITS + BLOCK_BITS, True,
+                                         contend=False)
+        self._bank_access(bank_idx, refill_at, contend=False)
+        self._insert(bank, bank_idx, column, position, set_index, tag,
+                     refill_at, dirty=False)
+
+    def _insert(self, bank, bank_idx, column, position, set_index, tag, time,
+                dirty):
+        result = bank.insert(set_index, tag, dirty=dirty)
+        if result.evicted_tag is not None and result.evicted_dirty:
+            _, writeback_at = self.network.send(column, position, time,
+                                                BLOCK_BITS, False,
+                                                contend=False)
+            self.memory.write(writeback_at)
             self.stats.add("writebacks")
 
 
@@ -545,6 +703,14 @@ def test_controller_matches_per_link_oracle(config, messages):
 #: four ways sees clean misses, false hits and multiple partial matches.
 ALIASED_TAGS = (1, 2, 65, 66, 129, 130, 193)
 
+#: (time step, bank or group, set, tag, write?, reset stats after it?)
+#: accesses that open every access sequence below: four stores fill set
+#: 0 with dirty blocks and the stats reset, then a read miss and a write
+#: miss each evict a dirty block.
+DIRTY_VICTIMS = ((1, 0, 0, 1, True, 1), (1, 0, 0, 2, True, 1),
+                 (1, 0, 0, 65, True, 1), (1, 0, 0, 66, True, 0),
+                 (1, 0, 0, 129, False, 1), (1, 0, 0, 130, True, 1))
+
 #: (time step, group, set, tag, write?, reset stats after it?).
 tlcopt_accesses = st.lists(
     st.tuples(st.integers(0, 30), st.integers(0, 7), st.integers(0, 2),
@@ -552,9 +718,34 @@ tlcopt_accesses = st.lists(
               st.integers(0, 30)),
     min_size=1, max_size=120)
 
+#: (time step, bank, set, tag, write?, reset stats after it?).  Banks 0
+#: and 1 share a TLC link pair, as do 8 and 9; on SNUCA2's mesh, banks 0
+#: and 8 share column 0's links and all four share horizontal ones.
+interleaved_accesses = st.lists(
+    st.tuples(st.integers(0, 30), st.sampled_from((0, 1, 8, 9, 31)),
+              st.integers(0, 2), st.sampled_from(ALIASED_TAGS), st.booleans(),
+              st.integers(0, 30)),
+    min_size=1, max_size=120)
+
 
 def design_accounting(design):
-    return design.metrics.snapshot(), design.network_energy_j()
+    return (design.metrics.snapshot(), design.network_energy_j(),
+            design.memory.stats.as_dict())
+
+
+def replay_side_by_side(design, oracle, accesses, banks):
+    """Run ``accesses`` on both designs, comparing every outcome, then
+    their accounting; an access's bank index is taken modulo ``banks``."""
+    time = 0
+    for step, bank, set_index, tag, write, reset in accesses:
+        time += step
+        addr = design.addr_map.rebuild(tag, set_index, bank % banks)
+        assert (design.access(addr, time, write)
+                == oracle.access(addr, time, write))
+        if reset == 0:
+            design.reset_stats()
+            oracle.reset_stats()
+    assert design_accounting(design) == design_accounting(oracle)
 
 
 @pytest.mark.parametrize("config", [
@@ -568,18 +759,40 @@ def design_accounting(design):
 @given(accesses=tlcopt_accesses)
 def test_tlcopt_matches_the_stripe_walk(config, accesses):
     closed = OptimizedTLC(config)
-    walk = StripeWalkTLC(config)
+    replay_side_by_side(closed, StripeWalkTLC(config),
+                        DIRTY_VICTIMS + tuple(accesses), closed.num_groups)
+
+
+@pytest.mark.parametrize("design, oracle", [
+    (TransmissionLineCache, StepwiseTLC),
+    (StaticNUCA, StepwiseSNUCA),
+], ids=["TLC", "SNUCA2"])
+@settings(max_examples=60, deadline=None)
+@given(accesses=interleaved_accesses)
+def test_interleaved_designs_match_the_stepwise_access(design, oracle,
+                                                       accesses):
+    two_step = design()
+    replay_side_by_side(two_step, oracle(), DIRTY_VICTIMS + tuple(accesses),
+                        two_step.config.banks)
+
+
+@pytest.mark.parametrize("oracle", [
+    StepwiseTLC, StepwiseSNUCA, lambda: StripeWalkTLC(TLC_OPT_500)],
+    ids=["TLC", "SNUCA2", "TLCopt500"])
+def test_the_opening_accesses_evict_dirty_blocks_on_both_misses(oracle):
+    design = oracle()
+    outcomes = []
     time = 0
-    for step, group, set_index, tag, write, reset in accesses:
+    for step, bank, set_index, tag, write, reset in DIRTY_VICTIMS:
         time += step
-        addr = closed.addr_map.rebuild(tag, set_index,
-                                       group % closed.num_groups)
-        assert (closed.access(addr, time, write)
-                == walk.access(addr, time, write))
+        outcomes.append(design.access(
+            design.addr_map.rebuild(tag, set_index, bank), time, write))
         if reset == 0:
-            closed.reset_stats()
-            walk.reset_stats()
-    assert design_accounting(closed) == design_accounting(walk)
+            design.reset_stats()
+    assert [(o.hit, o.write) for o in outcomes[4:]] == [(False, False),
+                                                        (False, True)]
+    assert design.stats["writebacks"] == 2
+    assert design.memory.stats["writes"] == 2
 
 
 def test_the_stripe_walk_sees_every_corner_case():
@@ -703,16 +916,12 @@ def observed_run(design, workload):
 def test_designs_simulate_identically_with_the_oracle(design, workload,
                                                       monkeypatch):
     plain = observed_run(design, workload)
-    monkeypatch.setattr("repro.core.tlc.TLCController", OracleController)
-    monkeypatch.setattr("repro.core.tlc_opt.TLCController", OracleController)
+    monkeypatch.setattr("repro.core.tlc.TransmissionLineCache", StepwiseTLC)
     monkeypatch.setattr("repro.core.tlc_opt.OptimizedTLC", StripeWalkTLC)
-    monkeypatch.setattr("repro.nuca.snuca.MeshNetwork", OracleMesh)
-    monkeypatch.setattr("repro.nuca.dnuca.MeshNetwork", OracleMesh)
+    monkeypatch.setattr("repro.nuca.snuca.StaticNUCA", StepwiseSNUCA)
     monkeypatch.setattr("repro.nuca.dnuca.DynamicNUCA", ProbeWalkDNUCA)
     built = build_design(design)
     assert isinstance(built.network, (OracleController, OracleMesh))
-    assert (isinstance(built, StripeWalkTLC)
-            or not isinstance(built, OptimizedTLC))
-    assert (isinstance(built, ProbeWalkDNUCA)
-            or not isinstance(built, DynamicNUCA))
+    assert isinstance(built, (StepwiseTLC, StripeWalkTLC, StepwiseSNUCA,
+                              ProbeWalkDNUCA))
     assert observed_run(design, workload) == plain

@@ -88,6 +88,19 @@ class TestTraceSpecValidation:
         with pytest.raises(ValueError, match="hot_skew"):
             TraceSpec(mean_gap=10.0, hot_blocks=16, hot_skew=skew)
 
+    @pytest.mark.parametrize("name", ["hot_blocks", "stream_blocks",
+                                      "cold_blocks", "stream_interleave"])
+    @pytest.mark.parametrize("value", [10.5, 16.0, True])
+    def test_block_counts_must_be_integers(self, name, value):
+        """A fractional count disagrees with the pre-warm: hot_blocks=10.5
+        draws hot blocks 0-10 while the resident set installs blocks 9
+        down to -1, the last at byte address -64.  True is not a count."""
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            TraceSpec(mean_gap=10.0, **{name: value})
+
+    def test_numpy_block_counts_are_integers(self):
+        TraceSpec(mean_gap=10.0, hot_blocks=np.int64(16))
+
     def test_largest_regions_map_to_real_addresses(self):
         stream = TraceSpec(mean_gap=10.0, stream_fraction=0.5,
                            stream_blocks=2**26, scatter=False)
