@@ -12,8 +12,8 @@ per-slot arrays (:mod:`repro.cache.replacement`).  One more byte per set
 records whether the set has been *touched* — looked up, filled or
 overwritten — which is what :meth:`CacheBank.iter_sets` walks and the
 ``touched_sets`` gauge counts.  Every entry point checks its set and way
-indices, so a bad index raises ``IndexError`` instead of reaching
-another set's slots.
+indices inline, so a bad index raises ``IndexError`` instead of reaching
+another set's slots, and a good one costs no helper call.
 
 Pre-warming fresh banks has a closed form (:func:`install_interleaved`,
 :func:`fill_fresh_banks`); :meth:`CacheBank.install_all` is the
@@ -33,7 +33,8 @@ from repro.cache.replacement import LRUPolicy, make_policy
 
 
 class AccessResult(NamedTuple):
-    """Outcome of a bank access (a tuple, built on every lookup and insert)."""
+    """Outcome of a bank access: a tuple, which every insert builds, and
+    lookup picks from the ones its bank built up front."""
 
     hit: bool
     way: Optional[int] = None
@@ -67,23 +68,23 @@ class CacheBank:
         #: optional repro.sanitizer.Sanitizer (set by Sanitizer.watch_banks);
         #: receives one on_bank_insert per demand insert.
         self.sanitizer = None
+        # What lookup returns, built once: a miss, and a hit in each way.
+        self._miss = AccessResult(hit=False)
+        self._hits = tuple(map(AccessResult, itertools.repeat(True), range(ways)))
 
-    def _base(self, set_index: int) -> int:
-        """The first slot of ``set_index``, after a range check."""
-        if 0 <= set_index < self.num_sets:
-            return set_index * self.ways
-        raise IndexError(f"set index {set_index} out of range [0, {self.num_sets})")
-
-    def _slot(self, set_index: int, way: int) -> int:
-        """The slot of (set, way), after a range check of both."""
-        if 0 <= way < self.ways:
-            return self._base(set_index) + way
-        raise IndexError(f"way {way} out of range [0, {self.ways})")
+    def _index_error(self, set_index: int, way: int = 0) -> IndexError:
+        """The error for an out-of-range way or, failing that, set."""
+        if not 0 <= way < self.ways:
+            return IndexError(f"way {way} out of range [0, {self.ways})")
+        return IndexError(
+            f"set index {set_index} out of range [0, {self.num_sets})")
 
     # -- queries ---------------------------------------------------------
     def probe(self, set_index: int, tag: int) -> Optional[int]:
         """Return the way holding ``tag``, without touching LRU state."""
-        base = self._base(set_index)
+        if not 0 <= set_index < self.num_sets:
+            raise self._index_error(set_index)
+        base = set_index * self.ways
         try:
             return self._tags.index(tag, base, base + self.ways) - base
         except ValueError:
@@ -91,12 +92,16 @@ class CacheBank:
 
     def tags_of(self, set_index: int) -> List[Optional[int]]:
         """The tags of ``set_index``'s ways, a copy; None marks an empty slot."""
-        base = self._base(set_index)
+        if not 0 <= set_index < self.num_sets:
+            raise self._index_error(set_index)
+        base = set_index * self.ways
         return self._tags[base:base + self.ways]
 
     def tag_at(self, set_index: int, way: int) -> Optional[int]:
         """The tag stored in (set, way), or None if the slot is empty."""
-        return self._tags[self._slot(set_index, way)]
+        if not (0 <= set_index < self.num_sets and 0 <= way < self.ways):
+            raise self._index_error(set_index, way)
+        return self._tags[set_index * self.ways + way]
 
     def entry_at(self, set_index: int, way: int) -> Tuple[Optional[int], bool]:
         """The ``(tag, dirty)`` pair stored in (set, way), in one call.
@@ -104,22 +109,30 @@ class CacheBank:
         The tag is None if the slot is empty.  DNUCA's promotion reads
         the moving block this way.
         """
-        slot = self._slot(set_index, way)
+        if not (0 <= set_index < self.num_sets and 0 <= way < self.ways):
+            raise self._index_error(set_index, way)
+        slot = set_index * self.ways + way
         return self._tags[slot], bool(self._dirty[slot])
 
     # -- state-changing accesses ----------------------------------------
     def lookup(self, set_index: int, tag: int, write: bool = False) -> AccessResult:
-        """Look up ``tag``; on a hit, update replacement state (and dirty)."""
-        base = self._base(set_index)
+        """Look up ``tag``; on a hit, update replacement state (and dirty).
+
+        The result is one of the bank's shared, immutable
+        :class:`AccessResult` tuples.
+        """
+        if not 0 <= set_index < self.num_sets:
+            raise self._index_error(set_index)
+        base = set_index * self.ways
         self._touched[set_index] = 1
         try:
             slot = self._tags.index(tag, base, base + self.ways)
         except ValueError:
-            return AccessResult(hit=False)
+            return self._miss
         self.policy.touch(slot)
         if write:
             self._dirty[slot] = 1
-        return AccessResult(hit=True, way=slot - base)
+        return self._hits[slot - base]
 
     def insert(self, set_index: int, tag: int, dirty: bool = False) -> AccessResult:
         """Insert ``tag``, evicting the policy's victim if the set is full.
@@ -127,7 +140,9 @@ class CacheBank:
         Returns an :class:`AccessResult` whose ``way`` is the filled slot
         and whose ``evicted_tag``/``evicted_dirty`` describe any victim.
         """
-        base = self._base(set_index)
+        if not 0 <= set_index < self.num_sets:
+            raise self._index_error(set_index)
+        base = set_index * self.ways
         self._touched[set_index] = 1
         row = self._tags[base:base + self.ways]
         if tag in row:
@@ -165,8 +180,7 @@ class CacheBank:
         victim, insert, touch = policy.victim, policy.insert, policy.touch
         for set_index, tag in pairs:
             if not 0 <= set_index < num_sets:
-                raise IndexError(
-                    f"set index {set_index} out of range [0, {num_sets})")
+                raise self._index_error(set_index)
             touched[set_index] = 1
             base = set_index * ways
             row = tags[base:base + ways]
@@ -210,7 +224,9 @@ class CacheBank:
 
         Returns the (tag, dirty) pair previously in the slot.
         """
-        slot = self._slot(set_index, way)
+        if not (0 <= set_index < self.num_sets and 0 <= way < self.ways):
+            raise self._index_error(set_index, way)
+        slot = set_index * self.ways + way
         self._touched[set_index] = 1
         old = (self._tags[slot], bool(self._dirty[slot]))
         self._tags[slot] = tag
@@ -226,7 +242,9 @@ class CacheBank:
         sanitizer's ``double_install`` fault uses it to corrupt a set
         the way a buggy install path would.
         """
-        self._tags[self._slot(set_index, way)] = tag
+        if not (0 <= set_index < self.num_sets and 0 <= way < self.ways):
+            raise self._index_error(set_index, way)
+        self._tags[set_index * self.ways + way] = tag
 
     def iter_sets(self):
         """Yield ``(set_index, tags, dirty)`` for every touched set.

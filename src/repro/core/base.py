@@ -27,6 +27,12 @@ uniformly:
   and Table 6's predictable-lookup percentage.
 * ``network_energy_j``: accumulated interconnect energy for Table 9.
 
+The access path keeps this tally without a helper call per count:
+:meth:`L2Design._record` and the designs increment the live mappings
+themselves, ``stats.counts[name] += 1`` and
+``lookup_latencies.bins[latency] += 1``, and the histogram's count and
+mean are summed over its bins when read.
+
 The bank-port model (:meth:`L2Design._bank_access`) is shared too.  Each
 design keeps its interconnect in ``self.network`` and asks it only for
 arrival cycles; the network owns its counters and energy.
@@ -157,8 +163,9 @@ class L2Design(abc.ABC):
         ``bank`` indexes the design's flat list ``_bank_busy_until``:
         ``[0] * config.banks``, except in TLCopt, whose stripe banks move
         in lockstep and share one entry per stripe group.
-        ``contend=False`` (refills arriving from memory) models the port
-        time without reserving the bank against earlier demand requests.
+        ``contend=False`` (DNUCA's insertions arriving from memory) models
+        the port time without reserving the bank against earlier demand
+        requests.
         """
         if not contend:
             return ready + self.config.bank_access_cycles
@@ -169,21 +176,22 @@ class L2Design(abc.ABC):
 
     # -- shared bookkeeping ------------------------------------------------
     def _record(self, outcome: L2Outcome, banks_accessed: int) -> None:
-        self.stats.add("requests")
-        self.stats.add("bank_accesses", banks_accessed)
+        counts = self.stats.counts
+        counts["requests"] += 1
+        counts["bank_accesses"] += banks_accessed
         if outcome.write:
-            self.stats.add("writes")
+            counts["writes"] += 1
         else:
-            self.stats.add("reads")
+            counts["reads"] += 1
             if outcome.hit:
                 # Fig. 6 plots the latency of lookups that return data.
-                self.lookup_latencies.record(outcome.lookup_latency)
+                self.lookup_latencies.bins[outcome.lookup_latency] += 1
             if outcome.predictable:
-                self.stats.add("predictable_lookups")
+                counts["predictable_lookups"] += 1
         if outcome.hit:
-            self.stats.add("hits")
+            counts["hits"] += 1
         else:
-            self.stats.add("misses")
+            counts["misses"] += 1
         if self.sanitizer is not None:
             self.sanitizer.on_access(outcome.complete_time)
 

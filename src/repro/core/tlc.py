@@ -97,7 +97,6 @@ class TransmissionLineCache(L2Design):
                 mem_done = self.memory.read(miss_at)
                 _, landed = network.send_request(
                     pair, mem_done, REQUEST_BITS + BLOCK_BITS, contend=False)
-                self._bank_access(bank_idx, landed, contend=False)
                 outcome = L2Outcome(mem_done, False, latency,
                                     latency == expected)
         if writeback:
@@ -106,7 +105,7 @@ class TransmissionLineCache(L2Design):
             arrival = network.send_response(pair, landed, BLOCK_BITS,
                                             contend=False)
             self.memory.write(arrival)
-            self.stats.add("writebacks")
+            self.stats.counts["writebacks"] += 1
         self._record(outcome, banks_accessed=1)
         return outcome
 

@@ -155,12 +155,12 @@ class OptimizedTLC(L2Design):
                 answer_at = network.send_response(link, done, response_bits)
                 predictable = answer_at - time == expected
                 if not hit:
-                    self.stats.add("false_hits")
+                    self.stats.counts["false_hits"] += 1
             else:
                 # Multiple partial matches: candidates' tag bits come back
                 # first, then the controller re-requests the resolved way
                 # (if any).
-                self.stats.add("multi_partial_matches")
+                self.stats.counts["multi_partial_matches"] += 1
                 answer_at = network.send_response(link, done,
                                                   ACK_BITS * matches)
                 predictable = False
@@ -175,11 +175,12 @@ class OptimizedTLC(L2Design):
                                     predictable)
             else:
                 # A clean miss, a false hit or a multiple match with no
-                # hit: fetch from memory and refill every stripe bank.
+                # hit: fetch from memory and refill every stripe bank,
+                # whose write ends at ``accepted`` without reserving it.
                 mem_done = self.memory.read(answer_at)
                 _, ready = network.send_request(link, mem_done, write_bits,
                                                 contend=False)
-                accepted = self._bank_access(group_idx, ready, contend=False)
+                accepted = ready + self.config.bank_access_cycles
                 outcome = L2Outcome(mem_done, False, answer_at - time,
                                     predictable)
         if writeback:
@@ -188,7 +189,7 @@ class OptimizedTLC(L2Design):
             arrival = network.send_response(link, accepted, response_bits,
                                             contend=False)
             self.memory.write(arrival)
-            self.stats.add("writebacks")
+            self.stats.counts["writebacks"] += 1
         self._record(outcome, banks_accessed=self.stripe_banks)
         return outcome
 

@@ -129,16 +129,14 @@ class DynamicNUCA(L2Design):
                 outcome = self._hit(column, position, way, set_index, tag,
                                     time, probe_done[position], write,
                                     close_hit=True)
-                self.stats.add("close_hits")
+                self.stats.counts["close_hits"] += 1
                 return outcome, banks_accessed
 
         # Closest-two miss.  Miss acks flow back while the partial tags
         # direct (or rule out) a wider search.
-        ack_times = [
-            self.network.send(column, p, probe_done[p], REQUEST_BITS,
-                              False)[0]
-            for p in CLOSEST_BANKS
-        ]
+        send = self.network.send
+        near_ack = send(column, 0, probe_done[0], REQUEST_BITS, False)[0]
+        far_ack = send(column, 1, probe_done[1], REQUEST_BITS, False)[0]
         # The partial tags mirror the banks, so a far block sits at the
         # nearest partial-tag match whose bank holds it, if anywhere.
         all_matches = self.partial_tags[column].matches(set_index, tag)
@@ -163,12 +161,12 @@ class DynamicNUCA(L2Design):
                 # Fast miss: no partial tag matched anywhere, so the miss
                 # is known at the fixed partial-tag latency.
                 miss_at = time + self.config.partial_tag_latency
-                self.stats.add("fast_misses")
+                self.stats.counts["fast_misses"] += 1
                 predictable = True
             else:
                 # A closest-bank partial tag matched but the full tag
                 # didn't; the controller must wait for the probe acks.
-                miss_at = max(ack_times)
+                miss_at = max(near_ack, far_ack)
                 predictable = False
             return (self._miss(column, set_index, tag, time, miss_at,
                                predictable, write), banks_accessed)
@@ -177,11 +175,11 @@ class DynamicNUCA(L2Design):
         # bank's partial tag matched, its probe might still hit and the
         # controller waits for the acks; otherwise the partial tags have
         # already ruled the closest banks out and the search launches at
-        # the partial-tag latency.
-        close_partial_match = any(p in CLOSEST_BANKS for p in all_matches)
+        # the partial-tag latency.  The matches are sorted, and there is
+        # one at least (a far one to search), so the first tells.
         search_start = time + self.config.partial_tag_latency
-        if close_partial_match:
-            search_start = max([search_start] + ack_times)
+        if all_matches[0] in CLOSEST_BANKS:
+            search_start = max(search_start, near_ack, far_ack)
 
         if self.config.search_mode == "incremental":
             return self._incremental_search(column, set_index, tag, time,
@@ -276,7 +274,7 @@ class DynamicNUCA(L2Design):
         first_bank = column * self.positions
         self._bank_access(first_bank + position, time)
         self._bank_access(first_bank + target, time)
-        self.stats.add("promotions")
+        self.stats.counts["promotions"] += 1
 
     def _miss(self, column: int, set_index: int, tag: int, time: int,
               miss_at: int, predictable: bool, write: bool) -> L2Outcome:
@@ -306,12 +304,12 @@ class DynamicNUCA(L2Design):
         result = bank.insert(set_index, tag, dirty=dirty)
         pta = self.partial_tags[column]
         pta.update(entry, set_index, result.way, tag)
-        self.stats.add("insertions")
+        self.stats.counts["insertions"] += 1
         if result.evicted_tag is not None and result.evicted_dirty:
             _, writeback_at = self.network.send(column, entry, accepted, BLOCK_BITS,
                                                 False, contend=False)
             self.memory.write(writeback_at)
-            self.stats.add("writebacks")
+            self.stats.counts["writebacks"] += 1
         return accepted
 
     #: pre-warm blocks arrive most-popular-first (see L2Design.install_order).

@@ -104,14 +104,13 @@ class StaticNUCA(L2Design):
                 _, landed = network.send(column, position, mem_done,
                                          REQUEST_BITS + BLOCK_BITS, True,
                                          contend=False)
-                self._bank_access(bank_idx, landed, contend=False)
                 outcome = L2Outcome(mem_done, False, latency,
                                     latency == expected)
         if writeback:
             _, writeback_at = network.send(column, position, landed,
                                            BLOCK_BITS, False, contend=False)
             self.memory.write(writeback_at)
-            self.stats.add("writebacks")
+            self.stats.counts["writebacks"] += 1
         self._record(outcome, banks_accessed=1)
         return outcome
 

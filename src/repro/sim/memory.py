@@ -28,7 +28,7 @@ class MainMemory:
         """Fetch a block; returns the cycle its critical word arrives."""
         start = max(time, self._channel_busy_until)
         self._channel_busy_until = start + self.channel_cycles_per_access
-        self.stats.add("reads")
+        self.stats.counts["reads"] += 1
         return start + self.latency_cycles
 
     def write(self, time: int) -> int:
@@ -40,7 +40,7 @@ class MainMemory:
         reserve the shared channel would falsely delay earlier reads
         under the scalar busy-until model.
         """
-        self.stats.add("writes")
+        self.stats.counts["writes"] += 1
         return time + self.channel_cycles_per_access
 
     def reset_stats(self) -> None:

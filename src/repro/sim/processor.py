@@ -92,7 +92,8 @@ class Processor:
         boundary, mirroring the paper's warm-up methodology (Table 4).
         """
         # The loop below runs once per reference; config fields and bound
-        # methods are hoisted into locals to keep it tight.
+        # methods are hoisted into locals, and each reference is unpacked
+        # once, to keep it tight.
         cfg = self.config
         issue_width = cfg.issue_width
         rob_entries = cfg.rob_entries
@@ -117,7 +118,7 @@ class Processor:
 
         tracer = self.tracer
         sanitizer = self.sanitizer
-        for i, ref in enumerate(trace):
+        for i, (gap, addr, write, dependent) in enumerate(trace):
             if i == warmup_refs and warmup_refs > 0:
                 warmup_cycle, warmup_instr = cycle, instr
                 l2.reset_stats()
@@ -125,8 +126,8 @@ class Processor:
                     tracer.emit("run.warmup_end", time=cycle, refs=i,
                                 instructions=instr)
 
-            instr += ref.gap
-            total_gap = ref.gap + gap_remainder
+            instr += gap
+            total_gap = gap + gap_remainder
             cycle += total_gap // issue_width
             gap_remainder = total_gap % issue_width
 
@@ -150,23 +151,23 @@ class Processor:
                 if done > cycle:
                     cycle = done
 
-            if ref.dependent and last_load_complete > cycle:
+            if dependent and last_load_complete > cycle:
                 cycle = last_load_complete
 
-            outcome = l2_access(ref.addr, cycle + l1_latency,
-                                write=ref.write)
+            outcome = l2_access(addr, cycle + l1_latency, write)
+            complete = outcome.complete_time
             if tracer is not None:
-                tracer.emit("l2.access", time=cycle, ref=i, addr=ref.addr,
-                            write=ref.write, hit=outcome.hit,
+                tracer.emit("l2.access", time=cycle, ref=i, addr=addr,
+                            write=write, hit=outcome.hit,
                             latency=outcome.lookup_latency,
-                            complete=outcome.complete_time,
+                            complete=complete,
                             predictable=outcome.predictable)
             requests += 1
-            if ref.write:
-                stores_append(outcome.complete_time)
+            if write:
+                stores_append(complete)
             else:
-                loads_append((instr, outcome.complete_time))
-                last_load_complete = outcome.complete_time
+                loads_append((instr, complete))
+                last_load_complete = complete
             if sanitizer is not None:
                 sanitizer.on_retire(cycle, instr,
                                     len(loads) + len(stores))

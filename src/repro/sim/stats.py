@@ -16,80 +16,86 @@ from typing import Dict, Iterable, Iterator, Tuple
 
 
 class Counter:
-    """A bag of named integer counters."""
+    """A bag of named integer counters.
+
+    ``counts`` is the live ``defaultdict(int)`` itself: the L2 access
+    path increments it in place (``counts["hits"] += 1``) instead of
+    calling :meth:`add`, and every reader sees the same mapping.
+    """
 
     def __init__(self) -> None:
-        self._counts: Dict[str, int] = defaultdict(int)
+        self.counts: Dict[str, int] = defaultdict(int)
 
     def add(self, name: str, amount: int = 1) -> None:
-        self._counts[name] += amount
+        self.counts[name] += amount
 
     def clear(self) -> None:
         """Zero every count in place (the object identity is preserved,
         so registries holding this counter keep seeing the live values)."""
-        self._counts.clear()
+        self.counts.clear()
 
     def __getitem__(self, name: str) -> int:
-        return self._counts.get(name, 0)
+        return self.counts.get(name, 0)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._counts
+        return name in self.counts
 
     def __iter__(self) -> Iterator[Tuple[str, int]]:
-        return iter(sorted(self._counts.items()))
+        return iter(sorted(self.counts.items()))
 
     def as_dict(self) -> Dict[str, int]:
-        return dict(self._counts)
+        return dict(self.counts)
 
     def ratio(self, numerator: str, denominator: str) -> float:
         """``counts[numerator] / counts[denominator]`` (0.0 if empty)."""
-        denom = self._counts.get(denominator, 0)
+        denom = self.counts.get(denominator, 0)
         if denom == 0:
             return 0.0
-        return self._counts.get(numerator, 0) / denom
+        return self.counts.get(numerator, 0) / denom
 
 
 class Histogram:
-    """A sparse histogram over integer values (e.g. latencies in cycles)."""
+    """A sparse histogram over integer values (e.g. latencies in cycles).
+
+    ``bins`` maps each value to its total weight and is the only state:
+    the L2 access path increments it in place (``bins[latency] += 1``)
+    instead of calling :meth:`record`, so :attr:`count` and :attr:`mean`
+    are sums over the bins, taken when read.
+    """
 
     def __init__(self) -> None:
-        self._bins: Dict[int, int] = defaultdict(int)
-        self._count = 0
-        self._total = 0
+        self.bins: Dict[int, int] = defaultdict(int)
 
     def record(self, value: int, weight: int = 1) -> None:
-        self._bins[value] += weight
-        self._count += weight
-        self._total += value * weight
+        self.bins[value] += weight
 
     def clear(self) -> None:
         """Drop every sample in place (identity-preserving, like
         :meth:`Counter.clear`)."""
-        self._bins.clear()
-        self._count = 0
-        self._total = 0
+        self.bins.clear()
 
     @property
     def count(self) -> int:
-        return self._count
+        return sum(self.bins.values())
 
     @property
     def mean(self) -> float:
-        if self._count == 0:
+        count = self.count
+        if count == 0:
             return 0.0
-        return self._total / self._count
+        return sum(value * weight for value, weight in self.bins.items()) / count
 
     @property
     def min(self) -> int:
-        if not self._bins:
+        if not self.bins:
             raise ValueError("empty histogram has no min")
-        return min(self._bins)
+        return min(self.bins)
 
     @property
     def max(self) -> int:
-        if not self._bins:
+        if not self.bins:
             raise ValueError("empty histogram has no max")
-        return max(self._bins)
+        return max(self.bins)
 
     def percentile(self, p: float) -> int:
         """The smallest value v with at least fraction ``p`` of mass ``<= v``.
@@ -103,20 +109,21 @@ class Histogram:
         """
         if not 0.0 <= p <= 1.0:
             raise ValueError("percentile must be in [0, 1]")
-        if self._count == 0:
+        count = self.count
+        if count == 0:
             raise ValueError("empty histogram has no percentiles")
         if p == 0.0:
             return self.min
-        threshold = p * self._count
+        threshold = p * count
         running = 0
-        for value in sorted(self._bins):
-            running += self._bins[value]
+        for value in sorted(self.bins):
+            running += self.bins[value]
             if running >= threshold:
                 return value
-        return max(self._bins)
+        return max(self.bins)
 
     def items(self) -> Iterable[Tuple[int, int]]:
-        return sorted(self._bins.items())
+        return sorted(self.bins.items())
 
 
 class UtilizationMeter:

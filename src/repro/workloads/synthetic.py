@@ -22,6 +22,7 @@ and fully determined by (spec, seed).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import numbers
 from typing import List
@@ -226,12 +227,12 @@ def generate_trace(spec: TraceSpec, n_refs: int, seed: int = 0) -> List[Referenc
     else:
         addrs = blocks * BLOCK_BYTES
     # .tolist() converts each element to a native int/bool in one C pass,
-    # far faster than per-element int()/bool() calls and value-identical.
-    return [
-        Reference(g, a, w, d)
-        for g, a, w, d in zip(gaps.tolist(), addrs.tolist(),
-                              writes.tolist(), dependents.tolist())
-    ]
+    # far faster than per-element int()/bool() calls and value-identical;
+    # tuple.__new__ then makes each 4-tuple a Reference in C, without the
+    # per-reference Python call of the NamedTuple constructor.
+    return list(map(tuple.__new__, itertools.repeat(Reference),
+                    zip(gaps.tolist(), addrs.tolist(), writes.tolist(),
+                        dependents.tolist())))
 
 
 def _stream_walk(spec: TraceSpec, n_stream: int) -> "np.ndarray":

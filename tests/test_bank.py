@@ -131,6 +131,7 @@ class TestOccupancy:
 BANK_ENTRY_POINTS = {
     "probe": (lambda bank, s, w: bank.probe(s, 1), ("set",)),
     "tag_at": (lambda bank, s, w: bank.tag_at(s, w), ("set", "way")),
+    "tags_of": (lambda bank, s, w: bank.tags_of(s), ("set",)),
     "entry_at": (lambda bank, s, w: bank.entry_at(s, w), ("set", "way")),
     "lookup": (lambda bank, s, w: bank.lookup(s, 1), ("set",)),
     "insert": (lambda bank, s, w: bank.insert(s, 1), ("set",)),

@@ -13,6 +13,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from repro.obs.registry import MetricsRegistry  # noqa: E402
 from repro.sim.stats import Histogram, UtilizationMeter  # noqa: E402
 
 #: Arbitrary weighted samples: (value in cycles, weight >= 1).
@@ -82,6 +83,56 @@ class TestHistogramProperties:
         histogram.clear()
         assert histogram.count == 0
         assert histogram.mean == 0.0
+
+
+#: Interleaved histogram operations: ("record", value, weight) or ("clear",).
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("record"), st.integers(-1_000, 1_000),
+                  st.integers(1, 5)),
+        st.tuples(st.just("clear"))),
+    max_size=60)
+
+
+@settings(max_examples=200)
+@given(ops=operations)
+def test_histogram_matches_a_plain_list_of_samples(ops):
+    """The histogram keeps only its bins, and count and mean are summed
+    over them when read: after any mix of records and clears, every
+    reading equals the one computed from a plain list of the samples
+    recorded since the last clear."""
+    registry = MetricsRegistry()
+    histogram = registry.histogram("lookup")
+    samples = []
+    for op in ops:
+        if op[0] == "clear":
+            histogram.clear()
+            samples.clear()
+        else:
+            _, value, weight = op
+            histogram.record(value, weight)
+            samples.extend([value] * weight)
+
+    assert histogram.count == len(samples)
+    assert histogram.mean == (sum(samples) / len(samples) if samples else 0.0)
+    expected_items = sorted(
+        (value, samples.count(value)) for value in set(samples))
+    assert list(histogram.items()) == expected_items
+    if samples:
+        assert histogram.min == min(samples)
+        assert histogram.max == max(samples)
+    else:
+        with pytest.raises(ValueError):
+            histogram.min
+        with pytest.raises(ValueError):
+            histogram.max
+    assert registry.snapshot()["lookup"] == {
+        "count": len(samples),
+        "mean": sum(samples) / len(samples) if samples else 0.0,
+        "min": min(samples) if samples else None,
+        "max": max(samples) if samples else None,
+        "bins": {str(value): n for value, n in expected_items},
+    }
 
 
 #: Streams of busy() charges plus the elapsed window to evaluate at.

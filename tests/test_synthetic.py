@@ -12,6 +12,7 @@ from repro.workloads.synthetic import (
     scatter_block,
     _scatter_array,
 )
+from repro.workloads.trace import Reference
 
 
 class TestTraceSpecValidation:
@@ -144,6 +145,20 @@ class TestGeneration:
     def test_length(self):
         spec = TraceSpec(mean_gap=20.0)
         assert len(generate_trace(spec, 777, seed=0)) == 777
+
+    def test_every_element_is_a_reference(self):
+        """The trace is built in C from plain tuples; each element must
+        still be a Reference with native field types."""
+        spec = TraceSpec(mean_gap=10.0, write_fraction=0.3,
+                         dependent_fraction=0.3, stream_fraction=0.2)
+        trace = generate_trace(spec, 500, seed=3)
+        assert {type(ref) for ref in trace} == {Reference}
+        for ref in trace:
+            assert len(ref) == 4
+            assert type(ref.gap) is int and type(ref.addr) is int
+            assert type(ref.write) is bool and type(ref.dependent) is bool
+            assert ref == Reference(ref.gap, ref.addr, ref.write,
+                                    ref.dependent)
 
     def test_invalid_length(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim.system import System, run_system
 from repro.workloads.synthetic import TraceSpec, generate_trace
+from tests.call_counts import repro_calls_per_reference
 
 SMALL = dict(n_refs=3_000, warmup_fraction=0.3)
 
@@ -130,3 +131,18 @@ class TestCrossDesignInvariants:
             dnuca = run_system("DNUCA", benchmark, **SMALL)
             assert (tlc.predictable_lookup_fraction
                     > dnuca.predictable_lookup_fraction)
+
+
+@pytest.mark.parametrize("design, workload, ceiling", [
+    ("TLC", "perl", 12.5),
+    ("TLCopt500", "perl", 12.5),
+    ("SNUCA2", "perl", 8.5),
+    ("DNUCA", "perl", 14.5),
+    ("DNUCA", "mcf", 28.0),
+])
+def test_calls_per_reference_stay_under_a_ceiling(design, workload, ceiling):
+    """Counters, latency bins and bank slots are updated in place on the
+    access path, and the replay loop unpacks each reference once, so a
+    reference makes few calls into the program.  Call counts are
+    deterministic, unlike timings on a shared host."""
+    assert repro_calls_per_reference(design, workload) <= ceiling
