@@ -25,6 +25,13 @@ MAIN_DESIGNS: Tuple[str, ...] = ("SNUCA2", "DNUCA", "TLC")
 #: The TLC family of Figure 7 / Figure 8.
 TLC_FAMILY: Tuple[str, ...] = ("TLC", "TLCopt1000", "TLCopt500", "TLCopt350")
 
+#: The family grid: SNUCA2 (the normalization baseline) plus the family.
+FAMILY_DESIGNS: Tuple[str, ...] = ("SNUCA2",) + TLC_FAMILY
+
+#: Every design of the two grids, each once: SNUCA2 and TLC are in both.
+PAPER_DESIGNS: Tuple[str, ...] = MAIN_DESIGNS + tuple(
+    design for design in FAMILY_DESIGNS if design not in MAIN_DESIGNS)
+
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentGrid:
@@ -74,6 +81,25 @@ class ExperimentGrid:
                 keys.append(f"content:{digest}")
         return tuple(sorted(keys))
 
+    def select(self, designs: Sequence[str]) -> "ExperimentGrid":
+        """The grid of ``designs`` alone, over every benchmark.
+
+        Results and :attr:`cell_meta` are this grid's own, in its cell
+        order, so one run of the union of two grids answers both.
+        """
+        designs = tuple(designs)
+        unknown = [design for design in designs if design not in self.designs]
+        if unknown:
+            raise KeyError(f"designs {unknown} are not in this grid, which "
+                           f"holds {list(self.designs)}")
+        chosen = set(designs)
+        results = {cell: result for cell, result in self.results.items()
+                   if cell[0] in chosen}
+        cell_meta = (None if self.cell_meta is None
+                     else {cell: self.cell_meta[cell] for cell in results})
+        return ExperimentGrid(designs, self.benchmarks, results,
+                              cell_meta=cell_meta)
+
     def result(self, design: str, benchmark: str) -> SystemResult:
         try:
             return self.results[(design, benchmark)]
@@ -120,3 +146,19 @@ def run_design_grid(designs: Sequence[str] = MAIN_DESIGNS,
                     policy=policy,
                     fault_plan=fault_plan, telemetry=telemetry,
                     sanitize=sanitize)
+
+
+def run_paper_grids(n_refs: int = 20_000, workers: int = 1, cache=None,
+                    policy=None, telemetry=None,
+                    ) -> Tuple[ExperimentGrid, ExperimentGrid]:
+    """``(main, family)``: the report's two grids from one run.
+
+    The :data:`PAPER_DESIGNS` cells run once, with or without a cache,
+    and each grid is a :meth:`~ExperimentGrid.select` of that run, so
+    the cells both grids hold are simulated once.  Arguments are
+    :func:`run_design_grid`'s.
+    """
+    grid = run_design_grid(designs=PAPER_DESIGNS, n_refs=n_refs,
+                           workers=workers, cache=cache, policy=policy,
+                           telemetry=telemetry)
+    return grid.select(MAIN_DESIGNS), grid.select(FAMILY_DESIGNS)

@@ -20,6 +20,11 @@ deterministic workload:
   path the experiment grids are built from (mcf, for each paper
   design); ``meta.refs_per_sec`` carries the headline throughput
   number.
+* ``grid.paper.warm`` — ``run_design_grid`` over the six paper designs
+  and twelve benchmarks from a warm result cache: every cell is keyed,
+  read, verified and decoded, and none is simulated.  ``inner_ops`` is
+  the number of cells read.  The cache is filled once per process,
+  outside every timed region.
 
 Every other workload is sized by a *scale* so ``--quick`` (CI) runs the
 same shapes smaller.  Builders construct their fixtures outside the
@@ -34,6 +39,8 @@ reps, so the count does not depend on ``--reps``.
 
 from __future__ import annotations
 
+import functools
+import tempfile
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.analysis.perf.harness import (
@@ -173,12 +180,50 @@ def _build_system_refs(design: str) -> BenchBuilder:
     return build
 
 
+#: references per cell of the warm paper grid; a cell's payload, and so
+#: the cost of reading it, does not depend on it.
+PAPER_GRID_REFS = 500
+
+
+@functools.lru_cache(maxsize=None)
+def _paper_grid_cache() -> tempfile.TemporaryDirectory:
+    """A result cache holding every paper-grid cell, filled on first use."""
+    from repro.analysis.experiments import PAPER_DESIGNS, run_design_grid
+
+    root = tempfile.TemporaryDirectory(prefix="repro-perf-grid-")
+    run_design_grid(
+        designs=PAPER_DESIGNS, n_refs=PAPER_GRID_REFS, workers=2, cache=root.name
+    )
+    return root
+
+
+def _build_grid_paper_warm(scale: int) -> Tuple[Callable[[], Any], Dict[str, Any]]:
+    from repro.analysis.experiments import PAPER_DESIGNS, run_design_grid
+    from repro.analysis.runner import ResultCache
+    from repro.workloads.profiles import benchmark_names
+
+    root = _paper_grid_cache().name
+    cells = len(PAPER_DESIGNS) * len(benchmark_names())
+
+    def fn() -> Any:
+        cache = ResultCache(root)
+        grid = run_design_grid(
+            designs=PAPER_DESIGNS, n_refs=PAPER_GRID_REFS, cache=cache
+        )
+        if cache.hits != cells:
+            raise RuntimeError(f"warm paper grid read {cache.hits} of {cells} cells")
+        return grid
+
+    return fn, {"inner_ops": cells, "n_refs": PAPER_GRID_REFS}
+
+
 #: name -> builder; names are stable identifiers BENCH documents key on.
 SUITE: Dict[str, BenchBuilder] = {
     "calibration.spin": _build_calibration_spin,
     "link.transit": _build_link_transit,
     "mesh.transit": _build_mesh_transit,
     "workload.generate": _build_workload_generate,
+    "grid.paper.warm": _build_grid_paper_warm,
 }
 for _design in LOOKUP_DESIGNS:
     SUITE[f"l2.lookup.{_design.lower()}"] = _build_l2_lookup(_design)

@@ -24,9 +24,11 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.experiments import (
     ExperimentGrid,
+    FAMILY_DESIGNS,
     MAIN_DESIGNS,
     TLC_FAMILY,
     run_design_grid,
+    run_paper_grids,
 )
 from repro.analysis.figures import (
     figure6_dataset,
@@ -183,11 +185,12 @@ def build_report(main_grid: Optional[ExperimentGrid] = None,
     """
     from repro.analysis.derived import as_lane
 
+    if main_grid is None and family_grid is None:
+        main_grid, family_grid = run_paper_grids(n_refs=n_refs)
     if main_grid is None:
         main_grid = run_design_grid(designs=MAIN_DESIGNS, n_refs=n_refs)
     if family_grid is None:
-        family_grid = run_design_grid(designs=("SNUCA2",) + TLC_FAMILY,
-                                      n_refs=n_refs)
+        family_grid = run_design_grid(designs=FAMILY_DESIGNS, n_refs=n_refs)
     grids = {"main": main_grid, "family": family_grid}
 
     def render() -> dict:

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
+import operator
 import os
 import time as _time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -60,7 +60,7 @@ from repro.analysis.resilience import (
     RunnerTelemetry,
     run_misses,
 )
-from repro.analysis.storage import RESULT_CODEC, ContentStore
+from repro.analysis.storage import RESULT_CODEC, ContentStore, canonical_json
 # The code-version stamp moved to repro.obs.manifest (manifests carry it
 # too); re-exported here because cache keys embed it and callers import
 # it from this module.
@@ -81,6 +81,25 @@ from repro.workloads.synthetic import TraceSpec, generate_trace
 #: envelope both cache lanes share.  Old entries hash to different keys
 #: (the version is part of the key payload) and are simply unseen.
 CACHE_FORMAT_VERSION = 5
+
+
+def _flat_fields(kind: type):
+    """``instance -> dict`` of a flat dataclass's fields in order.
+
+    ``dataclasses.asdict`` without its deep copy: every field of
+    :class:`ProcessorConfig` and :class:`TraceSpec` is a scalar, which
+    ``asdict`` copies as it is.  A field that is not would reach the
+    cache key's JSON encoder as an object and fail loudly there.
+    """
+    names = tuple(field.name for field in dataclasses.fields(kind))
+    values = operator.attrgetter(*names)
+    return lambda instance: dict(zip(names, values(instance)))
+
+
+_processor_fields = _flat_fields(ProcessorConfig)
+_trace_spec_fields = _flat_fields(TraceSpec)
+#: The key fields of the design-point core, which most cells run.
+_DEFAULT_PROCESSOR_FIELDS = _processor_fields(ProcessorConfig())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -125,17 +144,18 @@ class CellSpec:
 
     def key_fields(self) -> dict:
         """The canonical, JSON-able dictionary the cache key hashes."""
-        processor = self.processor_config or ProcessorConfig()
         return {
             "design": self.design,
             "benchmark": self.benchmark,
             "n_refs": self.n_refs,
             "seed": self.seed,
             "warmup_fraction": self.warmup_fraction,
-            "processor_config": dataclasses.asdict(processor),
+            "processor_config": (dict(_DEFAULT_PROCESSOR_FIELDS)
+                                 if self.processor_config is None
+                                 else _processor_fields(self.processor_config)),
             "tech": self.tech.name,
             "trace_spec": (None if self.trace_spec is None
-                           else dataclasses.asdict(self.trace_spec)),
+                           else _trace_spec_fields(self.trace_spec)),
             "memory_latency_cycles": self.memory_latency_cycles,
             "sanitize": self.sanitize,
             "design_base": self.design_base,
@@ -147,11 +167,10 @@ class CellSpec:
 
 def cache_key(cell: CellSpec) -> str:
     """Content hash of one cell: SHA-256 over inputs + code version."""
-    payload = dict(cell.key_fields(),
-                   code_version=code_version_stamp(),
-                   cache_format=CACHE_FORMAT_VERSION)
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    payload = cell.key_fields()
+    payload["code_version"] = code_version_stamp()
+    payload["cache_format"] = CACHE_FORMAT_VERSION
+    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
 def run_cell(cell: CellSpec) -> SystemResult:

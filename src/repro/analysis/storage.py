@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import threading
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
@@ -50,6 +51,27 @@ class CacheCorruptionError(ValueError):
     """
 
 
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))`` with
+#: its encoder built once: the text every integrity digest and cache
+#: key hashes.
+canonical_json = json.JSONEncoder(sort_keys=True,
+                                  separators=(",", ":")).encode
+
+#: Types whose JSON text is their own: canonicalization returns them,
+#: and any list or tuple holding only them, as they are.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _key_text(pair: list) -> str:
+    """The compact JSON text of a canonical pair's key, which pairs sort
+    by.  A ``str`` key's text is ``encode_basestring_ascii(key)``
+    exactly as ``json.dumps`` writes it; other keys are encoded."""
+    key = pair[0]
+    if type(key) is str:
+        return encode_basestring_ascii(key)
+    return canonical_json(key)
+
+
 def _digest_canonical(value):
     """A JSON-able image of ``value`` that keeps dict-key types apart.
 
@@ -63,15 +85,21 @@ def _digest_canonical(value):
     type, sorting never compares ints to strings, and the single-key
     ``__dict__`` wrapper cannot collide with any list or scalar a
     payload could contain.
+
+    Scalars, and lists or tuples that hold only scalars, come back as
+    they are: their JSON text is already canonical.
     """
+    if type(value) in _SCALARS:
+        return value
     if isinstance(value, dict):
         pairs = [[_digest_canonical(key), _digest_canonical(val)]
                  for key, val in value.items()]
-        pairs.sort(key=lambda pair: json.dumps(pair[0], sort_keys=True,
-                                               separators=(",", ":")))
+        pairs.sort(key=_key_text)
         return {"__dict__": pairs}
     if isinstance(value, (list, tuple)):
-        return [_digest_canonical(item) for item in value]
+        for item in value:
+            if type(item) not in _SCALARS:
+                return [_digest_canonical(item) for item in value]
     return value
 
 
@@ -87,8 +115,7 @@ def integrity_digest(payload: Any) -> str:
     fingerprint (:meth:`~repro.analysis.experiments.ExperimentGrid.cell_keys`)
     depends on that.
     """
-    canonical = json.dumps(_digest_canonical(payload),
-                           sort_keys=True, separators=(",", ":"))
+    canonical = canonical_json(_digest_canonical(payload))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -136,15 +163,19 @@ def result_to_dict(result: SystemResult) -> dict:
     return payload
 
 
+#: The fields a result payload must hold, no more and no fewer.
+_RESULT_FIELDS = frozenset(f.name for f in dataclasses.fields(SystemResult))
+
+
 def result_from_dict(payload: dict) -> SystemResult:
     """Inverse of :func:`result_to_dict`."""
-    fields = {f.name for f in dataclasses.fields(SystemResult)}
-    unknown = set(payload) - fields
-    if unknown:
-        raise ValueError(f"unknown result fields: {sorted(unknown)}")
-    missing = fields - set(payload)
-    if missing:
-        raise ValueError(f"missing result fields: {sorted(missing)}")
+    if not isinstance(payload, dict) or payload.keys() != _RESULT_FIELDS:
+        unknown = set(payload) - _RESULT_FIELDS
+        if unknown:
+            raise ValueError(f"unknown result fields: {sorted(unknown)}")
+        missing = _RESULT_FIELDS - set(payload)
+        if missing:
+            raise ValueError(f"missing result fields: {sorted(missing)}")
     payload = dict(payload)
     payload["stats"] = _decode_stats(payload["stats"])
     return SystemResult(**payload)
@@ -202,6 +233,8 @@ class ContentStore:
     def __init__(self, root: Union[str, os.PathLike], format: int,
                  codec: Codec = JSON_CODEC) -> None:
         self.root = Path(root).expanduser()
+        # The root as a string ending in a separator, for _entry_file.
+        self._prefix = os.path.join(self.root, "")
         self.format = format
         self.codec = codec
         self.hits = 0
@@ -210,7 +243,13 @@ class ContentStore:
         self.quarantined = 0
 
     def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        """Where ``key``'s entry lives: ``<root>/<key[:2]>/<key>.json``."""
+        return Path(self._entry_file(key))
+
+    def _entry_file(self, key: str) -> str:
+        """:meth:`path_for` as a plain string, which a read opens without
+        building a :class:`~pathlib.Path`."""
+        return f"{self._prefix}{key[:2]}{os.sep}{key}.json"
 
     def keys(self) -> List[str]:
         """Every stored key, sorted; temp files and quarantine excluded."""
@@ -227,9 +266,10 @@ class ContentStore:
         :class:`CacheCorruptionError` for one that exists but fails any
         verification step.
         """
-        path = self.path_for(key)
+        path = self._entry_file(key)
         try:
-            raw = path.read_bytes()
+            with open(path, "rb") as handle:
+                raw = handle.read()
         except FileNotFoundError:
             raise
         except OSError as error:

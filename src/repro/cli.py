@@ -29,10 +29,6 @@ from typing import List, Optional
 from repro.analysis.figures import grouped_bar_chart
 from repro.analysis.tables import format_table
 from repro.core.config import DESIGNS, design_names, resolve_design_name
-from repro.service.schema import (
-    DEFAULT_MAX_ACTIVE_JOBS,
-    DEFAULT_MAX_QUEUED_CELLS,
-)
 from repro.sim.system import run_system
 from repro.workloads.profiles import PROFILES, benchmark_names, get_profile
 from repro.workloads.synthetic import generate_trace
@@ -434,9 +430,9 @@ def _cmd_report(args) -> int:
     import time as _time
 
     from repro.analysis.experiments import (
+        FAMILY_DESIGNS,
         MAIN_DESIGNS,
-        TLC_FAMILY,
-        run_design_grid,
+        run_paper_grids,
     )
     from repro.analysis.report import REPORT_KIND, build_report, report_lane_key
     from repro.analysis.runner import cache_key, grid_cell_specs
@@ -449,10 +445,9 @@ def _cmd_report(args) -> int:
     # Every cell either grid would run, fingerprinted without running
     # anything: this is the key build_report caches the document under,
     # so a warm lane serves the report with zero simulation.
-    family_designs = ("SNUCA2",) + TLC_FAMILY
     main_cells, benchmarks = grid_cell_specs(designs=MAIN_DESIGNS,
                                              n_refs=args.refs)
-    family_cells, _ = grid_cell_specs(designs=family_designs,
+    family_cells, _ = grid_cell_specs(designs=FAMILY_DESIGNS,
                                       n_refs=args.refs)
     cell_keys, params = report_lane_key(
         [cache_key(cell) for cell in main_cells],
@@ -461,12 +456,10 @@ def _cmd_report(args) -> int:
     grids = {}
 
     def compute_document() -> dict:
-        grids["main"] = run_design_grid(
-            designs=MAIN_DESIGNS, n_refs=args.refs, workers=args.workers,
-            cache=cache, policy=policy, telemetry=telemetry)
-        grids["family"] = run_design_grid(
-            designs=family_designs, n_refs=args.refs, workers=args.workers,
-            cache=cache, policy=policy, telemetry=telemetry)
+        # One run of the six designs' cells answers both grids.
+        grids["main"], grids["family"] = run_paper_grids(
+            n_refs=args.refs, workers=args.workers, cache=cache,
+            policy=policy, telemetry=telemetry)
         return {"rendered": build_report(main_grid=grids["main"],
                                          family_grid=grids["family"],
                                          n_refs=args.refs)}
@@ -492,7 +485,7 @@ def _cmd_report(args) -> int:
         config = {
             "n_refs": args.refs,
             "main_designs": list(MAIN_DESIGNS),
-            "family_designs": list(family_designs),
+            "family_designs": list(FAMILY_DESIGNS),
             "benchmarks": list(benchmarks),
             "workers": args.workers,
             "cached": cache is not None,
@@ -705,11 +698,30 @@ def _cmd_perf_list(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that can add its arguments when it first parses.
+
+    ``serve`` adds its flags this way: their defaults come from the
+    service package, which then loads only for ``serve``.
+    """
+
+    def __init__(self, *args, add_arguments=None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_arguments is not None:
+            add_arguments, self._add_arguments = self._add_arguments, None
+            add_arguments(self)
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="TLC: Transmission Line Caches — reproduction toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Parser)
 
     sub.add_parser("designs", help="list the design registry").set_defaults(
         func=_cmd_designs)
@@ -914,9 +926,20 @@ def build_parser() -> argparse.ArgumentParser:
                       help="list benchmark names and exit")
     perf.set_defaults(func=_cmd_perf_dispatch)
 
-    serve = sub.add_parser(
+    sub.add_parser(
         "serve", help="run the HTTP/JSON job API over the grid runner "
-                      "(see docs/SERVICE.md)")
+                      "(see docs/SERVICE.md)",
+        add_arguments=_add_serve_arguments)
+
+    return parser
+
+
+def _add_serve_arguments(serve: argparse.ArgumentParser) -> None:
+    from repro.service.schema import (
+        DEFAULT_MAX_ACTIVE_JOBS,
+        DEFAULT_MAX_QUEUED_CELLS,
+    )
+
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default: 127.0.0.1)")
     serve.add_argument("--port", default=8765,
@@ -963,8 +986,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "wait up to this long for in-flight jobs "
                             "before exiting (default: 30)")
     serve.set_defaults(func=_cmd_serve)
-
-    return parser
 
 
 def _cmd_serve(args) -> int:

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.analysis.experiments import (
+    FAMILY_DESIGNS,
     MAIN_DESIGNS,
+    PAPER_DESIGNS,
     TLC_FAMILY,
     run_design_grid,
 )
@@ -43,6 +45,9 @@ class TestGridRunner:
     def test_design_lists(self):
         assert MAIN_DESIGNS == ("SNUCA2", "DNUCA", "TLC")
         assert TLC_FAMILY[0] == "TLC" and len(TLC_FAMILY) == 4
+        assert FAMILY_DESIGNS == ("SNUCA2",) + TLC_FAMILY
+        assert PAPER_DESIGNS == ("SNUCA2", "DNUCA", "TLC", "TLCopt1000",
+                                 "TLCopt500", "TLCopt350")
 
     def test_missing_cell_names_cell_and_choices(self, grid):
         with pytest.raises(KeyError) as excinfo:
@@ -58,6 +63,19 @@ class TestGridRunner:
     def test_missing_baseline_named(self, grid):
         with pytest.raises(KeyError, match="nope"):
             grid.normalized_execution_time("TLC", "perl", baseline="nope")
+
+    def test_select_keeps_results_and_provenance(self, grid):
+        tlc = grid.select(("TLC",))
+        assert (tlc.designs, tlc.benchmarks) == (("TLC",), grid.benchmarks)
+        assert tlc.results == {cell: result for cell, result
+                               in grid.results.items() if cell[0] == "TLC"}
+        assert tlc.cell_meta == {cell: grid.cell_meta[cell]
+                                 for cell in tlc.results}
+        assert grid.select(("TLC", "SNUCA2")).designs == ("TLC", "SNUCA2")
+
+    def test_select_names_a_missing_design(self, grid):
+        with pytest.raises(KeyError, match="DNUCA"):
+            grid.select(("TLC", "DNUCA"))
 
 
 class TestBenchmarkSuite:

@@ -1,8 +1,26 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+def test_import_leaves_the_service_package_unloaded():
+    """``serve`` loads the service package when it parses; no other
+    subcommand pays for it."""
+    probe = ("import sys, repro.cli\n"
+             "repro.cli.build_parser().parse_args(['report'])\n"
+             "print(sorted(m for m in sys.modules\n"
+             "             if m.split('.')[:2] == ['repro', 'service']))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"
 
 
 class TestParser:

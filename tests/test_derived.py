@@ -216,6 +216,7 @@ class TestCliAndBuildReportShareOneKey:
         out = root / "report.md"
         assert main(["report", "--refs", str(self.N_REFS), "--workers", "2",
                      "--cache-dir", str(root / "cache"),
+                     "--metrics-out", str(root / "manifest.json"),
                      "--out", str(out)]) == 0
         return root, out.read_text(encoding="utf-8")
 
@@ -225,6 +226,31 @@ class TestCliAndBuildReportShareOneKey:
         return [run_design_grid(designs=designs, n_refs=self.N_REFS,
                                 workers=2, cache=cache)
                 for designs in (MAIN_DESIGNS, ("SNUCA2",) + TLC_FAMILY)]
+
+    def test_cold_report_runs_each_cell_once(self, cold_cli):
+        """The two grids share SNUCA2 and TLC; the 72 cells of the six
+        designs run once."""
+        import json
+
+        root, _ = cold_cli
+        manifest = json.loads((root / "manifest.json").read_text())
+        counts = manifest["resilience"]
+        assert (counts["cells"], counts["attempts"]) == (72, 72)
+        assert len(list((root / "cache").glob("??/*.json"))) == 72
+        assert (len(manifest["metrics"]["main"]),
+                len(manifest["metrics"]["family"])) == (3, 5)
+
+    def test_report_without_a_cache_dir_matches(self, cold_cli, tmp_path,
+                                                capsys):
+        from repro.cli import main
+
+        _, text = cold_cli
+        out = tmp_path / "uncached.md"
+        capsys.readouterr()
+        assert main(["report", "--refs", str(self.N_REFS), "--workers", "2",
+                     "--out", str(out)]) == 0
+        assert "resilience: 72 attempt(s)" in capsys.readouterr().out
+        assert out.read_text(encoding="utf-8") == text
 
     def test_cli_report_answers_build_report(self, cold_cli):
         root, text = cold_cli
